@@ -282,10 +282,19 @@ func BenchmarkFastForward(b *testing.B) {
 // simulation is cached after the first iteration, so allocs/op converges on
 // the monitored run's own footprint — the event path from AppCore through
 // the FilteringUnit to the monitor core, plus per-run setup.
-func BenchmarkSystemRunAllocs(b *testing.B) {
+func BenchmarkSystemRunAllocs(b *testing.B) { benchRunAllocs(b, "MemLeak") }
+
+// BenchmarkSystemRunAllocsAddrCheck is the same guard for a monitor that
+// marks its static application space valid before the run. That bulk
+// initialization shares read-only uniform metadata pages instead of
+// filling private ones, so allocating shadow pages per run again shows up
+// here as hundreds of extra allocations.
+func BenchmarkSystemRunAllocsAddrCheck(b *testing.B) { benchRunAllocs(b, "AddrCheck") }
+
+func benchRunAllocs(b *testing.B, monitor string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig("MemLeak")
+		cfg := DefaultConfig(monitor)
 		cfg.Instrs = 20_000
 		cfg.Seed = 12345
 		if _, err := Run("astar", cfg); err != nil {

@@ -56,8 +56,12 @@ type line struct {
 
 // Cache is a set-associative, true-LRU, timing-only cache model.
 type Cache struct {
-	cfg        CacheConfig
-	sets       [][]line
+	cfg CacheConfig
+	// lines holds every set back to back: set i is
+	// lines[i*assoc : (i+1)*assoc]. One flat slice, not a slice per set,
+	// saves a slice header per set (48 KB for the L2) on every core built.
+	lines      []line
+	assoc      uint32
 	setMask    uint32
 	blockShift uint
 	stamp      uint64
@@ -79,16 +83,18 @@ func NewCache(cfg CacheConfig) *Cache {
 	if cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		panic("mem: block size must be a power of two")
 	}
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
 	shift := uint(0)
 	for 1<<shift < cfg.BlockBytes {
 		shift++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint32(numSets - 1), blockShift: shift}
+	return &Cache{cfg: cfg, lines: make([]line, numSets*cfg.Assoc), assoc: uint32(cfg.Assoc),
+		setMask: uint32(numSets - 1), blockShift: shift}
+}
+
+// set returns the lines of the set block blk maps to.
+func (c *Cache) set(blk uint32) []line {
+	base := (blk & c.setMask) * c.assoc
+	return c.lines[base : base+c.assoc]
 }
 
 // Config returns the cache geometry.
@@ -100,7 +106,7 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 func (c *Cache) Access(addr uint32) bool {
 	c.stamp++
 	blk := addr >> c.blockShift
-	set := c.sets[blk&c.setMask]
+	set := c.set(blk)
 	tag := blk >> 0
 	victim := 0
 	for i := range set {
@@ -123,7 +129,7 @@ func (c *Cache) Access(addr uint32) bool {
 // Probe reports whether addr is present without updating any state.
 func (c *Cache) Probe(addr uint32) bool {
 	blk := addr >> c.blockShift
-	set := c.sets[blk&c.setMask]
+	set := c.set(blk)
 	for i := range set {
 		if set[i].valid && set[i].tag == blk {
 			return true

@@ -1,6 +1,10 @@
 package metadata
 
-import "fade/internal/isa"
+import (
+	"sync/atomic"
+
+	"fade/internal/isa"
+)
 
 // Word metadata granularity: one metadata byte shadows one 4-byte
 // application word. All evaluated monitors fit their critical state in a
@@ -37,10 +41,46 @@ func AppPageOfMD(mdPage uint32) uint32 { return mdPage << (pageShift + 2) }
 // Pages are allocated on first touch and zero-filled; the zero metadata
 // value must therefore be each monitor's "default" state (e.g. unallocated,
 // untainted, non-pointer), which all evaluated monitors satisfy.
+//
+// Range operations work a page at a time. A range that covers a whole page
+// with one value points the page at a process-wide, read-only uniform page
+// holding that value instead of filling private bytes; the first Store or
+// partial SetRange that would change such a page copies it first
+// (copy-on-write). Bulk initialization of large static regions therefore
+// costs one directory entry per page and allocates nothing.
 type Memory struct {
 	pages map[uint32]*[PageBytes]byte
 	// writes counts metadata mutations, used by differential tests.
 	writes uint64
+}
+
+const pageMask = PageBytes - 1
+
+// uniform holds the shared read-only pages, one per metadata value, built
+// on first use. They are never written, so any number of Memories (and
+// concurrent runs) may point at them.
+var uniform [256]atomic.Pointer[[PageBytes]byte]
+
+// uniformPage returns the shared page filled with v.
+func uniformPage(v byte) *[PageBytes]byte {
+	if p := uniform[v].Load(); p != nil {
+		return p
+	}
+	p := new([PageBytes]byte)
+	for i := range p {
+		p[i] = v
+	}
+	if uniform[v].CompareAndSwap(nil, p) {
+		return p
+	}
+	return uniform[v].Load()
+}
+
+// shared reports whether page is one of the read-only uniform pages. A
+// uniform page for value v holds v in every byte, so one pointer
+// comparison decides.
+func shared(page *[PageBytes]byte) bool {
+	return page == uniform[page[0]].Load()
 }
 
 // NewMemory returns an empty metadata memory.
@@ -55,7 +95,7 @@ func (m *Memory) Load(appAddr uint32) byte {
 	if !ok {
 		return 0
 	}
-	return page[md&(PageBytes-1)]
+	return page[md&pageMask]
 }
 
 // Store sets the metadata byte shadowing the application word at appAddr.
@@ -63,49 +103,80 @@ func (m *Memory) Store(appAddr uint32, v byte) {
 	md := MDAddr(appAddr)
 	pn := md >> pageShift
 	page, ok := m.pages[pn]
-	if !ok {
-		if v == 0 {
-			return // zero store to an untouched page is a no-op
-		}
-		page = new([PageBytes]byte)
-		m.pages[pn] = page
+	if !ok && v == 0 {
+		return // zero store to an untouched page is a no-op
 	}
-	page[md&(PageBytes-1)] = v
 	m.writes++
+	if page = m.writable(pn, page, v); page != nil {
+		page[md&pageMask] = v
+	}
+}
+
+// writable returns the private page pn (currently page, nil when
+// untouched) ready to take value v, allocating or copying a shared page as
+// needed. It returns nil when page is a shared page already holding v
+// everywhere, so the write would change nothing.
+func (m *Memory) writable(pn uint32, page *[PageBytes]byte, v byte) *[PageBytes]byte {
+	switch {
+	case page == nil:
+		page = new([PageBytes]byte)
+	case shared(page):
+		if page[0] == v {
+			return nil
+		}
+		cp := *page
+		page = &cp
+	default:
+		return page
+	}
+	m.pages[pn] = page
+	return page
 }
 
 // SetRange sets the metadata bytes shadowing the application byte range
 // [base, base+size) to v — the bulk operation performed by the Stack-Update
-// Unit for frame allocation/deallocation and by malloc/free handlers.
+// Unit for frame allocation/deallocation and by malloc/free handlers. A
+// range running past the top of the address space stops there.
 func (m *Memory) SetRange(base, size uint32, v byte) {
 	if size == 0 {
 		return
 	}
-	first := MDAddr(base)
-	last := MDAddr(base + size - 1)
-	for md := first; ; md++ {
-		pn := md >> pageShift
-		page, ok := m.pages[pn]
-		if !ok {
-			if v == 0 {
-				if md == last {
-					break
-				}
-				// Skip to the end of this untouched page.
-				next := (pn + 1) << pageShift
-				if next > last {
-					break
-				}
-				md = next - 1
-				continue
-			}
-			page = new([PageBytes]byte)
-			m.pages[pn] = page
+	end := uint64(base) + uint64(size)
+	if end > 1<<32 {
+		end = 1 << 32
+	}
+	first, last := MDAddr(base), uint32((end-1)>>2)
+	firstPN, lastPN := first>>pageShift, last>>pageShift
+	for pn := firstPN; ; pn++ {
+		lo, hi := uint32(0), uint32(pageMask)
+		if pn == firstPN {
+			lo = first & pageMask
 		}
-		page[md&(PageBytes-1)] = v
-		m.writes++
-		if md == last {
-			break
+		if pn == lastPN {
+			hi = last & pageMask
+		}
+		m.fillPage(pn, lo, hi, v)
+		if pn == lastPN {
+			return
+		}
+	}
+}
+
+// fillPage sets bytes [lo, hi] of metadata page pn to v.
+func (m *Memory) fillPage(pn, lo, hi uint32, v byte) {
+	page, ok := m.pages[pn]
+	if !ok && v == 0 {
+		return // zero fill over an untouched page is a no-op
+	}
+	m.writes += uint64(hi - lo + 1)
+	if lo == 0 && hi == pageMask {
+		m.pages[pn] = uniformPage(v)
+		return
+	}
+	if page = m.writable(pn, page, v); page != nil {
+		fill := page[lo : hi+1]
+		for i := range fill {
+			fill[i] = v
 		}
 	}
 }

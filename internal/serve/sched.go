@@ -198,9 +198,18 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	runs     map[string]*Run
-	order    []string
+	order    []string              // submission order; may hold evicted IDs until compacted
 	inflight map[rcache.Key]string // spec hash → primary run ID
+	// retired holds the terminal runs still in the table, oldest first;
+	// retireLocked evicts from its front beyond maxTerminalRuns.
+	retired []*Run
 }
+
+// maxTerminalRuns bounds how many finished runs the run table keeps.
+// Beyond it the oldest terminal runs are evicted (GET /v1/runs/{id} then
+// answers 404 not_found); queued and running runs are never evicted, so
+// the table's memory stays bounded however many runs a server serves.
+const maxTerminalRuns = 4096
 
 // NewScheduler builds and starts a scheduler (its dispatcher goroutine
 // runs until Drain or Close).
@@ -293,6 +302,13 @@ func (s *Scheduler) Submit(tenant, bench string, cfg system.Config) (*Run, error
 			s.finishShed(old)
 		}
 	}
+
+	// The admission span starts at the trace's own epoch (the trace is
+	// born above) and covers validation plus admission. It is emitted
+	// before the run becomes visible to the dispatcher, which may finish
+	// the run and seal its trace.
+	r.trace.Wall(spans.NameServeAdmit, r.trace.Epoch(), s.opts.Now(),
+		spans.Str("tenant", tenant), spans.None)
 
 	s.mu.Lock()
 	s.runs[r.ID] = r
@@ -507,6 +523,7 @@ func (s *Scheduler) finishWith(r *Run, res *system.Result, err error, cached boo
 	}
 	s.logRun(r, "run finished", args...)
 	s.settleFollowersLocked(r)
+	s.retireLocked(r)
 }
 
 // settleFollowersLocked resolves a terminal primary's coalesced
@@ -538,6 +555,7 @@ func (s *Scheduler) settleFollowersLocked(r *Run) {
 			s.met.runsCompleted.Inc()
 			close(f.done)
 			s.logRun(f, "run finished", "state", StateDone, "cached", true, "coalesced_with", r.ID)
+			s.retireLocked(f)
 		}
 		return
 	}
@@ -568,6 +586,7 @@ func (s *Scheduler) settleFollowersLocked(r *Run) {
 		close(promoted.done)
 		s.logRun(promoted, "run finished", "state", StateFailed, "error", promoted.errMsg)
 		s.settleFollowersLocked(promoted)
+		s.retireLocked(promoted)
 	case pushClosed:
 		promoted.state = StateCanceled
 		promoted.errMsg = "server is draining; submissions are rejected"
@@ -576,6 +595,32 @@ func (s *Scheduler) settleFollowersLocked(r *Run) {
 		close(promoted.done)
 		s.logRun(promoted, "run finished", "state", StateCanceled, "error", promoted.errMsg)
 		s.settleFollowersLocked(promoted)
+		s.retireLocked(promoted)
+	}
+}
+
+// retireLocked files a run that just reached a terminal state (and has
+// settled its followers): its span ring shrinks to the spans it holds, and
+// the oldest terminal runs beyond maxTerminalRuns leave the run table.
+// Called with s.mu held.
+func (s *Scheduler) retireLocked(r *Run) {
+	r.trace.Seal()
+	s.retired = append(s.retired, r)
+	for len(s.retired) > maxTerminalRuns {
+		old := s.retired[0]
+		s.retired[0] = nil
+		s.retired = s.retired[1:]
+		delete(s.runs, old.ID)
+	}
+	if len(s.order) > 2*len(s.runs)+64 {
+		kept := s.order[:0]
+		for _, id := range s.order {
+			if s.runs[id] != nil {
+				kept = append(kept, id)
+			}
+		}
+		clear(s.order[len(kept):])
+		s.order = kept
 	}
 }
 
@@ -668,6 +713,7 @@ func (s *Scheduler) finishShed(r *Run) {
 	close(r.done)
 	s.logRun(r, "run shed", "state", StateShed)
 	s.settleFollowersLocked(r)
+	s.retireLocked(r)
 }
 
 // Cancel cancels the identified run: a queued run terminates immediately,
@@ -691,6 +737,7 @@ func (s *Scheduler) Cancel(id string) bool {
 		close(r.done)
 		s.logRun(r, "run canceled", "state", StateCanceled, "while", "queued")
 		s.settleFollowersLocked(r)
+		s.retireLocked(r)
 	case StateRunning:
 		if r.cancel != nil {
 			r.cancel()
@@ -738,7 +785,7 @@ func (s *Scheduler) List(state string) []RunInfo {
 	out := make([]RunInfo, 0, len(s.order))
 	for _, id := range s.order {
 		r := s.runs[id]
-		if state != "" && r.state != state {
+		if r == nil || (state != "" && r.state != state) {
 			continue
 		}
 		out = append(out, s.infoLocked(r))

@@ -240,13 +240,15 @@ func TestQueueFull429(t *testing.T) {
 // tenant gets 429 throttled with Retry-After while other tenants submit
 // freely, and tokens refill over (fake) time.
 func TestTenantThrottling(t *testing.T) {
-	now := time.Unix(1_000, 0)
+	// The clock is read by the scheduler's workers too, so it is atomic.
+	var now atomic.Int64
+	now.Store(time.Unix(1_000, 0).UnixNano())
 	srv := New(Options{
 		Workers:     1,
 		TenantRate:  1,
 		TenantBurst: 1,
 		Runner:      instantRunner,
-		Now:         func() time.Time { return now },
+		Now:         func() time.Time { return time.Unix(0, now.Load()) },
 	})
 	defer srv.Close()
 	h := srv.Handler()
@@ -273,7 +275,7 @@ func TestTenantThrottling(t *testing.T) {
 		t.Fatalf("bob status = %d, want 202", w.Code)
 	}
 	// After a second of refill, alice can submit again.
-	now = now.Add(time.Second)
+	now.Add(int64(time.Second))
 	if w := submit("alice"); w.Code != http.StatusAccepted {
 		t.Fatalf("alice #3 status = %d, want 202 after refill", w.Code)
 	}

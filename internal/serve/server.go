@@ -170,11 +170,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeAPIErr(w, err)
 		return
 	}
-	// The admission span starts at the trace's own epoch (the trace is
-	// born inside Submit) and covers validation plus enqueue.
-	run.trace.Wall(spans.NameServeAdmit, run.trace.Epoch(), s.opts.Now(),
-		spans.Str("tenant", tenant), spans.None)
-
 	if v := r.URL.Query().Get("wait"); v == "1" || v == "true" {
 		// Synchronous mode: the response is the terminal run record, the
 		// connection is the lifetime — a disconnected client cancels the

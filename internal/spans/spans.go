@@ -97,6 +97,7 @@ type Trace struct {
 	size    int
 	emitted uint64
 	dropped uint64
+	sealed  bool
 	tracks  []string
 }
 
@@ -157,11 +158,14 @@ func (t *Trace) Tracks() []string {
 	return out
 }
 
-// push appends one span, overwriting the oldest on overflow.
+// push appends one span, overwriting the oldest on overflow. A sealed
+// trace keeps what it holds and counts the span as dropped.
 func (t *Trace) push(s Span) {
 	t.mu.Lock()
 	t.emitted++
-	if t.size == len(t.buf) {
+	if t.sealed {
+		t.dropped++
+	} else if t.size == len(t.buf) {
 		t.buf[t.head] = s
 		t.head = (t.head + 1) % len(t.buf)
 		t.dropped++
@@ -233,11 +237,31 @@ func (t *Trace) Spans() []Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.spansLocked()
+}
+
+func (t *Trace) spansLocked() []Span {
 	out := make([]Span, t.size)
 	for i := 0; i < t.size; i++ {
 		out[i] = t.buf[(t.head+i)%len(t.buf)]
 	}
 	return out
+}
+
+// Seal freezes a finished trace: the ring shrinks to exactly the spans it
+// holds, so a long-lived record of a finished run does not keep a
+// full-capacity ring. Spans emitted after Seal are safe, recorded nowhere,
+// and counted in Emitted and Dropped. Sealing twice is a no-op.
+func (t *Trace) Seal() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sealed {
+		return
+	}
+	t.buf, t.head, t.sealed = t.spansLocked(), 0, true
 }
 
 // Len returns the number of retained spans.
@@ -250,11 +274,13 @@ func (t *Trace) Len() int {
 	return t.size
 }
 
-// Cap returns the ring capacity.
+// Cap returns the ring capacity (after Seal, the number of spans held).
 func (t *Trace) Cap() int {
 	if t == nil {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return len(t.buf)
 }
 
@@ -284,12 +310,12 @@ func (t *Trace) Dropped() uint64 {
 func (t *Trace) Collector() obs.Collector {
 	return obs.CollectorFunc(func(s obs.Sink) {
 		t.mu.Lock()
-		emitted, dropped, size := t.emitted, t.dropped, t.size
+		emitted, dropped, size, capacity := t.emitted, t.dropped, t.size, len(t.buf)
 		t.mu.Unlock()
 		s.Counter("spans.emitted", emitted)
 		s.Counter("spans.dropped", dropped)
 		s.Gauge("spans.ring.occupancy", float64(size))
-		s.Gauge("spans.ring.capacity", float64(len(t.buf)))
+		s.Gauge("spans.ring.capacity", float64(capacity))
 	})
 }
 

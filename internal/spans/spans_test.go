@@ -34,6 +34,56 @@ func TestRingRetainsNewestAndCountsDrops(t *testing.T) {
 	}
 }
 
+func TestSealShrinksRingAndCountsLateSpans(t *testing.T) {
+	tr := New("t", 64)
+	track := tr.NewTrack("c0")
+	for i := 0; i < 3; i++ {
+		tr.CycleInstant(track, NameCheckpoint, uint64(i), None, None)
+	}
+	before := tr.Spans()
+	tr.Seal()
+	if got := tr.Cap(); got != 3 {
+		t.Fatalf("Cap after Seal = %d, want 3", got)
+	}
+	// Late spans are safe, stored nowhere and counted as dropped.
+	tr.CycleInstant(track, NameCheckpoint, 99, None, None)
+	tr.Wall(NameServeEncode, time.Now(), time.Now(), None, None)
+	tr.Seal()
+	if got := tr.Emitted(); got != 5 {
+		t.Fatalf("Emitted = %d, want 5", got)
+	}
+	if got := tr.Dropped(); got != 2 {
+		t.Fatalf("Dropped = %d, want 2", got)
+	}
+	after := tr.Spans()
+	if len(after) != len(before) {
+		t.Fatalf("sealed trace holds %d spans, want %d", len(after), len(before))
+	}
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("span %d changed by Seal: %+v -> %+v", i, before[i], after[i])
+		}
+	}
+
+	// A wrapped ring seals oldest-first; an empty one seals to nothing.
+	wrapped := New("w", 4)
+	for i := 0; i < 6; i++ {
+		wrapped.CycleInstant(track, NameCheckpoint, uint64(i), None, None)
+	}
+	wrapped.Seal()
+	if ss := wrapped.Spans(); len(ss) != 4 || ss[0].Start != 2 || ss[3].Start != 5 {
+		t.Fatalf("wrapped seal = %+v", ss)
+	}
+	empty := New("e", 4)
+	empty.Seal()
+	empty.CycleInstant(track, NameCheckpoint, 1, None, None)
+	if empty.Cap() != 0 || empty.Len() != 0 || empty.Dropped() != 1 {
+		t.Fatalf("empty sealed trace: cap %d len %d dropped %d", empty.Cap(), empty.Len(), empty.Dropped())
+	}
+	var nilTrace *Trace
+	nilTrace.Seal()
+}
+
 func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
 	tr.Wall(NameServeAdmit, time.Now(), time.Now(), None, None)

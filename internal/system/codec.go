@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"fade/internal/obs"
 	"fade/internal/rcache"
@@ -36,7 +37,35 @@ func snapFromWire(w *snapWire) *obs.Snapshot {
 	if w == nil {
 		return nil
 	}
+	internNames(w.Values)
 	return &obs.Snapshot{Cycle: w.Cycle, Values: w.Values}
+}
+
+// maxInternedNames bounds the metric-name intern table. The simulator's
+// metric vocabulary is a few hundred names; names past the bound are kept
+// as decoded, so a stream of unusual names cannot grow the table.
+const maxInternedNames = 4096
+
+// metricNames is the process-wide intern table for decoded metric names.
+var metricNames = struct {
+	sync.Mutex
+	m map[string]string
+}{m: make(map[string]string)}
+
+// internNames points every value's name at one shared copy, so decoded
+// outcomes kept side by side (a sweep's table, a server's run records)
+// do not each hold their own copy of every metric name.
+func internNames(vals []obs.Value) {
+	metricNames.Lock()
+	defer metricNames.Unlock()
+	for i := range vals {
+		name := vals[i].Name
+		if s, ok := metricNames.m[name]; ok {
+			vals[i].Name = s
+		} else if len(metricNames.m) < maxInternedNames {
+			metricNames.m[name] = name
+		}
+	}
 }
 
 // runWire carries a Result with its snapshots lifted out of the struct

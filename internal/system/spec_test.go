@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"fade/internal/cpu"
 	"fade/internal/fault"
@@ -169,6 +170,38 @@ func TestOutcomeCodecRoundTrip(t *testing.T) {
 	// Encoding must not have mutated the original in place.
 	if orig.Result.Metrics == nil || len(orig.Result.Timeline) == 0 {
 		t.Fatal("EncodeOutcome stripped the original's snapshots")
+	}
+}
+
+// TestDecodeOutcomeSharesMetricNames: outcomes decoded side by side share
+// one copy of each metric name instead of holding their own.
+func TestDecodeOutcomeSharesMetricNames(t *testing.T) {
+	cfg := DefaultConfig("AddrCheck")
+	cfg.Instrs = 10_000
+	res, err := Run("astar", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EncodeOutcome(&Outcome{Result: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := DecodeOutcome(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DecodeOutcome(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va, vc := a.Result.Metrics.Values, c.Result.Metrics.Values
+	if len(va) == 0 || len(va) != len(vc) {
+		t.Fatalf("decoded %d and %d metric values", len(va), len(vc))
+	}
+	for i := range va {
+		if va[i].Name != vc[i].Name || unsafe.StringData(va[i].Name) != unsafe.StringData(vc[i].Name) {
+			t.Fatalf("metric %q decoded into two copies", va[i].Name)
+		}
 	}
 }
 

@@ -625,7 +625,11 @@ func runSystem(ctx context.Context, bench string, cfg Config, mons []monitor.Mon
 		}
 	}
 	if fu := groups[0].fu; fu != nil {
-		res.Filter = fu.Stats()
+		// A copy, not fu.Stats(): that interior pointer would keep the
+		// whole unit (shadow metadata, MD cache, queues) alive with the
+		// Result.
+		st := *fu.Stats()
+		res.Filter = &st
 		res.MDCacheMissRate = fu.MDCache().MissRate()
 		res.MTLBMissRate = fu.MTLB().MissRate()
 	}
