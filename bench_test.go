@@ -11,6 +11,7 @@ package fade
 // publication scale.
 
 import (
+	"context"
 	"strconv"
 	"testing"
 )
@@ -236,10 +237,8 @@ func BenchmarkTraceGeneration(b *testing.B) {
 // application instructions per wall-clock operation.
 func BenchmarkEndToEndSimulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig("MemLeak")
-		cfg.Instrs = 20_000
-		cfg.Seed = uint64(i + 1)
-		if _, err := Run("astar", cfg); err != nil {
+		s := Spec{Benchmark: "astar", Monitor: "MemLeak", Seed: uint64(i + 1), Instrs: 20_000}
+		if _, err := Exec(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -260,17 +259,14 @@ func BenchmarkFastForward(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultConfig("MemLeak")
-				cfg.Accel = FADEBlocking
-				cfg.Instrs = 100_000
-				cfg.BlockingSignalCycles = 500
-				cfg.MaxCycles = 500_000_000
-				cfg.FastForward = mode.ff
-				r, err := Run("astar", cfg)
+				out, err := Exec(context.Background(), Spec{
+					Benchmark: "astar", Monitor: "MemLeak", Accel: AccelBlocking, Seed: 1, Instrs: 100_000,
+					BlockingSignalCycles: 500, MaxCycles: 500_000_000, FastForward: mode.ff,
+				})
 				if err != nil {
 					b.Fatal(err)
 				}
-				cycles += r.Cycles
+				cycles += out.Result.Cycles
 			}
 			b.ReportMetric(float64(cycles)/float64(b.Elapsed().Microseconds()+1), "cycles_per_us")
 		})
@@ -278,7 +274,7 @@ func BenchmarkFastForward(b *testing.B) {
 }
 
 // BenchmarkSystemRunAllocs guards the hot-path allocation diet: one fixed
-// system.Run with allocation reporting. The fixed seed means the baseline
+// system run with allocation reporting. The fixed seed means the baseline
 // simulation is cached after the first iteration, so allocs/op converges on
 // the monitored run's own footprint — the event path from AppCore through
 // the FilteringUnit to the monitor core, plus per-run setup.
@@ -294,10 +290,8 @@ func BenchmarkSystemRunAllocsAddrCheck(b *testing.B) { benchRunAllocs(b, "AddrCh
 func benchRunAllocs(b *testing.B, monitor string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig(monitor)
-		cfg.Instrs = 20_000
-		cfg.Seed = 12345
-		if _, err := Run("astar", cfg); err != nil {
+		s := Spec{Benchmark: "astar", Monitor: monitor, Seed: 12345, Instrs: 20_000}
+		if _, err := Exec(context.Background(), s); err != nil {
 			b.Fatal(err)
 		}
 	}

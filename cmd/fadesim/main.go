@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"fade"
+	"fade/internal/fault"
 	"fade/internal/spans"
 )
 
@@ -39,139 +40,131 @@ func main() {
 	os.Exit(run())
 }
 
+// cli is fadesim's command line: the run spec most flags fill in
+// directly, the flags that map onto it indirectly, and the output sinks
+// and profilers, which do not change the run.
+type cli struct {
+	spec               fade.Spec
+	topology           string
+	appCores, monCores int
+	wallClock          time.Duration
+	leaks, wild        float64
+	faults             fault.Knobs
+
+	list                              bool
+	metricsAt, tlAt, traceAt, traceJL string
+	traceCap                          int
+	cpuProf, memProf                  string
+}
+
+// newCLI registers fadesim's flags on fs.
+func newCLI(fs *flag.FlagSet) *cli {
+	c := &cli{}
+	s := &c.spec
+	fs.StringVar(&s.Benchmark, "bench", "astar", "benchmark profile (see -list)")
+	fs.StringVar(&s.Monitor, "monitor", "MemLeak", "monitor: AddrCheck|MemCheck|TaintCheck|MemLeak|AtomCheck")
+	fs.StringVar(&s.Accel, "accel", "fade", "acceleration: none|blocking|fade")
+	fs.StringVar(&s.Core, "core", "4way", "core type: inorder|2way|4way")
+	fs.StringVar(&c.topology, "topology", "single", "topology: single|two (ignored when -app-cores is set)")
+	fs.IntVar(&c.appCores, "app-cores", 0, "CMP: number of application cores (0 = use -topology)")
+	fs.IntVar(&c.monCores, "mon-cores", 0, "CMP: dedicated monitor cores (default: one per application core)")
+	fs.Uint64Var(&s.Instrs, "instrs", 400_000, "application instructions to simulate")
+	fs.Uint64Var(&s.Seed, "seed", 1, "random seed")
+	fs.IntVar(&s.EventQueueCap, "evq", 32, "event queue entries")
+	fs.IntVar(&s.UnfilteredCap, "ufq", 16, "unfiltered event queue entries")
+	fs.IntVar(&s.MDCacheBytes, "mdcache", 0, "MD cache size in bytes (0 = paper's 4KB)")
+	fs.Uint64Var(&s.WarmupInstrs, "warmup", 0, "exclude the first N instructions from the slowdown measurement")
+	fs.Float64Var(&c.leaks, "inject-leaks", 0, "fraction of frees turned into leaks (bug injection)")
+	fs.Float64Var(&c.wild, "inject-wild", 0, "wild accesses per 1000 instructions (bug injection)")
+	fs.BoolVar(&c.list, "list", false, "list benchmarks and monitors, then exit")
+
+	fs.BoolVar(&s.CheckInvariants, "check", false, "run the per-cycle invariant checker; a violation aborts the run with the invariant named")
+	fs.BoolVar(&s.FastForward, "fast-forward", true, "skip ahead through quiescent cycle spans (results are byte-identical; -check and fault injection force cycle-exact execution)")
+	fs.Uint64Var(&s.MaxCycles, "max-cycles", 0, "abort (non-silently) if the run exceeds this many cycles (0 = derived default)")
+	fs.DurationVar(&c.wallClock, "wall-clock", 0, "abort the run after this much wall-clock time (0 = unlimited)")
+
+	fs.Uint64Var(&c.faults.Seed, "fault-seed", 0, "seed of the fault-injector RNG streams (0 = derive from -seed)")
+	fs.StringVar(&c.faults.Stall, "fault-stall", "none", "monitor stall-burst severity: none|mild|moderate|severe")
+	fs.Float64Var(&c.faults.MEQPressure, "fault-meq", 0, "inject MEQ pressure bursts shrinking effective capacity by this factor in (0,1]")
+	fs.Float64Var(&c.faults.UFQPressure, "fault-ufq", 0, "inject UFQ pressure bursts shrinking effective capacity by this factor in (0,1]")
+	fs.Float64Var(&c.faults.DropRate, "fault-drop", 0, "event-drop probe: silently drop monitored events with this probability")
+	fs.Float64Var(&c.faults.CorruptGap, "fault-corrupt", 0, "metadata-corruption probe: mean cycles between shadow-memory bit flips (0 = off)")
+
+	fs.StringVar(&c.metricsAt, "metrics", "", "write the run's metrics as a Prometheus text exposition to this file")
+	fs.StringVar(&c.tlAt, "timeline", "", "write cycle-sampled JSONL telemetry to this file")
+	fs.Uint64Var(&s.TimelineEvery, "timeline-every", 0, "cycles between timeline samples (default 1000 when -timeline is set)")
+	fs.StringVar(&c.traceAt, "trace", "", "write the run's span trace as Chrome trace-event JSON (Perfetto-loadable) to this file")
+	fs.StringVar(&c.traceJL, "trace-jsonl", "", "write the run's span trace as one-span-per-line JSONL to this file")
+	fs.IntVar(&c.traceCap, "trace-cap", 1<<16, "span ring capacity when tracing; oldest spans are dropped on overflow")
+	fs.StringVar(&c.cpuProf, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	fs.StringVar(&c.memProf, "memprofile", "", "write a pprof heap profile at exit to this file")
+	return c
+}
+
+// specFromFlags parses a fadesim command line into the run it describes.
+func specFromFlags(args []string) (fade.Spec, error) {
+	fs := flag.NewFlagSet("fadesim", flag.ContinueOnError)
+	c := newCLI(fs)
+	if err := fs.Parse(args); err != nil {
+		return fade.Spec{}, err
+	}
+	return c.runSpec()
+}
+
+// runSpec completes the spec with the flags that map onto it indirectly.
+func (c *cli) runSpec() (fade.Spec, error) {
+	s := c.spec
+	if err := s.Validate(); err != nil {
+		return s, err
+	}
+	if c.tlAt != "" && s.TimelineEvery == 0 {
+		s.TimelineEvery = 1000
+	}
+	// Rounded up: a sub-millisecond budget must not read as "unlimited".
+	s.WallClockMS = int64((c.wallClock + time.Millisecond - 1) / time.Millisecond)
+	switch {
+	case c.appCores > 0:
+		s.AppCores, s.MonCores = c.appCores, c.monCores
+		if s.MonCores == 0 {
+			s.MonCores = c.appCores
+		}
+	case c.topology == "single":
+	case c.topology == "two":
+		s.AppCores, s.MonCores = 1, 1
+	default:
+		return s, fmt.Errorf("unknown -topology %q", c.topology)
+	}
+	if c.leaks > 0 || c.wild > 0 {
+		s.Inject = &fade.Inject{LeakFrac: c.leaks, WildAccessPer1K: c.wild}
+	}
+	var err error
+	s.Faults, err = c.faults.Plan()
+	return s, err
+}
+
 // run holds the whole program so the deferred signal cleanup executes and
 // the exit code can express how the run ended (0 ok, 1 error, 2 canceled).
 func run() int {
-	var (
-		bench    = flag.String("bench", "astar", "benchmark profile (see -list)")
-		mon      = flag.String("monitor", "MemLeak", "monitor: AddrCheck|MemCheck|TaintCheck|MemLeak|AtomCheck")
-		accel    = flag.String("accel", "fade", "acceleration: none|blocking|fade")
-		coreKind = flag.String("core", "4way", "core type: inorder|2way|4way")
-		topology = flag.String("topology", "single", "topology: single|two (ignored when -app-cores is set)")
-		appCores = flag.Int("app-cores", 0, "CMP: number of application cores (0 = use -topology)")
-		monCores = flag.Int("mon-cores", 0, "CMP: dedicated monitor cores (default: one per application core)")
-		instrs   = flag.Uint64("instrs", 400_000, "application instructions to simulate")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		evq      = flag.Int("evq", 32, "event queue entries")
-		ufq      = flag.Int("ufq", 16, "unfiltered event queue entries")
-		mdcache  = flag.Int("mdcache", 0, "MD cache size in bytes (0 = paper's 4KB)")
-		warmup   = flag.Uint64("warmup", 0, "exclude the first N instructions from the slowdown measurement")
-		leaks    = flag.Float64("inject-leaks", 0, "fraction of frees turned into leaks (bug injection)")
-		wild     = flag.Float64("inject-wild", 0, "wild accesses per 1000 instructions (bug injection)")
-		list     = flag.Bool("list", false, "list benchmarks and monitors, then exit")
-
-		check     = flag.Bool("check", false, "run the per-cycle invariant checker; a violation aborts the run with the invariant named")
-		ff        = flag.Bool("fast-forward", true, "skip ahead through quiescent cycle spans (results are byte-identical; -check and fault injection force cycle-exact execution)")
-		maxCycles = flag.Uint64("max-cycles", 0, "abort (non-silently) if the run exceeds this many cycles (0 = derived default)")
-		wallClock = flag.Duration("wall-clock", 0, "abort the run after this much wall-clock time (0 = unlimited)")
-
-		faultSeed    = flag.Uint64("fault-seed", 0, "seed of the fault-injector RNG streams (0 = derive from -seed)")
-		faultStall   = flag.String("fault-stall", "none", "monitor stall-burst severity: none|mild|moderate|severe")
-		faultMEQ     = flag.Float64("fault-meq", 0, "inject MEQ pressure bursts shrinking effective capacity by this factor in (0,1]")
-		faultUFQ     = flag.Float64("fault-ufq", 0, "inject UFQ pressure bursts shrinking effective capacity by this factor in (0,1]")
-		faultDrop    = flag.Float64("fault-drop", 0, "event-drop probe: silently drop monitored events with this probability")
-		faultCorrupt = flag.Float64("fault-corrupt", 0, "metadata-corruption probe: mean cycles between shadow-memory bit flips (0 = off)")
-
-		metricsAt = flag.String("metrics", "", "write the run's metrics as a Prometheus text exposition to this file")
-		tlAt      = flag.String("timeline", "", "write cycle-sampled JSONL telemetry to this file")
-		tlEvery   = flag.Uint64("timeline-every", 0, "cycles between timeline samples (default 1000 when -timeline is set)")
-		traceAt   = flag.String("trace", "", "write the run's span trace as Chrome trace-event JSON (Perfetto-loadable) to this file")
-		traceJL   = flag.String("trace-jsonl", "", "write the run's span trace as one-span-per-line JSONL to this file")
-		traceCap  = flag.Int("trace-cap", 1<<16, "span ring capacity when tracing; oldest spans are dropped on overflow")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	)
+	c := newCLI(flag.CommandLine)
 	flag.Parse()
 
-	if *list {
+	if c.list {
 		fmt.Println("serial benchmarks:  ", strings.Join(fade.Benchmarks(), " "))
 		fmt.Println("parallel benchmarks:", strings.Join(fade.ParallelBenchmarks(), " "))
 		fmt.Println("monitors:           ", strings.Join(fade.MonitorNames(), " "))
 		return 0
 	}
-
-	if *tlAt != "" && *tlEvery == 0 {
-		*tlEvery = 1000
+	spec, err := c.runSpec()
+	if err != nil {
+		fatal("%v", err)
 	}
 
-	cfg := fade.DefaultConfig(*mon)
-	cfg.Instrs = *instrs
-	cfg.Seed = *seed
-	cfg.TimelineEvery = *tlEvery
-	cfg.EventQueueCap = *evq
-	cfg.UnfilteredCap = *ufq
-	cfg.MDCacheBytes = *mdcache
-	cfg.WarmupInstrs = *warmup
-	cfg.CheckInvariants = *check
-	cfg.FastForward = *ff
-	cfg.Limits = fade.RunLimits{MaxCycles: *maxCycles, WallClock: *wallClock}
-	if *leaks > 0 || *wild > 0 {
-		cfg.Inject = &fade.Inject{LeakFrac: *leaks, WildAccessPer1K: *wild}
-	}
-
-	plan := &fade.FaultPlan{Seed: *faultSeed}
-	if *faultStall != "none" {
-		sp, ok := fade.StallSeverity(*faultStall)
-		if !ok {
-			fatal("unknown -fault-stall %q", *faultStall)
-		}
-		plan.MonitorStall = sp.MonitorStall
-	}
-	if *faultMEQ > 0 {
-		plan.MEQPressure = &fade.FaultPressure{MeanGap: 2048, MeanDuration: 256, CapFactor: *faultMEQ}
-	}
-	if *faultUFQ > 0 {
-		plan.UFQPressure = &fade.FaultPressure{MeanGap: 2048, MeanDuration: 256, CapFactor: *faultUFQ}
-	}
-	if *faultDrop > 0 {
-		plan.EventDrop = &fade.FaultDrop{Rate: *faultDrop}
-	}
-	if *faultCorrupt > 0 {
-		plan.MDCorruption = &fade.FaultCorrupt{MeanGap: *faultCorrupt}
-	}
-	cfg.Faults = plan
-
-	switch *accel {
-	case "none":
-		cfg.Accel = fade.Unaccelerated
-	case "blocking":
-		cfg.Accel = fade.FADEBlocking
-	case "fade":
-		cfg.Accel = fade.FADENonBlocking
-	default:
-		fatal("unknown -accel %q", *accel)
-	}
-	switch *coreKind {
-	case "inorder":
-		cfg.Core = fade.InOrder
-	case "2way":
-		cfg.Core = fade.OoO2
-	case "4way":
-		cfg.Core = fade.OoO4
-	default:
-		fatal("unknown -core %q", *coreKind)
-	}
-	switch {
-	case *appCores > 0:
-		mc := *monCores
-		if mc == 0 {
-			mc = *appCores
-		}
-		cfg.Topology = fade.Topology{AppCores: *appCores, MonCores: mc}
-	case *topology == "single":
-		cfg.Topology = fade.SingleCoreSMT
-	case *topology == "two":
-		cfg.Topology = fade.TwoCore
-	default:
-		fatal("unknown -topology %q", *topology)
-	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if c.cpuProf != "" {
+		pf, err := os.Create(c.cpuProf)
 		if err != nil {
 			fatal("-cpuprofile: %v", err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		if err := pprof.StartCPUProfile(pf); err != nil {
 			fatal("-cpuprofile: %v", err)
 		}
 	}
@@ -185,17 +178,21 @@ func run() int {
 	// derived from the run identity so same-seed cycle-domain exports are
 	// byte-identical (wall spans carry real timestamps and are not).
 	var tr *spans.Trace
-	if *traceAt != "" || *traceJL != "" {
-		tr = spans.New(fmt.Sprintf("%s-%s-seed%d", *bench, *mon, *seed), *traceCap)
+	if c.traceAt != "" || c.traceJL != "" {
+		tr = spans.New(fmt.Sprintf("%s-%s-seed%d", spec.Benchmark, spec.Monitor, spec.Seed), c.traceCap)
 		ctx = spans.NewContext(ctx, tr)
 	}
 
 	wallStart := time.Now()
-	res, err := fade.RunContext(ctx, *bench, cfg)
-	if tr != nil {
-		tr.Wall(spans.NameCLIRun, wallStart, time.Now(), spans.Str("bench", *bench), spans.None)
+	out, err := fade.Exec(ctx, spec)
+	var res *fade.Result
+	if out != nil {
+		res = out.Result
 	}
-	if *cpuProf != "" {
+	if tr != nil {
+		tr.Wall(spans.NameCLIRun, wallStart, time.Now(), spans.Str("bench", spec.Benchmark), spans.None)
+	}
+	if c.cpuProf != "" {
 		pprof.StopCPUProfile()
 	}
 	code := 0
@@ -215,21 +212,21 @@ func run() int {
 	// run.aborted marker), and partial telemetry is exactly what a
 	// post-mortem needs.
 	if res != nil {
-		cell := *bench + "/" + *mon
-		if *metricsAt != "" {
+		cell := spec.Benchmark + "/" + spec.Monitor
+		if c.metricsAt != "" {
 			labels := []fade.MetricLabel{
-				{Key: "bench", Value: *bench}, {Key: "monitor", Value: *mon}, {Key: "accel", Value: *accel},
+				{Key: "bench", Value: spec.Benchmark}, {Key: "monitor", Value: spec.Monitor}, {Key: "accel", Value: spec.Accel},
 			}
-			if werr := writeFile(*metricsAt, func(f *os.File) error {
-				return fade.WriteMetrics(f, []fade.LabeledSnapshot{{Labels: labels, Snap: res.Metrics}})
+			if werr := writeFile(c.metricsAt, func(w *os.File) error {
+				return fade.WriteMetrics(w, []fade.LabeledSnapshot{{Labels: labels, Snap: res.Metrics}})
 			}); werr != nil {
 				fmt.Fprintf(os.Stderr, "fadesim: -metrics: %v\n", werr)
 				code = 1
 			}
 		}
-		if *tlAt != "" {
-			if werr := writeFile(*tlAt, func(f *os.File) error {
-				return fade.WriteTimeline(f, cell, res.Timeline)
+		if c.tlAt != "" {
+			if werr := writeFile(c.tlAt, func(w *os.File) error {
+				return fade.WriteTimeline(w, cell, res.Timeline)
 			}); werr != nil {
 				fmt.Fprintf(os.Stderr, "fadesim: -timeline: %v\n", werr)
 				code = 1
@@ -239,17 +236,17 @@ func run() int {
 	// Trace sinks flush even after an abort — the partial trace (including
 	// the sim.abort instant) is the post-mortem artifact.
 	if tr != nil {
-		if *traceAt != "" {
-			if werr := writeFile(*traceAt, func(f *os.File) error {
-				return spans.WriteChromeJSON(f, tr)
+		if c.traceAt != "" {
+			if werr := writeFile(c.traceAt, func(w *os.File) error {
+				return spans.WriteChromeJSON(w, tr)
 			}); werr != nil {
 				fmt.Fprintf(os.Stderr, "fadesim: -trace: %v\n", werr)
 				code = 1
 			}
 		}
-		if *traceJL != "" {
-			if werr := writeFile(*traceJL, func(f *os.File) error {
-				return spans.WriteJSONL(f, tr)
+		if c.traceJL != "" {
+			if werr := writeFile(c.traceJL, func(w *os.File) error {
+				return spans.WriteJSONL(w, tr)
 			}); werr != nil {
 				fmt.Fprintf(os.Stderr, "fadesim: -trace-jsonl: %v\n", werr)
 				code = 1
@@ -259,10 +256,10 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "fadesim: trace ring overflowed: %d oldest spans dropped (raise -trace-cap)\n", d)
 		}
 	}
-	if *memProf != "" {
-		if werr := writeFile(*memProf, func(f *os.File) error {
+	if c.memProf != "" {
+		if werr := writeFile(c.memProf, func(w *os.File) error {
 			runtime.GC()
-			return pprof.Lookup("heap").WriteTo(f, 0)
+			return pprof.Lookup("heap").WriteTo(w, 0)
 		}); werr != nil {
 			fmt.Fprintf(os.Stderr, "fadesim: -memprofile: %v\n", werr)
 			code = 1

@@ -1,6 +1,7 @@
 package fade_test
 
 import (
+	"context"
 	"fmt"
 
 	"fade"
@@ -8,13 +9,12 @@ import (
 
 // Running a built-in monitor over a benchmark and reading the headline
 // numbers.
-func ExampleRun() {
-	cfg := fade.DefaultConfig("AddrCheck")
-	cfg.Instrs = 50_000
-	res, err := fade.Run("astar", cfg)
+func ExampleExec() {
+	out, err := fade.Exec(context.Background(), fade.Spec{Benchmark: "astar", Monitor: "AddrCheck", Seed: 1, Instrs: 50_000})
 	if err != nil {
 		panic(err)
 	}
+	res := out.Result
 	fmt.Println(res.Filter.FilterRatio() > 0.9)
 	fmt.Println(res.Slowdown >= 1.0)
 	// Output:
@@ -50,11 +50,15 @@ func ExampleNewFilteringUnit() {
 }
 
 // Characterizing a workload's monitoring load (the Section 3 methodology).
-func ExampleRunQueueStudy() {
-	qs, err := fade.RunQueueStudy("mcf", "AddrCheck", fade.OoO4, fade.UnboundedQueue, 1, 50_000)
+func ExampleExec_queueStudy() {
+	out, err := fade.Exec(context.Background(), fade.Spec{
+		Kind: fade.KindStudy, Benchmark: "mcf", Monitor: "AddrCheck",
+		EventQueueCap: fade.UnboundedQueue, Seed: 1, Instrs: 50_000,
+	})
 	if err != nil {
 		panic(err)
 	}
+	qs := out.Study
 	// mcf is memory bound: its monitored IPC is far below one event per
 	// cycle, so a single-issue accelerator keeps up easily.
 	fmt.Println(qs.MonitoredIPC < 0.5)

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,18 +15,21 @@ import (
 func main() {
 	const bench = "streamc" // shared center table -> frequent conflicts
 
-	cfg := fade.DefaultConfig("AtomCheck")
-	cfg.Instrs = 300_000
+	ctx := context.Background()
+	spec := fade.Spec{Benchmark: bench, Monitor: "AtomCheck", Seed: 1, Instrs: 300_000}
 
-	single, err := fade.Run(bench, cfg)
+	out, err := fade.Exec(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Topology = fade.TwoCore
-	twoCore, err := fade.Run(bench, cfg)
-	if err != nil {
+	single := out.Result
+	// Two-core: the monitor runs on its own core instead of a second
+	// hardware thread.
+	spec.AppCores, spec.MonCores = 1, 1
+	if out, err = fade.Exec(ctx, spec); err != nil {
 		log.Fatal(err)
 	}
+	twoCore := out.Result
 
 	violations := 0
 	for _, r := range single.Reports {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,19 +19,19 @@ func main() {
 	// last reference without freeing it.
 	inject := &fade.Inject{LeakFrac: 0.30}
 
-	cfg := fade.DefaultConfig("MemLeak")
-	cfg.Instrs = 300_000
-	cfg.Inject = inject
+	ctx := context.Background()
+	spec := fade.Spec{Benchmark: bench, Monitor: "MemLeak", Seed: 1, Instrs: 300_000, Inject: inject}
 
-	accel, err := fade.Run(bench, cfg)
+	out, err := fade.Exec(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg.Accel = fade.Unaccelerated
-	soft, err := fade.Run(bench, cfg)
-	if err != nil {
+	accel := out.Result
+	spec.Accel = fade.AccelNone
+	if out, err = fade.Exec(ctx, spec); err != nil {
 		log.Fatal(err)
 	}
+	soft := out.Result
 
 	fmt.Printf("MemLeak on %s with injected leaks:\n\n", bench)
 	fmt.Printf("  software-only: %3d leak reports, slowdown %.2fx\n", countLeaks(soft.Reports), soft.Slowdown)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,22 +14,24 @@ import (
 func main() {
 	const bench, mon = "astar", "MemLeak"
 
+	ctx := context.Background()
+
 	// Unaccelerated: every monitored event is handled in software on the
 	// second hardware thread.
-	cfg := fade.DefaultConfig(mon)
-	cfg.Accel = fade.Unaccelerated
-	unacc, err := fade.Run(bench, cfg)
+	spec := fade.Spec{Benchmark: bench, Monitor: mon, Accel: fade.AccelNone, Seed: 1}
+	out, err := fade.Exec(ctx, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
+	unacc := out.Result
 
 	// FADE: the accelerator filters the common case; software sees only
 	// unfilterable events.
-	cfg.Accel = fade.FADENonBlocking
-	accel, err := fade.Run(bench, cfg)
-	if err != nil {
+	spec.Accel = fade.AccelFADE
+	if out, err = fade.Exec(ctx, spec); err != nil {
 		log.Fatal(err)
 	}
+	accel := out.Result
 
 	fmt.Printf("%s under %s (single-core dual-threaded, 4-way OoO):\n\n", bench, mon)
 	fmt.Printf("  unaccelerated slowdown: %.2fx (%d handlers in software)\n",

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -109,12 +110,11 @@ func main() {
 	wp.Watch(0x1000_0040, 64)
 	wp.Watch(0x1000_0400, 128)
 
-	cfg := fade.DefaultConfig("")
-	cfg.Instrs = 200_000
-	res, err := fade.RunWithMonitor("gobmk", cfg, wp)
+	out, err := fade.Exec(context.Background(), fade.Spec{Benchmark: "gobmk", Seed: 1, Instrs: 200_000}, fade.WithMonitor(wp))
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := out.Result
 
 	fmt.Printf("custom Watchpoint monitor on gobmk:\n\n")
 	fmt.Printf("  monitored stores:     %d\n", res.MonitoredEvents)

@@ -19,9 +19,13 @@
 //
 // # Quick start
 //
-//	cfg := fade.DefaultConfig("MemLeak")
-//	res, err := fade.Run("astar", cfg)
+// A Spec describes one run; Exec simulates it. Zero fields select the
+// paper's evaluation configuration (non-blocking FADE on a single
+// dual-threaded 4-way OoO core with 32/16-entry queues).
+//
+//	out, err := fade.Exec(ctx, fade.Spec{Benchmark: "astar", Monitor: "MemLeak", Seed: 1})
 //	if err != nil { ... }
+//	res := out.Result
 //	fmt.Printf("slowdown %.2fx, filter ratio %.1f%%\n",
 //	    res.Slowdown, 100*res.Filter.FilterRatio())
 //
@@ -35,7 +39,6 @@ import (
 	"io"
 
 	"fade/internal/core"
-	"fade/internal/cpu"
 	"fade/internal/experiments"
 	"fade/internal/fault"
 	"fade/internal/isa"
@@ -52,89 +55,72 @@ import (
 	"fade/internal/trace"
 )
 
-// System construction and simulation.
+// Describing and running simulations.
 type (
-	// Config describes one simulated monitoring system.
-	Config = system.Config
-	// Result is the outcome of one simulation.
+	// Spec describes one simulation: its kind (a full-system run by
+	// default, or KindStudy for the Section 3 queue study), benchmark,
+	// monitor, and every knob that shapes the run. Zero fields select
+	// documented defaults, except Seed, which is used as given. Equal runs
+	// — however they were spelled — hash equal, and Spec.Hash() is the
+	// identity results are cached under.
+	Spec = runspec.Spec
+	// Outcome is what Exec returns: Result for a full-system run, Study for
+	// a queue study.
+	Outcome = system.Outcome
+	// Option configures one Exec call.
+	Option = system.Option
+	// Result is the outcome of one full-system simulation.
 	Result = system.Result
+	// Config is the simulated system a Result reports (Result.Config),
+	// filled in by the simulator from the Spec.
+	Config = system.Config
 	// QueueStudy is the Section 3 characterization result (monitored load
 	// and queue occupancy under an ideal 1-event/cycle drain).
 	QueueStudy = system.QueueStudy
-	// Topology describes the CMP organization: application cores, monitor
-	// cores (or SMT threads), and the monitor-to-core assignment.
-	Topology = system.Topology
 	// CoreResult is one application core's sub-result of a CMP run.
 	CoreResult = system.CoreResult
-	// Accel selects unaccelerated, blocking-FADE, or non-blocking FADE.
-	Accel = system.Accel
-	// CoreKind selects the core microarchitecture.
-	CoreKind = cpu.Kind
 )
 
-// Topologies (Fig. 8). These are variables only because Topology is now a
-// struct description (struct values cannot be constants); do not reassign.
-var (
-	SingleCoreSMT = system.SingleCoreSMT
-	TwoCore       = system.TwoCore
-)
-
-// CMP returns the scaled-out CMP topology: n application cores, each paired
-// with a dedicated monitor core and its own filtering unit (Section 7).
-// CMP(1) == TwoCore.
-func CMP(appCores int) Topology { return system.CMP(appCores) }
-
-// Acceleration modes.
+// Spec vocabulary: kinds, acceleration modes and core models.
 const (
-	Unaccelerated   = system.Unaccelerated
-	FADEBlocking    = system.FADEBlocking
-	FADENonBlocking = system.FADENonBlocking
+	// KindStudy selects the Section 3 queue study: an ideal
+	// 1-event/cycle drain behind an event queue of EventQueueCap entries.
+	KindStudy = runspec.KindStudy
+
+	AccelNone     = runspec.AccelNone     // every event handled in software
+	AccelBlocking = runspec.AccelBlocking // baseline FADE (Section 4)
+	AccelFADE     = runspec.AccelFADE     // FADE with Non-Blocking Filtering (Section 5)
+
+	CoreInOrder = runspec.CoreInOrder
+	Core2Way    = runspec.Core2Way
+	Core4Way    = runspec.Core4Way
 )
 
-// Core microarchitectures (Table 1).
-const (
-	InOrder = cpu.InOrder
-	OoO2    = cpu.OoO2
-	OoO4    = cpu.OoO4
-)
-
-// UnboundedQueue requests an effectively infinite event queue in
-// RunQueueStudy (the Section 3.2 analysis).
+// UnboundedQueue requests an effectively infinite event queue in a
+// KindStudy spec (the Section 3.2 analysis).
 const UnboundedQueue = queue.Unbounded
 
-// DefaultConfig returns the paper's evaluation configuration for the named
-// monitor: non-blocking FADE on a single dual-threaded 4-way OoO core with
-// 32/16-entry queues.
-func DefaultConfig(monitorName string) Config { return system.DefaultConfig(monitorName) }
-
-// Run simulates benchmark bench under cfg.
-func Run(bench string, cfg Config) (*Result, error) { return system.Run(bench, cfg) }
-
-// RunContext is Run with a cancellation context: the simulation polls ctx at
-// checkpoint intervals and aborts with an error wrapping ErrCanceled, the
-// partial metrics snapshot intact in the returned Result.
-func RunContext(ctx context.Context, bench string, cfg Config) (*Result, error) {
-	return system.RunContext(ctx, bench, cfg)
+// Exec simulates the run s describes. The simulation polls ctx at
+// checkpoint intervals: a canceled run (or one past Spec.WallClockMS)
+// aborts with an error wrapping ErrCanceled, and its partial Result —
+// metrics snapshot intact — comes back in the Outcome alongside the error.
+// A Trace carried by ctx (TraceContext) receives the run's cycle-domain
+// spans.
+func Exec(ctx context.Context, s Spec, opts ...Option) (*Outcome, error) {
+	return system.ExecSpec(ctx, s, opts...)
 }
 
-// RunQueueStudy characterizes monitored load and event-queue occupancy for
-// one (benchmark, monitor) pair with an ideal 1-event/cycle consumer.
-func RunQueueStudy(bench, mon string, kind CoreKind, queueCap int, seed, instrs uint64) (*QueueStudy, error) {
-	return system.RunQueueStudy(bench, mon, kind, queueCap, seed, instrs)
-}
+// WithMonitor runs the spec under a caller-supplied (custom) monitor in
+// place of the built-in one Spec.Monitor names. The monitor must be fresh
+// (its internal state is mutated) and the spec must have a single
+// application core.
+func WithMonitor(m Monitor) Option { return system.WithMonitor(m) }
 
-// RunQueueStudyContext is RunQueueStudy with a cancellation context.
-func RunQueueStudyContext(ctx context.Context, bench, mon string, kind CoreKind, queueCap int, seed, instrs uint64) (*QueueStudy, error) {
-	return system.RunQueueStudyContext(ctx, bench, mon, kind, queueCap, seed, instrs)
-}
-
-// Execution hardening: limits, structured abort reasons, and deterministic
-// fault injection. A Run that does not complete returns the partial Result
+// Execution hardening: structured abort reasons and deterministic fault
+// injection. A run that does not complete returns the partial Result
 // alongside an error wrapping exactly one of the sentinel errors below.
 type (
-	// RunLimits bounds a run's execution (cycle cap, wall-clock watchdog).
-	RunLimits = system.RunLimits
-	// FaultPlan configures deterministic fault injection (Config.Faults).
+	// FaultPlan configures deterministic fault injection (Spec.Faults).
 	FaultPlan = fault.Plan
 	// FaultStall parameterizes monitor stall-burst injection.
 	FaultStall = fault.Stall
@@ -156,7 +142,7 @@ var (
 	ErrCanceled = sim.ErrCanceled
 	// ErrCycleCapExceeded: the run hit its cycle cap before completing.
 	ErrCycleCapExceeded = sim.ErrCycleCapExceeded
-	// ErrInvariantViolated: the invariant checker (Config.CheckInvariants)
+	// ErrInvariantViolated: the invariant checker (Spec.CheckInvariants)
 	// observed a broken microarchitectural invariant.
 	ErrInvariantViolated = sim.ErrInvariantViolated
 )
@@ -168,16 +154,11 @@ func StallSeverity(name string) (*FaultPlan, bool) { return fault.StallSeverity(
 // StallSeverities lists the stall severity names in increasing order.
 func StallSeverities() []string { return fault.StallSeverities() }
 
-// ValidateConfig reports whether cfg is runnable, as an error naming the
-// offending field. Run and RunContext validate implicitly; no configuration
-// error escapes the API as a panic.
-func ValidateConfig(cfg Config) error { return cfg.Validate() }
-
 // Monitors and workloads.
 type (
 	// Monitor is an instruction-grain monitoring tool. The five built-in
 	// monitors are available through NewMonitor; custom monitors implement
-	// this interface and run through RunWithMonitor (see
+	// this interface and run through WithMonitor (see
 	// examples/watchpoint for a complete user-defined monitor).
 	Monitor = monitor.Monitor
 	// MonitorKind distinguishes memory-tracking from propagation-tracking
@@ -212,17 +193,6 @@ const (
 	ClassStack = monitor.ClassStack
 	ClassHigh  = monitor.ClassHigh
 )
-
-// RunWithMonitor simulates a benchmark under a caller-supplied (custom)
-// monitor. The monitor must be fresh: its internal state is mutated.
-func RunWithMonitor(bench string, cfg Config, mon Monitor) (*Result, error) {
-	return system.RunWithMonitor(bench, cfg, mon)
-}
-
-// RunWithMonitorContext is RunWithMonitor with a cancellation context.
-func RunWithMonitorContext(ctx context.Context, bench string, cfg Config, mon Monitor) (*Result, error) {
-	return system.RunWithMonitorContext(ctx, bench, cfg, mon)
-}
 
 // NewMonitor constructs one of the built-in monitors: "AddrCheck",
 // "MemCheck", "TaintCheck", "MemLeak", or "AtomCheck" (threads matters only
@@ -394,23 +364,13 @@ type (
 	ExperimentCell = experiments.Cell
 )
 
-// Canonical run identity and the content-addressed result store.
+// The content-addressed result store.
 type (
-	// RunSpec is the canonical, JSON-round-trippable description of one
-	// simulation. Equal runs — however they were spelled — normalize to
-	// equal specs, and RunSpec.Hash() is the identity results are cached
-	// under.
-	RunSpec = runspec.Spec
 	// ResultCache memoizes completed runs by spec hash: a bounded memory
 	// LRU, optionally backed by a crash-safe on-disk store that fadebench
 	// sweeps and fadeserve daemons can share.
 	ResultCache = rcache.Cache
 )
-
-// SpecOf returns the canonical spec of one (benchmark, config) run —
-// the identity Run's result is cached under when an ExperimentOptions
-// or serve cache is in play.
-func SpecOf(bench string, cfg Config) RunSpec { return system.SpecFromConfig(bench, cfg) }
 
 // OpenResultCache opens a result cache holding up to memEntries recent
 // results in memory (0 selects the default), persisted under dir; an
@@ -476,11 +436,11 @@ func WriteTimeline(w io.Writer, cell string, points []*MetricsSnapshot) error {
 type Trace = spans.Trace
 
 // NewTrace builds a trace with the given id and ring capacity (<= 0 selects
-// the default). Pass it to RunContext via TraceContext, then export with
+// the default). Pass it to Exec via TraceContext, then export with
 // WriteChromeTrace or WriteTraceJSONL.
 func NewTrace(id string, capacity int) *Trace { return spans.New(id, capacity) }
 
-// TraceContext returns ctx carrying tr. RunContext detects the trace and
+// TraceContext returns ctx carrying tr. Exec detects the trace and
 // emits cycle-domain spans into it: fast-forward jumps, fault bursts, queue
 // full/drain episodes, monitor-behind intervals, and checkpoint polls.
 // Cycle-domain emission is deterministic per (seed, config, flags).

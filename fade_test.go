@@ -2,17 +2,17 @@ package fade
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestPublicRun(t *testing.T) {
-	cfg := DefaultConfig("MemLeak")
-	cfg.Instrs = 40_000
-	res, err := Run("astar", cfg)
+	out, err := Exec(context.Background(), Spec{Benchmark: "astar", Monitor: "MemLeak", Seed: 1, Instrs: 40_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Result
 	if res.Slowdown < 1 || res.Filter == nil {
 		t.Fatalf("result = %+v", res)
 	}
@@ -22,10 +22,12 @@ func TestPublicRun(t *testing.T) {
 }
 
 func TestPublicQueueStudy(t *testing.T) {
-	qs, err := RunQueueStudy("astar", "AddrCheck", OoO4, UnboundedQueue, 1, 30_000)
+	out, err := Exec(context.Background(), Spec{Kind: KindStudy, Benchmark: "astar", Monitor: "AddrCheck",
+		EventQueueCap: UnboundedQueue, Seed: 1, Instrs: 30_000})
 	if err != nil {
 		t.Fatal(err)
 	}
+	qs := out.Study
 	if qs.MonitoredIPC <= 0 {
 		t.Fatal("no monitored load measured")
 	}
@@ -106,13 +108,12 @@ func TestSynthReport(t *testing.T) {
 }
 
 func TestInjectionThroughPublicAPI(t *testing.T) {
-	cfg := DefaultConfig("TaintCheck")
-	cfg.Instrs = 80_000
-	cfg.Inject = &Inject{TaintedJump: true}
-	res, err := Run("bzip", cfg)
+	out, err := Exec(context.Background(), Spec{Benchmark: "bzip", Monitor: "TaintCheck", Seed: 1, Instrs: 80_000,
+		Inject: &Inject{TaintedJump: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Result
 	alerts := 0
 	for _, r := range res.Reports {
 		if r.Kind == "tainted-jump" {
@@ -183,12 +184,11 @@ func (m *nopMonitor) Finalize(st *MetadataState) []Report { return nil }
 
 func TestRunWithCustomMonitor(t *testing.T) {
 	mon := &nopMonitor{}
-	cfg := DefaultConfig("")
-	cfg.Instrs = 40_000
-	res, err := RunWithMonitor("hmmer", cfg, mon)
+	out, err := Exec(context.Background(), Spec{Benchmark: "hmmer", Seed: 1, Instrs: 40_000}, WithMonitor(mon))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Result
 	if mon.events == 0 {
 		t.Fatal("custom monitor saw no events")
 	}

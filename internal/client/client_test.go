@@ -13,7 +13,6 @@ import (
 
 	"fade/internal/rcache"
 	"fade/internal/serve"
-	"fade/internal/system"
 )
 
 // sleepRecorder is the Sleep hook for tests: it records every requested
@@ -191,16 +190,12 @@ func TestCallStopsWhenCallerContextDies(t *testing.T) {
 // first submission simulates, the identical resubmission is served from
 // the result cache with a byte-identical result document.
 func TestSubmitRunIdempotentResubmission(t *testing.T) {
-	var runs atomic.Int32
+	cache := rcache.NewMem(16)
 	srv := serve.New(serve.Options{
 		Workers:       2,
 		QueueCap:      8,
 		DefaultInstrs: 1_000,
-		Cache:         rcache.NewMem(16),
-		Runner: func(_ context.Context, bench string, cfg system.Config) (*system.Result, error) {
-			runs.Add(1)
-			return &system.Result{Benchmark: bench, Config: cfg, Instrs: cfg.Instrs}, nil
-		},
+		Cache:         cache,
 	})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
@@ -226,8 +221,8 @@ func TestSubmitRunIdempotentResubmission(t *testing.T) {
 	if !bytes.Equal(first.Result, second.Result) {
 		t.Fatalf("cached result differs from simulated result:\n%s\nvs\n%s", first.Result, second.Result)
 	}
-	if n := runs.Load(); n != 1 {
-		t.Fatalf("runner executed %d times, want 1 (resubmission must hit the cache)", n)
+	if n := cache.Stats().Misses; n != 1 {
+		t.Fatalf("simulated %d times, want 1 (resubmission must hit the cache)", n)
 	}
 	if tn := second.Tenant; tn != "fabric-test" {
 		t.Fatalf("tenant = %q, want the X-API-Key identity", tn)

@@ -24,15 +24,15 @@ var ablationBenches = []string{"astar", "bzip", "mcf", "omnet"}
 // sweepCells enumerates one full sweep: every (sweep point, benchmark)
 // pair is an independent cell labelled "<monitor>/<point>/<benchmark>"
 // (points names the sweep points in mutator order).
-func sweepCells(o Options, mon string, points []string, mutators []func(*system.Config)) []Cell {
+func sweepCells(o Options, mon string, points []string, mutators []func(*runspec.Spec)) []Cell {
 	var cells []Cell
 	for p := range mutators {
 		for _, bench := range ablationBenches {
-			cfg := o.config(mon)
-			mutators[p](&cfg)
+			s := o.spec(bench, mon)
+			mutators[p](&s)
 			cells = append(cells, Cell{
 				Label: fmt.Sprintf("%s/%s/%s", mon, points[p], bench),
-				Spec:  system.SpecFromConfig(bench, cfg),
+				Spec:  s,
 			})
 		}
 	}
@@ -56,10 +56,10 @@ func sweepMeans(outs []*system.Outcome, npoints int) []float64 {
 // mdcacheKBs is the MD-cache sweep's x-axis (cache size in KB).
 var mdcacheKBs = []int{1, 2, 4, 8, 16}
 
-func mdcacheSweep() (points []string, mutators []func(*system.Config)) {
+func mdcacheSweep() (points []string, mutators []func(*runspec.Spec)) {
 	for _, kb := range mdcacheKBs {
 		size := kb << 10
-		mutators = append(mutators, func(c *system.Config) { c.MDCacheBytes = size })
+		mutators = append(mutators, func(s *runspec.Spec) { s.MDCacheBytes = size })
 		points = append(points, fmt.Sprintf("mdcache%dkb", kb))
 	}
 	return points, mutators
@@ -99,10 +99,10 @@ var expAblationMDCache = experiment{
 // evqDepths is the event-queue sweep's x-axis.
 var evqDepths = []int{4, 8, 16, 32, 64, 128}
 
-func evqSweep() (points []string, mutators []func(*system.Config)) {
+func evqSweep() (points []string, mutators []func(*runspec.Spec)) {
 	for _, n := range evqDepths {
 		n := n
-		mutators = append(mutators, func(c *system.Config) { c.EventQueueCap = n })
+		mutators = append(mutators, func(s *runspec.Spec) { s.EventQueueCap = n })
 		points = append(points, fmt.Sprintf("evq%d", n))
 	}
 	return points, mutators
@@ -135,10 +135,10 @@ var expAblationEvq = experiment{
 // ufqDepths is the unfiltered-queue sweep's x-axis.
 var ufqDepths = []int{2, 4, 8, 16, 32}
 
-func ufqSweep() (points []string, mutators []func(*system.Config)) {
+func ufqSweep() (points []string, mutators []func(*runspec.Spec)) {
 	for _, n := range ufqDepths {
 		n := n
-		mutators = append(mutators, func(c *system.Config) { c.UnfilteredCap = n })
+		mutators = append(mutators, func(s *runspec.Spec) { s.UnfilteredCap = n })
 		points = append(points, fmt.Sprintf("ufq%d", n))
 	}
 	return points, mutators
@@ -172,18 +172,18 @@ var expAblationUfq = experiment{
 // doorbell).
 var signalLatencies = []int{-1, 7, 14, 28}
 
-func signalSweep() (points []string, mutators []func(*system.Config)) {
+func signalSweep() (points []string, mutators []func(*runspec.Spec)) {
 	// Point 0 is the non-blocking reference; the rest sweep the blocking
 	// design's signal latency.
-	mutators = []func(*system.Config){
-		func(c *system.Config) { c.Accel = system.FADENonBlocking },
+	mutators = []func(*runspec.Spec){
+		func(s *runspec.Spec) { s.Accel = runspec.AccelFADE },
 	}
 	points = []string{"nonblocking"}
 	for _, lat := range signalLatencies {
 		lat := lat
-		mutators = append(mutators, func(c *system.Config) {
-			c.Accel = system.FADEBlocking
-			c.BlockingSignalCycles = lat
+		mutators = append(mutators, func(s *runspec.Spec) {
+			s.Accel = runspec.AccelBlocking
+			s.BlockingSignalCycles = lat
 		})
 		points = append(points, fmt.Sprintf("signal%d", lat))
 	}

@@ -65,7 +65,7 @@ func TestCacheResume(t *testing.T) {
 	}
 }
 
-// TestCachedFullSystemExperiment covers the system.Run path (Result with
+// TestCachedFullSystemExperiment covers the full-system path (Result with
 // metrics attached) through the cache, including the Cells telemetry.
 func TestCachedFullSystemExperiment(t *testing.T) {
 	o := tiny()
@@ -186,7 +186,7 @@ func TestMissing(t *testing.T) {
 	// Prime exactly one cell: only it should drop out.
 	op := o
 	op.Cache = c
-	if _, _, err := system.ExecSpecCached(context.Background(), c, cells[0].Spec); err != nil {
+	if _, err := system.ExecSpec(context.Background(), cells[0].Spec, system.WithCache(c)); err != nil {
 		t.Fatal(err)
 	}
 	got := Missing(cells, c)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"fade/internal/cpu"
 	"fade/internal/monitor"
 	"fade/internal/obs"
 	"fade/internal/par"
@@ -32,7 +31,7 @@ type Options struct {
 	// (Seed, benchmark) and rows are assembled in cell order.
 	Parallel int
 	// TimelineEvery enables cycle-sampled telemetry inside every
-	// system.Run-backed cell: each cell's Timeline is attached to the
+	// full-system cell: each cell's Timeline is attached to the
 	// table alongside its metrics snapshot. 0 disables sampling.
 	TimelineEvery uint64
 	// AppCores, when non-zero, runs every cell on a CMP of that many
@@ -47,12 +46,12 @@ type Options struct {
 	// abort with an error wrapping sim.ErrCanceled and queued cells are
 	// skipped. nil selects context.Background (no cancellation).
 	Ctx context.Context
-	// CheckInvariants runs every system.Run-backed cell with the per-cycle
+	// CheckInvariants runs every full-system cell with the per-cycle
 	// invariant checker armed, so a sweep doubles as a correctness audit
 	// (the fadesim/fadebench -check flag).
 	CheckInvariants bool
-	// FastForward runs every system.Run-backed cell with the scheduler's
-	// event-driven skip-ahead armed (system.Config.FastForward): results
+	// FastForward runs every full-system cell with the scheduler's
+	// event-driven skip-ahead armed (runspec.Spec.FastForward): results
 	// are byte-identical, only wall-clock time changes. CheckInvariants
 	// pins cells back to cycle-exact execution even when this is set.
 	FastForward bool
@@ -97,9 +96,8 @@ type experiment struct {
 
 // runCells dispatches an experiment's independent simulation cells through
 // the worker pool, returning results in cell order. Options.Ctx is passed
-// to every cell; cells must thread it into their system.RunContext /
-// RunQueueStudyContext calls so cancellation reaches the scheduler's
-// checkpoints.
+// to every cell; cells must thread it into system.ExecSpec so cancellation
+// reaches the scheduler's checkpoints.
 func runCells[C, R any](o Options, cells []C, fn func(context.Context, C) (R, error)) ([]R, error) {
 	return par.RunCells(o.Ctx, o.Parallel, cells, fn)
 }
@@ -118,8 +116,7 @@ func run(e experiment, o Options) (*Table, error) {
 		// Ctx for its par.cell spans, but the simulator must not — hundreds
 		// of cells emitting cycle spans into one shared ring would bury the
 		// sweep. Per-run cycle traces belong to fadesim/fadeserve.
-		out, _, err := system.ExecSpecCached(spans.WithoutTrace(ctx), o.Cache, c.Spec)
-		return out, err
+		return system.ExecSpec(spans.WithoutTrace(ctx), c.Spec, system.WithCache(o.Cache))
 	})
 	if err != nil {
 		return nil, err
@@ -134,30 +131,29 @@ func run(e experiment, o Options) (*Table, error) {
 	return t, nil
 }
 
-// config returns the paper's default configuration for mon with the
-// option-controlled scale knobs (instruction budget, seed, telemetry
-// sampling) applied — the starting point of every system.Run cell.
-func (o Options) config(mon string) system.Config {
-	cfg := system.DefaultConfig(mon)
-	cfg.Instrs = o.Instrs
-	cfg.Seed = o.Seed
-	cfg.TimelineEvery = o.TimelineEvery
-	cfg.CheckInvariants = o.CheckInvariants
-	cfg.FastForward = o.FastForward
+// spec is the full-system cell of running bench under mon: the paper's
+// default configuration (non-blocking FADE on a single dual-threaded 4-way
+// OoO core with 32/16-entry queues) with the option-controlled knobs
+// applied, defaults spelled out.
+func (o Options) spec(bench, mon string) runspec.Spec {
+	s := runspec.Spec{
+		Benchmark: bench, Monitor: mon, Seed: o.Seed, Instrs: o.Instrs,
+		TimelineEvery: o.TimelineEvery, CheckInvariants: o.CheckInvariants, FastForward: o.FastForward,
+	}
 	if o.AppCores > 0 {
 		mc := o.MonCores
 		if mc == 0 {
 			mc = o.AppCores
 		}
-		cfg.Topology = system.Topology{AppCores: o.AppCores, MonCores: mc}
+		setTopology(&s, o.AppCores, mc)
 	}
-	return cfg
+	return s.Normalize()
 }
 
-// spec is the canonical-spec form of o.config: the full-system cell of
-// running bench under mon with the option knobs applied.
-func (o Options) spec(bench, mon string) runspec.Spec {
-	return system.SpecFromConfig(bench, o.config(mon))
+// setTopology sets a spec's topology: app application cores served by mon
+// dedicated monitor cores, or by SMT monitor threads when mon is 0.
+func setTopology(s *runspec.Spec, app, mon int) {
+	s.AppCores, s.MonCores, s.SMT = app, mon, mon == 0
 }
 
 // studySpec is one Section 3 queue-study cell (an ideal 1-event/cycle
@@ -185,16 +181,16 @@ func (o Options) studyGrid(mons []string, cap int) []Cell {
 
 // runGrid enumerates every (monitor, benchmark) full-system cell of the
 // given monitors, with mutate (optional) applied to the paper-default
-// config before canonicalization.
-func (o Options) runGrid(mons []string, mutate func(*system.Config)) []Cell {
+// spec.
+func (o Options) runGrid(mons []string, mutate func(*runspec.Spec)) []Cell {
 	var cells []Cell
 	for _, mon := range mons {
 		for _, bench := range BenchesFor(mon) {
-			cfg := o.config(mon)
+			s := o.spec(bench, mon)
 			if mutate != nil {
-				mutate(&cfg)
+				mutate(&s)
 			}
-			cells = append(cells, Cell{Label: mon + "/" + bench, Spec: system.SpecFromConfig(bench, cfg)})
+			cells = append(cells, Cell{Label: mon + "/" + bench, Spec: s})
 		}
 	}
 	return cells
@@ -227,7 +223,7 @@ type CellMetrics struct {
 	Timeline []*obs.Snapshot `json:"timeline,omitempty"`
 }
 
-// attach records one system.Run cell's telemetry on the table.
+// attach records one full-system cell's telemetry on the table.
 func (t *Table) attach(label string, r *system.Result) {
 	if r == nil || r.Metrics == nil {
 		return
@@ -462,7 +458,7 @@ func Fig4a(o Options) (*Table, error) { return run(expFig4a, o) }
 var expFig4a = experiment{
 	id: "fig4a",
 	cells: func(o Options) ([]Cell, error) {
-		return o.runGrid(Monitors(), func(c *system.Config) { c.Accel = system.Unaccelerated }), nil
+		return o.runGrid(Monitors(), func(s *runspec.Spec) { s.Accel = runspec.AccelNone }), nil
 	},
 	build: func(o Options, cells []Cell, outs []*system.Outcome) (*Table, error) {
 		t := &Table{
@@ -607,27 +603,25 @@ var expTable2 = experiment{
 	},
 }
 
-// pairGrid enumerates two cells per (monitor, benchmark) — one per config
+// pairGrid enumerates two cells per (monitor, benchmark) — one per spec
 // variant, labels suffixed — in table order. The variants mutate the
-// paper-default config (after pin, which every pair experiment uses to fix
+// paper-default spec (after pin, which every pair experiment uses to fix
 // its topology/core).
-func (o Options) pairGrid(mons []string, pin func(*system.Config),
-	sufA string, mutA func(*system.Config),
-	sufB string, mutB func(*system.Config)) []Cell {
+func (o Options) pairGrid(mons []string, pin func(*runspec.Spec),
+	sufA string, mutA func(*runspec.Spec),
+	sufB string, mutB func(*runspec.Spec)) []Cell {
 	var cells []Cell
 	for _, mon := range mons {
 		for _, bench := range BenchesFor(mon) {
-			base := o.config(mon)
+			base := o.spec(bench, mon)
 			if pin != nil {
 				pin(&base)
 			}
-			cfgA, cfgB := base, base
-			mutA(&cfgA)
-			mutB(&cfgB)
+			a, b := base, base
+			mutA(&a)
+			mutB(&b)
 			label := mon + "/" + bench
-			cells = append(cells,
-				Cell{Label: label + sufA, Spec: system.SpecFromConfig(bench, cfgA)},
-				Cell{Label: label + sufB, Spec: system.SpecFromConfig(bench, cfgB)})
+			cells = append(cells, Cell{Label: label + sufA, Spec: a}, Cell{Label: label + sufB, Spec: b})
 		}
 	}
 	return cells
@@ -642,9 +636,9 @@ var expFig9 = experiment{
 	id: "fig9",
 	cells: func(o Options) ([]Cell, error) {
 		return o.pairGrid(Monitors(),
-			func(c *system.Config) { c.Topology = system.SingleCoreSMT; c.Core = cpu.OoO4 },
-			"/unacc", func(c *system.Config) { c.Accel = system.Unaccelerated },
-			"/fade", func(c *system.Config) { c.Accel = system.FADENonBlocking }), nil
+			func(s *runspec.Spec) { setTopology(s, 1, 0); s.Core = runspec.Core4Way },
+			"/unacc", func(s *runspec.Spec) { s.Accel = runspec.AccelNone },
+			"/fade", func(s *runspec.Spec) { s.Accel = runspec.AccelFADE }), nil
 	},
 	build: func(o Options, cells []Cell, outs []*system.Outcome) (*Table, error) {
 		t := &Table{
@@ -677,6 +671,14 @@ var expFig9 = experiment{
 	},
 }
 
+// coreModels are the evaluated core types in Table 1 order: the spec's core
+// name and the label fig10's cells carry.
+var coreModels = []struct{ name, label string }{
+	{runspec.CoreInOrder, "in-order"},
+	{runspec.Core2Way, "2-way OoO"},
+	{runspec.Core4Way, "4-way OoO"},
+}
+
 // Fig10 reproduces Fig. 10: average slowdown per monitor for the three core
 // types, unaccelerated and FADE-enabled (single-core dual-threaded).
 func Fig10(o Options) (*Table, error) { return run(expFig10, o) }
@@ -686,18 +688,18 @@ var expFig10 = experiment{
 	cells: func(o Options) ([]Cell, error) {
 		var cells []Cell
 		for _, mon := range Monitors() {
-			for _, kind := range cpu.Kinds() {
+			for _, core := range coreModels {
 				for _, bench := range BenchesFor(mon) {
-					base := o.config(mon)
-					base.Topology = system.SingleCoreSMT
-					base.Core = kind
-					label := fmt.Sprintf("%s/%s/%s", mon, bench, kind)
-					cfgU, cfgF := base, base
-					cfgU.Accel = system.Unaccelerated
-					cfgF.Accel = system.FADENonBlocking
+					base := o.spec(bench, mon)
+					setTopology(&base, 1, 0)
+					base.Core = core.name
+					label := fmt.Sprintf("%s/%s/%s", mon, bench, core.label)
+					unacc, fade := base, base
+					unacc.Accel = runspec.AccelNone
+					fade.Accel = runspec.AccelFADE
 					cells = append(cells,
-						Cell{Label: label + "/unacc", Spec: system.SpecFromConfig(bench, cfgU)},
-						Cell{Label: label + "/fade", Spec: system.SpecFromConfig(bench, cfgF)})
+						Cell{Label: label + "/unacc", Spec: unacc},
+						Cell{Label: label + "/fade", Spec: fade})
 				}
 			}
 		}
@@ -715,7 +717,7 @@ var expFig10 = experiment{
 		for _, mon := range Monitors() {
 			row := []string{mon}
 			var unaccCols, fadeCols []string
-			for range cpu.Kinds() {
+			for range coreModels {
 				var unacc, fade []float64
 				for range BenchesFor(mon) {
 					unacc = append(unacc, outs[2*i].Result.Slowdown)
@@ -742,8 +744,8 @@ var expFig11a = experiment{
 	id: "fig11a",
 	cells: func(o Options) ([]Cell, error) {
 		return o.pairGrid(Monitors(), nil,
-			"/single", func(c *system.Config) {},
-			"/two", func(c *system.Config) { c.Topology = system.TwoCore }), nil
+			"/single", func(*runspec.Spec) {},
+			"/two", func(s *runspec.Spec) { setTopology(s, 1, 1) }), nil
 	},
 	build: func(o Options, cells []Cell, outs []*system.Outcome) (*Table, error) {
 		t := &Table{
@@ -773,7 +775,7 @@ func Fig11b(o Options) (*Table, error) { return run(expFig11b, o) }
 var expFig11b = experiment{
 	id: "fig11b",
 	cells: func(o Options) ([]Cell, error) {
-		return o.runGrid(Monitors(), func(c *system.Config) { c.Topology = system.TwoCore }), nil
+		return o.runGrid(Monitors(), func(s *runspec.Spec) { setTopology(s, 1, 1) }), nil
 	},
 	build: func(o Options, cells []Cell, outs []*system.Outcome) (*Table, error) {
 		t := &Table{
@@ -805,8 +807,8 @@ var expFig11c = experiment{
 	id: "fig11c",
 	cells: func(o Options) ([]Cell, error) {
 		return o.pairGrid(Monitors(), nil,
-			"/blocking", func(c *system.Config) { c.Accel = system.FADEBlocking },
-			"/nonblocking", func(c *system.Config) { c.Accel = system.FADENonBlocking }), nil
+			"/blocking", func(s *runspec.Spec) { s.Accel = runspec.AccelBlocking },
+			"/nonblocking", func(s *runspec.Spec) { s.Accel = runspec.AccelFADE }), nil
 	},
 	build: func(o Options, cells []Cell, outs []*system.Outcome) (*Table, error) {
 		t := &Table{
@@ -971,7 +973,7 @@ func Prime(id string, o Options, shard, count int) (ran, total int, err error) {
 	}
 	o = o.withDefaults()
 	_, err = runCells(o, mine, func(ctx context.Context, c Cell) (struct{}, error) {
-		_, _, err := system.ExecSpecCached(ctx, o.Cache, c.Spec)
+		_, err := system.ExecSpec(ctx, c.Spec, system.WithCache(o.Cache))
 		return struct{}{}, err
 	})
 	return len(mine), total, err

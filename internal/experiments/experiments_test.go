@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -166,12 +167,13 @@ func TestMulticoreScaling(t *testing.T) {
 	o := Options{Instrs: 12_000, Seed: 1}
 	tbl, err := MulticoreScaling(o)
 	expectTable(t, tbl, err, 15) // 5 monitors x 3 modes
-	cfg := o.config("MemLeak")
-	cfg.Topology = system.TwoCore
-	ref, err := system.Run(BenchesFor("MemLeak")[0], cfg)
+	s := o.spec(BenchesFor("MemLeak")[0], "MemLeak")
+	setTopology(&s, 1, 1)
+	out, err := system.ExecSpec(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := out.Result
 	found := false
 	for _, row := range tbl.Rows {
 		if row[0] == "MemLeak" && row[1] == "FADE" {

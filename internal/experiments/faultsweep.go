@@ -34,12 +34,12 @@ var expFaultSweep = experiment{
 					if !ok {
 						return nil, fmt.Errorf("experiments: unknown stall severity %q", level)
 					}
-					cfg := o.config(mon)
-					cfg.Faults = plan
-					cfg.CheckInvariants = true
+					s := o.spec(bench, mon)
+					s.Faults = plan
+					s.CheckInvariants = true
 					cells = append(cells, Cell{
 						Label: fmt.Sprintf("%s/%s/%s", mon, bench, level),
-						Spec:  system.SpecFromConfig(bench, cfg),
+						Spec:  s,
 					})
 				}
 			}

@@ -10,14 +10,20 @@ package experiments
 import (
 	"fmt"
 
+	"fade/internal/runspec"
 	"fade/internal/system"
 )
 
 // multicoreCounts is the app-core sweep of the scaling experiment.
 var multicoreCounts = []int{1, 2, 4, 8}
 
-// multicoreAccels orders the acceleration modes of the scaling experiment.
-var multicoreAccels = []system.Accel{system.Unaccelerated, system.FADEBlocking, system.FADENonBlocking}
+// multicoreAccels orders the acceleration modes of the scaling experiment:
+// the spec's accel name and the label its cells and rows carry.
+var multicoreAccels = []struct{ name, label string }{
+	{runspec.AccelNone, "unaccelerated"},
+	{runspec.AccelBlocking, "FADE-blocking"},
+	{runspec.AccelFADE, "FADE"},
+}
 
 // MulticoreScaling sweeps 1/2/4/8 application cores for every monitor and
 // acceleration mode on the CMP topology (N app cores, N dedicated monitor
@@ -36,12 +42,12 @@ var expMulticore = experiment{
 					// One representative benchmark per monitor keeps the sweep
 					// at (1+2+4+8) core-simulations per (monitor, mode) row.
 					bench := BenchesFor(mon)[0]
-					cfg := o.config(mon)
-					cfg.Accel = accel
-					cfg.Topology = system.CMP(n)
+					s := o.spec(bench, mon)
+					s.Accel = accel.name
+					setTopology(&s, n, n)
 					cells = append(cells, Cell{
-						Label: fmt.Sprintf("%s/%s/%dcore/%s", mon, accel, n, bench),
-						Spec:  system.SpecFromConfig(bench, cfg),
+						Label: fmt.Sprintf("%s/%s/%dcore/%s", mon, accel.label, n, bench),
+						Spec:  s,
 					})
 				}
 			}
@@ -57,7 +63,7 @@ var expMulticore = experiment{
 		i := 0
 		for _, mon := range Monitors() {
 			for _, accel := range multicoreAccels {
-				row := []string{mon, accel.String()}
+				row := []string{mon, accel.label}
 				for range multicoreCounts {
 					row = append(row, f2(outs[i].Result.Slowdown))
 					i++

@@ -505,7 +505,7 @@ func (c *Coordinator) Drive(ctx context.Context, grace time.Duration, parallel i
 // via ErrIncomplete.
 func (c *Coordinator) runLocal(ctx context.Context, batch []*cellState, parallel int) {
 	_, _ = par.RunCells(ctx, parallel, batch, func(ctx context.Context, cs *cellState) (struct{}, error) {
-		_, _, err := system.ExecSpecCached(ctx, c.opts.Cache, cs.spec)
+		_, err := system.ExecSpec(ctx, cs.spec, system.WithCache(c.opts.Cache))
 		c.met.localCells.Inc()
 		c.mu.Lock()
 		if err != nil {

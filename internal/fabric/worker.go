@@ -75,22 +75,15 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 
 // execEncoded is the default cell executor: the spec runs through the
 // worker's own cache (so a worker re-leased a cell it already computed
-// serves bytes from disk), returning exactly the encoded outcome the
-// cache stores — the bytes the coordinator admits to its cache, keeping
-// the distributed path byte-identical to a local run.
+// serves bytes from disk), and the outcome goes back encoded — the bytes
+// the coordinator admits to its cache. The codec is deterministic, so they
+// equal the bytes a local run stores.
 func execEncoded(ctx context.Context, cache *rcache.Cache, spec runspec.Spec) ([]byte, error) {
-	compute := func(ctx context.Context) ([]byte, error) {
-		out, err := system.ExecSpec(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		return system.EncodeOutcome(out)
+	out, err := system.ExecSpec(ctx, spec, system.WithCache(cache))
+	if err != nil {
+		return nil, err
 	}
-	if cache == nil {
-		return compute(ctx)
-	}
-	b, _, err := cache.Do(ctx, spec.Hash(), compute)
-	return b, err
+	return system.EncodeOutcome(out)
 }
 
 // RunWorker runs lease loops against the coordinator until the sweep is

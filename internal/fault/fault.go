@@ -1,6 +1,9 @@
 package fault
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Plan describes the faults to inject into one run. A nil *Plan (or the
 // zero Plan) injects nothing. Plans are pure descriptions — they carry no
@@ -142,3 +145,60 @@ func StallSeverity(level string) (*Plan, bool) {
 
 // StallSeverities lists the sweep levels in increasing severity order.
 func StallSeverities() []string { return []string{"none", "mild", "moderate", "severe"} }
+
+// Knobs is the flat, name-based form of a Plan: the one fault vocabulary
+// shared by fadeserve's "faults" request body and fadesim's -fault-* flags.
+// The zero value injects nothing.
+type Knobs struct {
+	// Seed seeds the injector RNG streams (0 borrows the run seed).
+	Seed uint64 `json:"seed,omitempty"`
+	// Stall is a monitor-stall severity name (StallSeverities); "" and
+	// "none" inject no stalls.
+	Stall string `json:"stall,omitempty"`
+	// MEQPressure / UFQPressure shrink the effective queue capacity by
+	// this factor in (0,1] during pressure bursts.
+	MEQPressure float64 `json:"meq_pressure,omitempty"`
+	UFQPressure float64 `json:"ufq_pressure,omitempty"`
+	// DropRate silently drops monitored events with this probability.
+	DropRate float64 `json:"drop_rate,omitempty"`
+	// CorruptGap is the mean cycle gap between metadata bit flips (0
+	// disables corruption).
+	CorruptGap float64 `json:"corrupt_gap,omitempty"`
+}
+
+// pressureShape is the burst timing every knob-configured pressure fault
+// uses; the knob sets only the capacity factor.
+var pressureShape = Pressure{MeanGap: 2048, MeanDuration: 256}
+
+// Plan maps the knobs onto a fault plan: nil when they inject nothing and
+// set no seed, an error for an unknown stall severity.
+func (k Knobs) Plan() (*Plan, error) {
+	plan := &Plan{Seed: k.Seed}
+	if k.Stall != "" && k.Stall != "none" {
+		sp, ok := StallSeverity(k.Stall)
+		if !ok {
+			return nil, fmt.Errorf("fault: unknown stall severity %q (want %s)", k.Stall, strings.Join(StallSeverities(), "|"))
+		}
+		plan.MonitorStall = sp.MonitorStall
+	}
+	if k.MEQPressure > 0 {
+		p := pressureShape
+		p.CapFactor = k.MEQPressure
+		plan.MEQPressure = &p
+	}
+	if k.UFQPressure > 0 {
+		p := pressureShape
+		p.CapFactor = k.UFQPressure
+		plan.UFQPressure = &p
+	}
+	if k.DropRate > 0 {
+		plan.EventDrop = &Drop{Rate: k.DropRate}
+	}
+	if k.CorruptGap > 0 {
+		plan.MDCorruption = &Corrupt{MeanGap: k.CorruptGap}
+	}
+	if plan.Empty() && plan.Seed == 0 {
+		return nil, nil
+	}
+	return plan, nil
+}

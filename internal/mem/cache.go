@@ -20,7 +20,7 @@ type CacheConfig struct {
 // Validate rejects geometries NewCache cannot build: non-positive
 // dimensions, a non-power-of-two block size, or a size/associativity/block
 // combination whose set count is not a positive power of two. Callers that
-// accept user-supplied geometry (system.Config.Validate) pre-check with it
+// accept user-supplied geometry (system.ValidateSpec) pre-check with it
 // so the NewCache panic marks an internal bug, never a user error.
 func (c CacheConfig) Validate() error {
 	if c.BlockBytes <= 0 || c.Assoc <= 0 || c.SizeBytes <= 0 {

@@ -6,27 +6,28 @@ package obs_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"regexp"
 	"strings"
 	"testing"
 
 	"fade/internal/obs"
+	"fade/internal/runspec"
 	"fade/internal/system"
 )
 
-func runSnap(t *testing.T, mutate func(*system.Config)) *system.Result {
+func runSnap(t *testing.T, mutate func(*runspec.Spec)) *system.Result {
 	t.Helper()
-	cfg := system.DefaultConfig("MemLeak")
-	cfg.Instrs = 20_000
-	cfg.Seed = 1
+	s := runspec.Spec{Benchmark: "astar", Monitor: "MemLeak", Seed: 1, Instrs: 20_000}
 	if mutate != nil {
-		mutate(&cfg)
+		mutate(&s)
 	}
-	res, err := system.Run("astar", cfg)
+	out, err := system.ExecSpec(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Result
 	if res.Metrics == nil {
 		t.Fatal("run produced no metrics snapshot")
 	}
@@ -49,7 +50,7 @@ func TestMetricNamesValidAndDocumented(t *testing.T) {
 	for _, v := range fadeRun.Metrics.Values {
 		names[v.Name] = true
 	}
-	unacc := runSnap(t, func(c *system.Config) { c.Accel = system.Unaccelerated })
+	unacc := runSnap(t, func(s *runspec.Spec) { s.Accel = runspec.AccelNone })
 	for _, v := range unacc.Metrics.Values {
 		names[v.Name] = true
 	}
@@ -71,7 +72,7 @@ func TestMetricNamesValidAndDocumented(t *testing.T) {
 // timelines.
 func TestSnapshotDeterminism(t *testing.T) {
 	dump := func() (string, string) {
-		res := runSnap(t, func(c *system.Config) { c.TimelineEvery = 5_000 })
+		res := runSnap(t, func(s *runspec.Spec) { s.TimelineEvery = 5_000 })
 		var prom, tl bytes.Buffer
 		err := obs.WritePrometheus(&prom, []obs.LabeledSnapshot{
 			{Labels: []obs.Label{{Key: "cell", Value: "astar/MemLeak"}}, Snap: res.Metrics},

@@ -36,7 +36,7 @@ type Bounded[T any] struct {
 // NewBounded returns a queue holding at most capacity elements. Use
 // Unbounded for an effectively infinite queue (storage grows on demand).
 // It panics on a non-positive capacity; construction paths reachable from
-// the public API validate capacities first (system.Config.Validate) so the
+// the public API validate capacities first (system.ValidateSpec) so the
 // panic marks an internal bug, not a user error.
 func NewBounded[T any](capacity int) *Bounded[T] {
 	if capacity <= 0 {

@@ -15,18 +15,16 @@ import (
 // name the repository's auxiliary simulation shapes so they share the same
 // cache.
 const (
-	// KindRun is a full-system simulation (system.Run): application
-	// core(s), filtering unit(s), software monitor, baselines.
+	// KindRun is a full-system simulation: application core(s),
+	// filtering unit(s), software monitor, baselines.
 	KindRun = ""
-	// KindStudy is the Section 3 queue characterization
-	// (system.RunQueueStudy): an ideal 1-event/cycle drain behind the
-	// event queue. EventQueueCap holds the studied capacity (which may be
-	// queue.Unbounded).
+	// KindStudy is the Section 3 queue characterization: an ideal
+	// 1-event/cycle drain behind the event queue. EventQueueCap holds the
+	// studied capacity (which may be queue.Unbounded).
 	KindStudy = "study"
-	// KindCoreModel is the core-model cross-validation study
-	// (system.RunCoreModelStudy): baseline IPC under the rate-based and
-	// dependency-driven timing models. Only Benchmark, Seed, and Instrs
-	// apply.
+	// KindCoreModel is the core-model cross-validation study: baseline
+	// IPC under the rate-based and dependency-driven timing models. Only
+	// Benchmark, Seed, and Instrs apply.
 	KindCoreModel = "coremodel"
 	// KindBaseline is an unmonitored application-only baseline run (the
 	// denominator of every slowdown). Only Benchmark, Core, Seed, Instrs,

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"fade/internal/cpu"
 	"fade/internal/fault"
 	"fade/internal/runspec"
 	"fade/internal/system"
@@ -75,8 +74,10 @@ const (
 	StateShed = "shed"
 )
 
-// SubmitRequest is the body of POST /v1/runs. Zero fields select the
-// documented defaults; unknown fields are rejected.
+// SubmitRequest is the body of POST /v1/runs. Its fields map one-to-one
+// onto runspec.Spec fields (limits onto MaxCycles/WallClockMS, faults onto
+// Faults); zero fields select the documented defaults, and unknown fields
+// are rejected.
 type SubmitRequest struct {
 	// Benchmark is the workload profile name (fade.Benchmarks). Required.
 	Benchmark string `json:"benchmark"`
@@ -123,7 +124,7 @@ type SubmitRequest struct {
 	Faults *FaultsSpec `json:"faults,omitempty"`
 }
 
-// LimitsSpec is the wire form of system.RunLimits.
+// LimitsSpec is the wire form of a spec's MaxCycles and WallClockMS.
 type LimitsSpec struct {
 	// MaxCycles caps simulated time; hitting it fails the run with a
 	// structured error rather than truncating silently.
@@ -134,23 +135,9 @@ type LimitsSpec struct {
 	WallClockMS int64 `json:"wall_clock_ms,omitempty"`
 }
 
-// FaultsSpec is the wire form of fault.Plan.
-type FaultsSpec struct {
-	// Seed seeds the injector RNG streams (0 borrows the run seed).
-	Seed uint64 `json:"seed,omitempty"`
-	// Stall is a monitor-stall severity name: "mild", "moderate", or
-	// "severe" ("" or "none" injects no stalls).
-	Stall string `json:"stall,omitempty"`
-	// MEQPressure / UFQPressure shrink the effective queue capacity by
-	// this factor in (0,1] during pressure bursts.
-	MEQPressure float64 `json:"meq_pressure,omitempty"`
-	UFQPressure float64 `json:"ufq_pressure,omitempty"`
-	// DropRate silently drops monitored events with this probability.
-	DropRate float64 `json:"drop_rate,omitempty"`
-	// CorruptGap is the mean cycle gap between metadata bit flips (0
-	// disables corruption).
-	CorruptGap float64 `json:"corrupt_gap,omitempty"`
-}
+// FaultsSpec is the wire form of a fault plan: the knob vocabulary fadesim's
+// -fault-* flags share.
+type FaultsSpec = fault.Knobs
 
 // Limits are the server-side admission bounds (flags on cmd/fadeserve).
 // A submission exceeding any bound is rejected with limits_exceeded.
@@ -198,11 +185,14 @@ func errLimits(format string, args ...any) error {
 	return &apiErr{code: ErrCodeLimitsExceeded, msg: fmt.Sprintf(format, args...)}
 }
 
-// Config maps the submission onto a runnable system.Config, applying the
+// Spec maps the submission onto the run spec it describes — the
+// content-addressed identity the result cache is keyed by — applying the
 // server defaults and enforcing the admission limits. The returned error,
-// if any, is an *apiErr with code invalid_config or limits_exceeded.
-func (r *SubmitRequest) Config(defaultInstrs uint64, lim Limits) (system.Config, error) {
-	var zero system.Config
+// if any, is an *apiErr with code invalid_config or limits_exceeded. Two
+// submissions describing the same run produce specs with equal Hash()
+// regardless of which defaults were spelled out.
+func (r *SubmitRequest) Spec(defaultInstrs uint64, lim Limits) (runspec.Spec, error) {
+	var zero runspec.Spec
 	if r.Benchmark == "" {
 		return zero, errInvalid("missing required field %q", "benchmark")
 	}
@@ -212,27 +202,21 @@ func (r *SubmitRequest) Config(defaultInstrs uint64, lim Limits) (system.Config,
 	if r.Monitor == "" {
 		return zero, errInvalid("missing required field %q", "monitor")
 	}
-
-	cfg := system.DefaultConfig(r.Monitor)
-	switch r.Accel {
-	case "", "fade":
-		cfg.Accel = system.FADENonBlocking
-	case "blocking":
-		cfg.Accel = system.FADEBlocking
-	case "none":
-		cfg.Accel = system.Unaccelerated
-	default:
-		return zero, errInvalid("unknown accel %q (want none|blocking|fade)", r.Accel)
+	s := runspec.Spec{
+		Benchmark:       r.Benchmark,
+		Monitor:         r.Monitor,
+		Accel:           r.Accel,
+		Core:            r.Core,
+		Seed:            r.Seed,
+		Instrs:          r.Instrs,
+		EventQueueCap:   r.EventQueueCap,
+		UnfilteredCap:   r.UnfilteredCap,
+		TimelineEvery:   r.TimelineEvery,
+		FastForward:     r.FastForward == nil || *r.FastForward,
+		CheckInvariants: r.CheckInvariants,
 	}
-	switch r.Core {
-	case "", "4way":
-		// DefaultConfig's OoO4.
-	case "2way":
-		cfg.Core = cpu.OoO2
-	case "inorder":
-		cfg.Core = cpu.InOrder
-	default:
-		return zero, errInvalid("unknown core %q (want inorder|2way|4way)", r.Core)
+	if err := s.Validate(); err != nil {
+		return zero, errInvalid("%v", err)
 	}
 	switch {
 	case r.AppCores < 0:
@@ -241,38 +225,31 @@ func (r *SubmitRequest) Config(defaultInstrs uint64, lim Limits) (system.Config,
 		if lim.MaxAppCores > 0 && r.AppCores > lim.MaxAppCores {
 			return zero, errLimits("app_cores %d exceeds the server limit %d", r.AppCores, lim.MaxAppCores)
 		}
-		mc := r.MonCores
-		if mc == 0 {
-			mc = r.AppCores
+		s.AppCores, s.MonCores = r.AppCores, r.MonCores
+		if s.MonCores == 0 {
+			s.MonCores = r.AppCores
 		}
-		cfg.Topology = system.Topology{AppCores: r.AppCores, MonCores: mc}
 	case r.MonCores > 1:
 		return zero, errInvalid("mon_cores without app_cores > 1")
 	}
 
-	if r.Seed != 0 {
-		cfg.Seed = r.Seed
+	if s.Seed == 0 {
+		s.Seed = 1
 	}
-	cfg.Instrs = r.Instrs
-	if cfg.Instrs == 0 {
-		cfg.Instrs = defaultInstrs
+	if s.Instrs == 0 {
+		s.Instrs = defaultInstrs
 	}
-	if lim.MaxInstrs > 0 && cfg.Instrs > lim.MaxInstrs {
-		return zero, errLimits("instrs %d exceeds the server limit %d", cfg.Instrs, lim.MaxInstrs)
+	if lim.MaxInstrs > 0 && s.Instrs > lim.MaxInstrs {
+		return zero, errLimits("instrs %d exceeds the server limit %d", s.Instrs, lim.MaxInstrs)
 	}
-	cfg.EventQueueCap = r.EventQueueCap
-	cfg.UnfilteredCap = r.UnfilteredCap
-	cfg.TimelineEvery = r.TimelineEvery
 	if r.TimelineEvery > 0 && lim.MaxTimelinePoints > 0 {
 		// The derived cycle cap bounds how many points can accumulate.
-		cap := cfg.Instrs * 100
+		cap := s.Instrs * 100
 		if points := cap / r.TimelineEvery; points > lim.MaxTimelinePoints {
 			return zero, errLimits("timeline_every %d could record %d points, over the server limit %d",
 				r.TimelineEvery, points, lim.MaxTimelinePoints)
 		}
 	}
-	cfg.FastForward = r.FastForward == nil || *r.FastForward
-	cfg.CheckInvariants = r.CheckInvariants
 
 	if l := r.Limits; l != nil {
 		if lim.MaxCycles > 0 && l.MaxCycles > lim.MaxCycles {
@@ -281,63 +258,29 @@ func (r *SubmitRequest) Config(defaultInstrs uint64, lim Limits) (system.Config,
 		if l.WallClockMS < 0 {
 			return zero, errInvalid("limits.wall_clock_ms must be >= 0, got %d", l.WallClockMS)
 		}
-		wall := time.Duration(l.WallClockMS) * time.Millisecond
-		if lim.MaxWallClock > 0 && wall > lim.MaxWallClock {
-			return zero, errLimits("limits.wall_clock_ms %d exceeds the server limit %dms",
-				l.WallClockMS, lim.MaxWallClock.Milliseconds())
+		if max := lim.MaxWallClock.Milliseconds(); max > 0 && l.WallClockMS > max {
+			return zero, errLimits("limits.wall_clock_ms %d exceeds the server limit %dms", l.WallClockMS, max)
 		}
-		cfg.Limits = system.RunLimits{MaxCycles: l.MaxCycles, WallClock: wall}
+		s.MaxCycles, s.WallClockMS = l.MaxCycles, l.WallClockMS
 	}
-	if cfg.Limits.WallClock == 0 && lim.MaxWallClock > 0 {
+	if s.WallClockMS == 0 {
 		// Every admitted run gets the server's wall-clock ceiling so a
 		// pathological configuration cannot hold a worker forever.
-		cfg.Limits.WallClock = lim.MaxWallClock
+		s.WallClockMS = lim.MaxWallClock.Milliseconds()
 	}
 
-	if f := r.Faults; f != nil {
-		plan := &fault.Plan{Seed: f.Seed}
-		if f.Stall != "" && f.Stall != "none" {
-			sp, ok := fault.StallSeverity(f.Stall)
-			if !ok {
-				return zero, errInvalid("unknown faults.stall severity %q", f.Stall)
-			}
-			plan.MonitorStall = sp.MonitorStall
+	if r.Faults != nil {
+		plan, err := r.Faults.Plan()
+		if err != nil {
+			return zero, errInvalid("%v", err)
 		}
-		if f.MEQPressure > 0 {
-			plan.MEQPressure = &fault.Pressure{MeanGap: 2048, MeanDuration: 256, CapFactor: f.MEQPressure}
-		}
-		if f.UFQPressure > 0 {
-			plan.UFQPressure = &fault.Pressure{MeanGap: 2048, MeanDuration: 256, CapFactor: f.UFQPressure}
-		}
-		if f.DropRate > 0 {
-			plan.EventDrop = &fault.Drop{Rate: f.DropRate}
-		}
-		if f.CorruptGap > 0 {
-			plan.MDCorruption = &fault.Corrupt{MeanGap: f.CorruptGap}
-		}
-		if !plan.Empty() || plan.Seed != 0 {
-			cfg.Faults = plan
-		}
+		s.Faults = plan
 	}
 
-	if err := cfg.Validate(); err != nil {
+	if err := system.ValidateSpec(s); err != nil {
 		return zero, errInvalid("%v", err)
 	}
-	return cfg, nil
-}
-
-// Spec maps the submission onto its canonical run spec — the
-// content-addressed identity the result cache is keyed by. It applies the
-// same defaults and admission limits as Config (it is Config followed by
-// canonicalization), so a submission that fails Config fails Spec with
-// the identical error. Two submissions describing the same run produce
-// specs with equal Hash() regardless of which defaults were spelled out.
-func (r *SubmitRequest) Spec(defaultInstrs uint64, lim Limits) (runspec.Spec, error) {
-	cfg, err := r.Config(defaultInstrs, lim)
-	if err != nil {
-		return runspec.Spec{}, err
-	}
-	return system.SpecFromConfig(r.Benchmark, cfg), nil
+	return s, nil
 }
 
 // RunInfo is the run envelope returned by POST /v1/runs, GET /v1/runs,

@@ -6,13 +6,15 @@
 // The package splits into four layers:
 //
 //   - api.go — the wire types (SubmitRequest, RunInfo, the error envelope
-//     and its stable error codes) and their mapping onto system.Config,
-//     including the server-side admission limits.
+//     and its stable error codes) and the request body's field-for-field
+//     mapping onto runspec.Spec, including the server-side admission
+//     limits.
 //   - queue.go / tenant.go — the bounded admission queue with round-robin
 //     dequeue across tenants, oldest-first load shedding, and the
 //     per-tenant token buckets that rate-limit submission.
 //   - sched.go — the Scheduler: run lifecycle (queued → running →
 //     done/failed/canceled/shed), the dispatcher feeding the par.Pool,
+//     execution through system.ExecSpec and the shared result cache,
 //     cancellation via the context plumbing of internal/system, and
 //     graceful drain.
 //   - server.go — the HTTP surface: routing, the serve.* metrics

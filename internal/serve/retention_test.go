@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fade/internal/rcache"
+	"fade/internal/runspec"
 	"fade/internal/system"
 )
 
@@ -15,27 +16,27 @@ import (
 // terminal run's span ring has been sealed to the spans it holds.
 func TestRunTableBounded(t *testing.T) {
 	release := make(chan struct{})
-	runner := func(ctx context.Context, bench string, cfg system.Config) (*system.Result, error) {
-		if bench == "mcf" {
+	runner := func(ctx context.Context, spec runspec.Spec, opts ...system.Option) (*system.Outcome, error) {
+		if spec.Benchmark == "mcf" {
 			select {
 			case <-release:
 			case <-ctx.Done():
 				return nil, ctx.Err()
 			}
 		}
-		return instantRunner(ctx, bench, cfg)
+		return instantRunner(ctx, spec, opts...)
 	}
 	srv := New(Options{Workers: 2, Cache: rcache.NewMem(16), Runner: runner})
 	defer srv.Close()
 	s := srv.sched
 
-	blocked := system.DefaultConfig("MemLeak")
-	primary, err := s.Submit("t", "mcf", blocked)
+	blocked := runspec.Spec{Benchmark: "mcf", Monitor: "MemLeak", Seed: 1}
+	primary, err := s.Submit("t", blocked)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eventually(t, "primary to start", func() bool { return s.Info(primary).State == StateRunning })
-	follower, err := s.Submit("t", "mcf", blocked)
+	follower, err := s.Submit("t", blocked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +47,7 @@ func TestRunTableBounded(t *testing.T) {
 	const extra = 10
 	var ids []string
 	for i := 0; i < maxTerminalRuns+extra; i++ {
-		cfg := system.DefaultConfig("MemLeak")
-		cfg.Seed = uint64(i + 1)
-		r, err := s.Submit("t", "astar", cfg)
+		r, err := s.Submit("t", runspec.Spec{Benchmark: "astar", Monitor: "MemLeak", Seed: uint64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,9 +78,9 @@ type Options struct {
 	// MemPressure overrides the heap check (tests). When set,
 	// MemSoftLimitBytes is ignored.
 	MemPressure func() bool
-	// Runner overrides run execution (tests). Defaults to
-	// system.RunContext.
-	Runner func(ctx context.Context, bench string, cfg system.Config) (*system.Result, error)
+	// Runner overrides run execution (tests). Defaults to system.ExecSpec;
+	// the scheduler passes system.WithCache(Cache).
+	Runner func(ctx context.Context, spec runspec.Spec, opts ...system.Option) (*system.Outcome, error)
 	// Now overrides the clock (tests).
 	Now func() time.Time
 }
@@ -105,7 +105,7 @@ func (o Options) withDefaults() Options {
 		o.MetricsRuns = 32
 	}
 	if o.Runner == nil {
-		o.Runner = system.RunContext
+		o.Runner = system.ExecSpec
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -133,11 +133,8 @@ func (o Options) withDefaults() Options {
 type Run struct {
 	ID     string
 	Tenant string
-	Bench  string
-	Cfg    system.Config
-	// Spec is the run's canonical content-addressed identity
-	// (system.SpecFromConfig of Bench/Cfg); Spec.Hash() keys the result
-	// cache.
+	// Spec describes the run; Spec.Hash() is its content address, which
+	// keys the result cache.
 	Spec runspec.Spec
 
 	seq                 uint64
@@ -267,11 +264,10 @@ func (s *Scheduler) Hub() *obs.Hub { return s.hub }
 // Draining reports whether drain has begun (submissions are rejected).
 func (s *Scheduler) Draining() bool { return s.draining.Load() }
 
-// Submit admits one run: it maps the request through the admission limits
-// (already validated by the caller into cfg), applies memory-pressure load
-// shedding, and enqueues. The returned error is an *apiErr (queue_full or
-// draining).
-func (s *Scheduler) Submit(tenant, bench string, cfg system.Config) (*Run, error) {
+// Submit admits one run (its spec already mapped through the admission
+// limits by the caller), applies memory-pressure load shedding, and
+// enqueues. The returned error is an *apiErr (queue_full or draining).
+func (s *Scheduler) Submit(tenant string, spec runspec.Spec) (*Run, error) {
 	if s.draining.Load() {
 		return nil, &apiErr{code: ErrCodeDraining, msg: "server is draining; submissions are rejected"}
 	}
@@ -280,9 +276,7 @@ func (s *Scheduler) Submit(tenant, bench string, cfg system.Config) (*Run, error
 	r := &Run{
 		ID:          fmt.Sprintf("r-%06d", seq),
 		Tenant:      tenant,
-		Bench:       bench,
-		Cfg:         cfg,
-		Spec:        system.SpecFromConfig(bench, cfg),
+		Spec:        spec,
 		seq:         seq,
 		done:        make(chan struct{}),
 		state:       StateQueued,
@@ -328,7 +322,7 @@ func (s *Scheduler) Submit(tenant, bench string, cfg system.Config) (*Run, error
 				s.met.runsSubmitted.Inc()
 				s.met.runsCoalesced.Inc()
 				s.mu.Unlock()
-				s.logRun(r, "run coalesced", "primary", pid, "bench", bench, "monitor", cfg.Monitor)
+				s.logRun(r, "run coalesced", "primary", pid, "bench", spec.Benchmark, "monitor", spec.Monitor)
 				return r, nil
 			}
 		}
@@ -347,7 +341,7 @@ func (s *Scheduler) Submit(tenant, bench string, cfg system.Config) (*Run, error
 		return nil, &apiErr{code: ErrCodeDraining, msg: "server is draining; submissions are rejected"}
 	}
 	s.met.runsSubmitted.Inc()
-	s.logRun(r, "run submitted", "bench", bench, "monitor", cfg.Monitor)
+	s.logRun(r, "run submitted", "bench", spec.Benchmark, "monitor", spec.Monitor)
 	return r, nil
 }
 
@@ -416,59 +410,27 @@ func (s *Scheduler) execute(r *Run) {
 	r.trace.Wall(spans.NameServeSchedule, poppedAt, startedAt, spans.None, spans.None)
 	s.logRun(r, "run started")
 
-	if res, ok := s.cacheLookup(r); ok {
-		r.trace.WallInstant(spans.NameServeCacheHit, s.opts.Now(), spans.None, spans.None)
-		r.trace.Wall(spans.NameServeExecute, startedAt, s.opts.Now(), spans.Num("cached", 1), spans.None)
-		s.finishWith(r, res, nil, true)
-		return
+	// Execution goes through the result cache (when configured): a hit
+	// decodes the stored outcome, a miss simulates and stores it, and a
+	// failed or canceled run is never stored.
+	out, err := s.opts.Runner(spans.NewContext(ctx, r.trace), r.Spec, system.WithCache(s.opts.Cache))
+	var res *system.Result
+	var cached uint64
+	if out != nil {
+		res = out.Result
+		if out.Source != rcache.SourceMiss {
+			cached = 1
+			r.trace.WallInstant(spans.NameServeCacheHit, s.opts.Now(), spans.None, spans.None)
+		}
 	}
-	res, err := s.opts.Runner(spans.NewContext(ctx, r.trace), r.Bench, r.Cfg)
-	if err == nil && res != nil {
-		s.cacheStore(r, res)
-	}
-	r.trace.Wall(spans.NameServeExecute, startedAt, s.opts.Now(), spans.Num("cached", 0), spans.None)
-	s.finish(r, res, err)
-}
-
-// cacheLookup consults the result cache for the run's canonical spec.
-// A stored outcome that fails to decode is treated as a miss (the run
-// simulates and overwrites it).
-func (s *Scheduler) cacheLookup(r *Run) (*system.Result, bool) {
-	c := s.opts.Cache
-	if c == nil {
-		return nil, false
-	}
-	b, _, ok := c.Get(r.Spec.Hash())
-	if !ok {
-		return nil, false
-	}
-	out, err := system.DecodeOutcome(b)
-	if err != nil || out.Result == nil {
-		return nil, false
-	}
-	return out.Result, true
-}
-
-// cacheStore records a successful run's result under its spec hash.
-// Failed or canceled runs are never cached.
-func (s *Scheduler) cacheStore(r *Run, res *system.Result) {
-	c := s.opts.Cache
-	if c == nil {
-		return
-	}
-	if b, err := system.EncodeOutcome(&system.Outcome{Result: res}); err == nil {
-		c.Put(r.Spec.Hash(), b)
-	}
+	r.trace.Wall(spans.NameServeExecute, startedAt, s.opts.Now(), spans.Num("cached", cached), spans.None)
+	s.finish(r, res, err, cached == 1)
 }
 
 // finish records a run's outcome, flushes its (possibly partial) result
 // and timeline, publishes the metrics snapshot to the hub, and wakes
 // waiters.
-func (s *Scheduler) finish(r *Run, res *system.Result, err error) {
-	s.finishWith(r, res, err, false)
-}
-
-func (s *Scheduler) finishWith(r *Run, res *system.Result, err error, cached bool) {
+func (s *Scheduler) finish(r *Run, res *system.Result, err error, cached bool) {
 	var resultJSON json.RawMessage
 	var timeline []*obs.Snapshot
 	encodeStart := s.opts.Now()
@@ -483,8 +445,8 @@ func (s *Scheduler) finishWith(r *Run, res *system.Result, err error, cached boo
 			s.hub.Publish(r.ID, []obs.Label{
 				{Key: "run", Value: r.ID},
 				{Key: "tenant", Value: r.Tenant},
-				{Key: "bench", Value: r.Bench},
-				{Key: "monitor", Value: r.Cfg.Monitor},
+				{Key: "bench", Value: r.Spec.Benchmark},
+				{Key: "monitor", Value: r.Spec.Monitor},
 			}, res.Metrics)
 		}
 	}
@@ -765,8 +727,8 @@ func (s *Scheduler) infoLocked(r *Run) RunInfo {
 		ID:        r.ID,
 		Tenant:    r.Tenant,
 		State:     r.state,
-		Benchmark: r.Bench,
-		Monitor:   r.Cfg.Monitor,
+		Benchmark: r.Spec.Benchmark,
+		Monitor:   r.Spec.Monitor,
 		Cached:    r.cached,
 		Error:     r.errMsg,
 		Result:    r.resultJSON,

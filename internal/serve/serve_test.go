@@ -12,12 +12,13 @@ import (
 	"time"
 
 	"fade/internal/obs"
+	"fade/internal/runspec"
 	"fade/internal/system"
 )
 
 // instantRunner completes immediately with a minimal result.
-func instantRunner(_ context.Context, bench string, cfg system.Config) (*system.Result, error) {
-	return &system.Result{Benchmark: bench, Config: cfg, Instrs: cfg.Instrs}, nil
+func instantRunner(_ context.Context, s runspec.Spec, _ ...system.Option) (*system.Outcome, error) {
+	return &system.Outcome{Result: &system.Result{Benchmark: s.Benchmark, Instrs: s.Instrs}}, nil
 }
 
 // gateRunner blocks every run until release is closed (or its context is
@@ -31,13 +32,13 @@ func newGateRunner() *gateRunner {
 	return &gateRunner{started: make(chan string, 64), release: make(chan struct{})}
 }
 
-func (g *gateRunner) run(ctx context.Context, bench string, cfg system.Config) (*system.Result, error) {
-	g.started <- bench
+func (g *gateRunner) run(ctx context.Context, s runspec.Spec, _ ...system.Option) (*system.Outcome, error) {
+	g.started <- s.Benchmark
 	select {
 	case <-g.release:
-		return &system.Result{Benchmark: bench, Config: cfg, Instrs: cfg.Instrs}, nil
+		return &system.Outcome{Result: &system.Result{Benchmark: s.Benchmark, Instrs: s.Instrs}}, nil
 	case <-ctx.Done():
-		return &system.Result{Benchmark: bench, Config: cfg}, ctx.Err()
+		return &system.Outcome{Result: &system.Result{Benchmark: s.Benchmark}}, ctx.Err()
 	}
 }
 
@@ -595,8 +596,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	snap := reg.Snapshot()
 	srv := New(Options{
 		Workers: 1,
-		Runner: func(_ context.Context, bench string, cfg system.Config) (*system.Result, error) {
-			return &system.Result{Benchmark: bench, Config: cfg, Metrics: snap}, nil
+		Runner: func(_ context.Context, s runspec.Spec, _ ...system.Option) (*system.Outcome, error) {
+			return &system.Outcome{Result: &system.Result{Benchmark: s.Benchmark, Metrics: snap}}, nil
 		},
 	})
 	defer srv.Close()

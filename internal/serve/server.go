@@ -153,13 +153,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, ErrCodeBadJSON, "decoding submission: "+err.Error())
 		return
 	}
-	cfg, err := req.Config(s.opts.DefaultInstrs, s.opts.Limits)
+	spec, err := req.Spec(s.opts.DefaultInstrs, s.opts.Limits)
 	if err != nil {
 		s.writeAPIErr(w, err)
 		return
 	}
 
-	run, err := s.sched.Submit(tenant, req.Benchmark, cfg)
+	run, err := s.sched.Submit(tenant, spec)
 	if err != nil {
 		var ae *apiErr
 		if errors.As(err, &ae) && ae.code == ErrCodeQueueFull {
@@ -231,7 +231,7 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	if f, ok := w.(http.Flusher); ok {
 		fw = flushWriter{w: w, f: f}
 	}
-	_ = obs.WriteTimeline(fw, run.Bench+"/"+run.Cfg.Monitor, points)
+	_ = obs.WriteTimeline(fw, run.Spec.Benchmark+"/"+run.Spec.Monitor, points)
 }
 
 // handleTrace serves a terminal run's span trace: Chrome trace-event JSON

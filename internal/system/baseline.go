@@ -50,7 +50,7 @@ func baselineSpec(prof *trace.Profile, cfg Config) runspec.Spec {
 	s := runspec.Spec{
 		Kind:         runspec.KindBaseline,
 		Benchmark:    prof.Name,
-		Core:         CoreName(cfg.Core),
+		Core:         coreName(cfg.Core),
 		Seed:         cfg.Seed,
 		Instrs:       cfg.Instrs,
 		WarmupInstrs: cfg.WarmupInstrs,

@@ -72,23 +72,23 @@ func TestResetBaselineCacheForcesResimulation(t *testing.T) {
 	ResetBaselineCache()
 	defer ResetBaselineCache()
 
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	cfg.Instrs = 5_000
-	if _, err := Run("astar", cfg); err != nil {
+	if _, err := run("astar", cfg); err != nil {
 		t.Fatal(err)
 	}
 	sims := baselineSims.Load()
 	if n := baselineCacheLen(); n == 0 {
 		t.Fatal("baseline store empty after a run")
 	}
-	if _, err := Run("astar", cfg); err != nil {
+	if _, err := run("astar", cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := baselineSims.Load(); got != sims {
 		t.Fatalf("cached rerun simulated baseline again (%d -> %d)", sims, got)
 	}
 	ResetBaselineCache()
-	if _, err := Run("astar", cfg); err != nil {
+	if _, err := run("astar", cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := baselineSims.Load(); got != sims+1 {

@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"testing"
 
 	"fade/internal/cpu"
@@ -29,10 +30,10 @@ func suiteAverages(t *testing.T, mon string, accel Accel, instrs uint64) (slow f
 	t.Helper()
 	var slows, filters []float64
 	for _, bench := range benchesFor(mon) {
-		cfg := DefaultConfig(mon)
+		cfg := defaultConfig(mon)
 		cfg.Accel = accel
 		cfg.Instrs = instrs
-		r, err := Run(bench, cfg)
+		r, err := run(bench, cfg)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", mon, bench, err)
 		}
@@ -119,11 +120,11 @@ func TestCalibrationMonitoredIPC(t *testing.T) {
 	var addr, leak []float64
 	perBench := map[string]float64{}
 	for _, bench := range trace.SerialNames() {
-		a, err := RunQueueStudy(bench, "AddrCheck", cpu.OoO4, queue.Unbounded, 1, 120_000)
+		a, err := runQueueStudy(context.Background(), bench, "AddrCheck", cpu.OoO4, queue.Unbounded, 1, 120_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := RunQueueStudy(bench, "MemLeak", cpu.OoO4, queue.Unbounded, 1, 120_000)
+		m, err := runQueueStudy(context.Background(), bench, "MemLeak", cpu.OoO4, queue.Unbounded, 1, 120_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,14 +157,14 @@ func TestCalibrationBurstiness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs are slow")
 	}
-	om, err := RunQueueStudy("omnet", "MemLeak", cpu.OoO4, queue.Unbounded, 1, 250_000)
+	om, err := runQueueStudy(context.Background(), "omnet", "MemLeak", cpu.OoO4, queue.Unbounded, 1, 250_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if om.MaxOccupancy < 500 {
 		t.Errorf("omnet max occupancy %d; paper needs ~8K entries", om.MaxOccupancy)
 	}
-	mc, err := RunQueueStudy("mcf", "MemLeak", cpu.OoO4, queue.Unbounded, 1, 250_000)
+	mc, err := runQueueStudy(context.Background(), "mcf", "MemLeak", cpu.OoO4, queue.Unbounded, 1, 250_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +179,9 @@ func TestCalibrationUnfilteredBursts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs are slow")
 	}
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	cfg.Instrs = 120_000
-	r, err := Run("gobmk", cfg)
+	r, err := run("gobmk", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,11 @@
 package system
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
 
 	"fade/internal/obs"
-	"fade/internal/rcache"
-	"fade/internal/runspec"
 )
 
 // codecVersion versions the cached-outcome encoding. rcache's disk format
@@ -145,32 +142,4 @@ func DecodeOutcome(b []byte) (*Outcome, error) {
 		o.Study = qs
 	}
 	return o, nil
-}
-
-// ExecSpecCached executes a spec through a content-addressed result
-// cache: a hit decodes the stored outcome instead of simulating, a miss
-// simulates, stores, and — deliberately — decodes its own encoding, so
-// the cached and uncached paths return byte-identical outcomes (a codec
-// gap surfaces immediately rather than only on resume). A nil cache
-// degrades to ExecSpec.
-func ExecSpecCached(ctx context.Context, c *rcache.Cache, s runspec.Spec) (*Outcome, rcache.Source, error) {
-	if c == nil {
-		out, err := ExecSpec(ctx, s)
-		return out, rcache.SourceMiss, err
-	}
-	b, src, err := c.Do(ctx, s.Hash(), func(ctx context.Context) ([]byte, error) {
-		out, err := ExecSpec(ctx, s)
-		if err != nil {
-			return nil, err
-		}
-		return EncodeOutcome(out)
-	})
-	if err != nil {
-		return nil, src, err
-	}
-	out, err := DecodeOutcome(b)
-	if err != nil {
-		return nil, src, err
-	}
-	return out, src, nil
 }

@@ -40,7 +40,7 @@ func TestFastForwardDifferential(t *testing.T) {
 	}{
 		{"single-smt", SingleCoreSMT},
 		{"two-core", TwoCore},
-		{"cmp4", CMP(4)},
+		{"cmp4", cmpTopology(4)},
 	}
 	plans := []struct {
 		name string
@@ -60,12 +60,12 @@ func TestFastForwardDifferential(t *testing.T) {
 						// arm simulates its own baseline rather than proving
 						// only that the cache works.
 						ResetBaselineCache()
-						cfg := DefaultConfig(mon)
+						cfg := defaultConfig(mon)
 						cfg.Topology = tc.topo
 						cfg.Instrs = 30_000
 						cfg.Faults = pc.plan
 						cfg.FastForward = ff
-						r, err := Run("astar", cfg)
+						r, err := run("astar", cfg)
 						if err != nil {
 							t.Fatalf("ff=%v: %v", ff, err)
 						}
@@ -113,10 +113,10 @@ func TestGoldenMetricsFastForward(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			ResetBaselineCache()
-			cfg := DefaultConfig("MemLeak")
+			cfg := defaultConfig("MemLeak")
 			cfg.FastForward = true
 			tc.mutate(&cfg)
-			r, err := Run("astar", cfg)
+			r, err := run("astar", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,12 +140,12 @@ func TestGoldenMetricsFastForward(t *testing.T) {
 func TestFastForwardInvariantCheckedUnderInjection(t *testing.T) {
 	ResetBaselineCache()
 	defer ResetBaselineCache()
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	cfg.Instrs = 30_000
 	cfg.Faults = fullPlan()
 	cfg.CheckInvariants = true
 	cfg.FastForward = true
-	r, err := Run("astar", cfg)
+	r, err := run("astar", cfg)
 	if err != nil {
 		t.Fatalf("invariant checker rejected a fast-forward-requested run: %v", err)
 	}

@@ -29,9 +29,9 @@ func TestGoldenMetrics(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig("MemLeak")
+			cfg := defaultConfig("MemLeak")
 			tc.mutate(&cfg)
-			r, err := Run("astar", cfg)
+			r, err := run("astar", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -44,10 +44,10 @@ func promDump(t *testing.T, r *Result) []byte {
 // model or metric naming lands.
 func TestGoldenMetricsUnderFaults(t *testing.T) {
 	run := func() []byte {
-		cfg := DefaultConfig("MemLeak")
+		cfg := defaultConfig("MemLeak")
 		cfg.Instrs = 60_000
 		cfg.Faults = fullPlan()
-		r, err := Run("astar", cfg)
+		r, err := run("astar", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,10 +79,10 @@ func TestGoldenMetricsUnderFaults(t *testing.T) {
 // the absolute bytes; this pins the nil/empty equivalence.)
 func TestFaultFreeRunUnchangedByPlumbing(t *testing.T) {
 	run := func(plan *fault.Plan) []byte {
-		cfg := DefaultConfig("MemLeak")
+		cfg := defaultConfig("MemLeak")
 		cfg.Instrs = 40_000
 		cfg.Faults = plan
-		r, err := Run("astar", cfg)
+		r, err := run("astar", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,17 +97,17 @@ func TestFaultFreeRunUnchangedByPlumbing(t *testing.T) {
 // phase stops the run within one checkpoint interval, returns ErrCanceled,
 // and still hands back the partial metrics snapshot with run.aborted set.
 func TestCancelReturnsPartialMetrics(t *testing.T) {
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	cfg.Instrs = 40_000
 	cfg.Seed = 0xCA9CE1
 	// Warm the baseline cache so the canceled run reaches the monitored
 	// phase (the baseline key ignores the context).
-	if _, err := Run("astar", cfg); err != nil {
+	if _, err := run("astar", cfg); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, "astar", cfg)
+	res, err := runSystem(ctx, "astar", cfg, nil)
 	if !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -133,14 +133,14 @@ func TestCancelReturnsPartialMetrics(t *testing.T) {
 // ErrCycleCapExceeded (carrying partial state), never return a truncated
 // result as success.
 func TestCycleCapReturnsStructuredError(t *testing.T) {
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	cfg.Instrs = 40_000
 	cfg.Seed = 0xCA9CE2
-	if _, err := Run("astar", cfg); err != nil { // warm the baseline cache
+	if _, err := run("astar", cfg); err != nil { // warm the baseline cache
 		t.Fatal(err)
 	}
 	cfg.Limits = RunLimits{MaxCycles: 2_000}
-	res, err := RunContext(context.Background(), "astar", cfg)
+	res, err := runSystem(context.Background(), "astar", cfg, nil)
 	if !errors.Is(err, sim.ErrCycleCapExceeded) {
 		t.Fatalf("err = %v, want ErrCycleCapExceeded", err)
 	}
@@ -162,11 +162,11 @@ func TestInvariantCheckerCleanUnderFaults(t *testing.T) {
 		mon, bench := mon, bench
 		t.Run(mon, func(t *testing.T) {
 			t.Parallel()
-			cfg := DefaultConfig(mon)
+			cfg := defaultConfig(mon)
 			cfg.Instrs = 25_000
 			cfg.Faults = fullPlan()
 			cfg.CheckInvariants = true
-			if _, err := Run(bench, cfg); err != nil {
+			if _, err := run(bench, cfg); err != nil {
 				t.Fatalf("%s/%s under faults: %v", mon, bench, err)
 			}
 		})
@@ -185,17 +185,17 @@ func TestInvariantCheckerCleanAcrossModes(t *testing.T) {
 		{"blocking", func(c *Config) { c.Accel = FADEBlocking }},
 		{"nonblocking", func(c *Config) {}},
 		{"two-core", func(c *Config) { c.Topology = TwoCore }},
-		{"cmp4-faults", func(c *Config) { c.Topology = CMP(4); c.Faults = fullPlan() }},
+		{"cmp4-faults", func(c *Config) { c.Topology = cmpTopology(4); c.Faults = fullPlan() }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := DefaultConfig("MemLeak")
+			cfg := defaultConfig("MemLeak")
 			cfg.Instrs = 25_000
 			cfg.CheckInvariants = true
 			tc.mutate(&cfg)
-			if _, err := Run("astar", cfg); err != nil {
+			if _, err := run("astar", cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -235,10 +235,10 @@ func TestInvalidConfigsErrorNeverPanic(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig("MemLeak")
+			cfg := defaultConfig("MemLeak")
 			cfg.Instrs = 5_000
 			tc.mutate(&cfg)
-			if _, err := Run(tc.bench, cfg); err == nil {
+			if _, err := run(tc.bench, cfg); err == nil {
 				t.Fatalf("invalid config %s accepted", tc.name)
 			}
 		})
@@ -249,12 +249,12 @@ func TestInvalidConfigsErrorNeverPanic(t *testing.T) {
 // MaxAtomThreads hardware threads; a wider workload must be rejected with an
 // error, not a later index panic.
 func TestAtomCheckThreadCapEnforced(t *testing.T) {
-	if _, err := RunQueueStudy("ocean", "AtomCheck", cpu.OoO4, 32, 1, 5_000); err != nil {
+	if _, err := runQueueStudy(context.Background(), "ocean", "AtomCheck", cpu.OoO4, 32, 1, 5_000); err != nil {
 		t.Fatalf("4-thread AtomCheck rejected: %v", err)
 	}
-	cfg := DefaultConfig("AtomCheck")
+	cfg := defaultConfig("AtomCheck")
 	cfg.Instrs = 5_000
-	if _, err := Run("astar", cfg); err != nil {
+	if _, err := run("astar", cfg); err != nil {
 		t.Fatalf("single-threaded AtomCheck rejected: %v", err)
 	}
 }
@@ -263,7 +263,7 @@ func TestAtomCheckThreadCapEnforced(t *testing.T) {
 // panic on non-positive capacities.
 func TestQueueStudyRejectsBadCap(t *testing.T) {
 	for _, cap := range []int{0, -3} {
-		_, err := RunQueueStudy("astar", "MemLeak", cpu.OoO4, cap, 1, 5_000)
+		_, err := runQueueStudy(context.Background(), "astar", "MemLeak", cpu.OoO4, cap, 1, 5_000)
 		if err == nil || !strings.Contains(err.Error(), "queue") {
 			t.Fatalf("queueCap %d: err = %v, want queue capacity error", cap, err)
 		}
@@ -274,7 +274,7 @@ func TestQueueStudyRejectsBadCap(t *testing.T) {
 func TestQueueStudyCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunQueueStudyContext(ctx, "astar", "MemLeak", cpu.OoO4, 32, 0xCA9CE3, 50_000)
+	_, err := runQueueStudy(ctx, "astar", "MemLeak", cpu.OoO4, 32, 0xCA9CE3, 50_000)
 	if !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -284,17 +284,17 @@ func TestQueueStudyCancel(t *testing.T) {
 // the zero-cap convention (0 = paper default) — passes validation.
 func TestValidateAcceptsDefaults(t *testing.T) {
 	for _, mon := range []string{"AddrCheck", "MemCheck", "TaintCheck", "MemLeak", "AtomCheck"} {
-		if err := DefaultConfig(mon).Validate(); err != nil {
-			t.Errorf("DefaultConfig(%s) invalid: %v", mon, err)
+		if err := defaultConfig(mon).validate(); err != nil {
+			t.Errorf("defaultConfig(%s) invalid: %v", mon, err)
 		}
 	}
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	cfg.EventQueueCap, cfg.UnfilteredCap, cfg.MDCacheBytes = 0, 0, 0
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Errorf("zero-defaults config invalid: %v", err)
 	}
 	cfg.EventQueueCap = queue.Unbounded
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		t.Errorf("unbounded event queue invalid: %v", err)
 	}
 }
@@ -308,11 +308,11 @@ func TestFaultSweepSeverityMonotonic(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown severity %q", level)
 		}
-		cfg := DefaultConfig("MemLeak")
+		cfg := defaultConfig("MemLeak")
 		cfg.Instrs = 40_000
 		cfg.Faults = plan
 		cfg.CheckInvariants = true
-		r, err := Run("astar", cfg)
+		r, err := run("astar", cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", level, err)
 		}
@@ -327,11 +327,11 @@ func TestFaultSweepSeverityMonotonic(t *testing.T) {
 // must be fully accounted for — the MEQ drop counter and the engine agree,
 // and the run completes (the loss is detected, not fatal).
 func TestDropProbeDetected(t *testing.T) {
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	cfg.Instrs = 40_000
 	cfg.Faults = &fault.Plan{EventDrop: &fault.Drop{Rate: 0.01}}
 	cfg.CheckInvariants = true
-	r, err := Run("astar", cfg)
+	r, err := run("astar", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,16 +34,14 @@ func (l RunLimits) deadline(now time.Time) time.Time {
 	return now.Add(l.WallClock)
 }
 
-// Validate reports whether cfg describes a runnable system, checking
+// validate reports whether cfg describes a runnable system, checking
 // everything the constructors would otherwise panic on: topology shape,
 // queue capacities, metadata-cache geometry, the monitor name, the fault
-// plan, and the run limits. Run and RunQueueStudy validate internally;
-// callers assembling configs interactively can call it early for a
-// structured error instead of a late one.
+// plan, and the run limits.
 //
 // Zero values that select documented defaults (queue capacities,
 // instruction budget, cycle cap) are valid.
-func (cfg Config) Validate() error {
+func (cfg Config) validate() error {
 	if err := cfg.Topology.normalize().validate(); err != nil {
 		return err
 	}
@@ -78,7 +76,7 @@ func (cfg Config) Validate() error {
 }
 
 // validateQueueCap rejects capacities queue.NewBounded would panic on; used
-// by entry points whose capacity has no zero-default (RunQueueStudy).
+// by entry points whose capacity has no zero-default (the queue study).
 // queue.Unbounded is a large positive value and passes.
 func validateQueueCap(name string, cap int) error {
 	if cap <= 0 {

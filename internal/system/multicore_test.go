@@ -1,32 +1,35 @@
 package system
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"fade/internal/monitor"
 )
 
 func multiConfig(t Topology) Config {
-	c := DefaultConfig("MemLeak")
+	c := defaultConfig("MemLeak")
 	c.Instrs = 20_000
 	c.Topology = t
 	return c
 }
 
 // TestCMPCoreZeroMatchesTwoCore pins the CMP generalization to the historical
-// two-core system: core 0 of a CMP(2) run is wired identically to a TwoCore
+// two-core system: core 0 of a cmpTopology(2) run is wired identically to a TwoCore
 // run (same seed, same private group), so its per-core sub-result must equal
 // the TwoCore aggregate exactly.
 func TestCMPCoreZeroMatchesTwoCore(t *testing.T) {
-	ref, err := Run("astar", multiConfig(TwoCore))
+	ref, err := run("astar", multiConfig(TwoCore))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := Run("astar", multiConfig(CMP(2)))
+	cmp, err := run("astar", multiConfig(cmpTopology(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cmp.Cores) != 2 {
-		t.Fatalf("CMP(2) has %d core results", len(cmp.Cores))
+		t.Fatalf("cmpTopology(2) has %d core results", len(cmp.Cores))
 	}
 	c0 := cmp.Cores[0]
 	if c0.Cycles != ref.Cycles {
@@ -68,7 +71,7 @@ func TestTopologyValidation(t *testing.T) {
 		{AppCores: -1, MonCores: 1},           // negative
 	}
 	for _, topo := range bad {
-		if _, err := Run("astar", multiConfig(topo)); err == nil {
+		if _, err := run("astar", multiConfig(topo)); err == nil {
 			t.Errorf("topology %+v accepted", topo)
 		}
 	}
@@ -78,7 +81,7 @@ func TestTopologyString(t *testing.T) {
 	cases := map[string]Topology{
 		"single-core": SingleCoreSMT,
 		"two-core":    TwoCore,
-		"4+4-core":    CMP(4),
+		"4+4-core":    cmpTopology(4),
 		"2-core-smt":  {AppCores: 2, SMT: true},
 		"4+2-core":    {AppCores: 4, MonCores: 2},
 	}
@@ -90,15 +93,15 @@ func TestTopologyString(t *testing.T) {
 	if (Topology{}).String() != "single-core" {
 		t.Error("zero topology does not normalize to single-core")
 	}
-	if CMP(1) != TwoCore {
-		t.Error("CMP(1) != TwoCore")
+	if cmpTopology(1) != TwoCore {
+		t.Error("cmpTopology(1) != TwoCore")
 	}
 }
 
 // TestMulticoreSMT exercises N SMT cores, each time-sharing its application
 // and monitor threads.
 func TestMulticoreSMT(t *testing.T) {
-	res, err := Run("astar", multiConfig(Topology{AppCores: 2, SMT: true}))
+	res, err := run("astar", multiConfig(Topology{AppCores: 2, SMT: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +121,7 @@ func TestMulticoreSMT(t *testing.T) {
 // TestSharedMonitorCore exercises MonCores < AppCores: one monitor core
 // fine-grained-multithreads the monitor threads of several groups.
 func TestSharedMonitorCore(t *testing.T) {
-	res, err := Run("astar", multiConfig(Topology{AppCores: 2, MonCores: 1}))
+	res, err := run("astar", multiConfig(Topology{AppCores: 2, MonCores: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,11 @@ func TestSharedMonitorCore(t *testing.T) {
 }
 
 func TestRunWithMonitorRejectsMulticore(t *testing.T) {
-	_, err := RunWithMonitor("astar", multiConfig(CMP(2)), nil)
+	mon, err := monitor.New("MemLeak", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = runSystem(context.Background(), "astar", multiConfig(cmpTopology(2)), mon)
 	if err == nil || !strings.Contains(err.Error(), "single-app-core") {
 		t.Fatalf("err = %v, want single-app-core rejection", err)
 	}
@@ -145,7 +152,7 @@ func TestRunWithMonitorRejectsMulticore(t *testing.T) {
 // run indexes every component namespace (app.0.*, fu.1.*, ...) and drops the
 // un-indexed single-core names; a single-core run keeps the legacy names.
 func TestMulticoreMetricNamespaces(t *testing.T) {
-	multi, err := Run("astar", multiConfig(CMP(2)))
+	multi, err := run("astar", multiConfig(cmpTopology(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,15 +162,15 @@ func TestMulticoreMetricNamespaces(t *testing.T) {
 		"sim.core.0.slowdown", "sim.core.1.cycles", "sim.core.1.baseline_cycles",
 	} {
 		if _, ok := multi.Metrics.Get(name); !ok {
-			t.Errorf("CMP(2) metrics missing %s", name)
+			t.Errorf("cmpTopology(2) metrics missing %s", name)
 		}
 	}
 	for _, name := range []string{"app.instrs", "fu.events.instr", "moncore.handlers_run"} {
 		if _, ok := multi.Metrics.Get(name); ok {
-			t.Errorf("CMP(2) metrics contain un-indexed %s", name)
+			t.Errorf("cmpTopology(2) metrics contain un-indexed %s", name)
 		}
 	}
-	single, err := Run("astar", multiConfig(TwoCore))
+	single, err := run("astar", multiConfig(TwoCore))
 	if err != nil {
 		t.Fatal(err)
 	}

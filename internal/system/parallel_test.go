@@ -69,10 +69,10 @@ func TestConcurrentRunsRaceClean(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					cfg := DefaultConfig(mon)
+					cfg := defaultConfig(mon)
 					cfg.Instrs = 15_000
 					cfg.Seed = 7
-					if _, err := Run(bench, cfg); err != nil {
+					if _, err := run(bench, cfg); err != nil {
 						errCh <- err
 					}
 				}()

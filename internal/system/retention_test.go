@@ -12,9 +12,9 @@ import (
 func TestResultDoesNotPinMachine(t *testing.T) {
 	const keep = 6
 	const limit = 256 << 10
-	cfg := DefaultConfig("AddrCheck")
+	cfg := defaultConfig("AddrCheck")
 	cfg.Instrs = 20_000
-	if _, err := Run("astar", cfg); err != nil { // warm process-wide caches
+	if _, err := run("astar", cfg); err != nil { // warm process-wide caches
 		t.Fatal(err)
 	}
 	heap := func() uint64 {
@@ -28,7 +28,7 @@ func TestResultDoesNotPinMachine(t *testing.T) {
 	kept := make([]*Result, 0, keep)
 	for i := 0; i < keep; i++ {
 		cfg.Seed = uint64(i + 1)
-		r, err := Run("astar", cfg)
+		r, err := run("astar", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

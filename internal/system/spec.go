@@ -2,89 +2,54 @@ package system
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"fade/internal/cpu"
+	"fade/internal/monitor"
+	"fade/internal/rcache"
 	"fade/internal/runspec"
 	"fade/internal/sim"
 	"fade/internal/stats"
 	"fade/internal/trace"
 )
 
-// AccelName maps an Accel onto the runspec / serving-API vocabulary.
-func AccelName(a Accel) string {
-	switch a {
-	case FADEBlocking:
-		return runspec.AccelBlocking
-	case FADENonBlocking:
-		return runspec.AccelFADE
-	default:
-		return runspec.AccelNone
+// coreKinds and accelModes are the one mapping of runspec's core and accel
+// names onto the simulator's enums. runspec.Validate has already rejected
+// every other name, and Normalize has replaced "" with the default.
+var (
+	coreKinds = map[string]cpu.Kind{
+		runspec.CoreInOrder: cpu.InOrder,
+		runspec.Core2Way:    cpu.OoO2,
+		runspec.Core4Way:    cpu.OoO4,
 	}
+	accelModes = map[string]Accel{
+		runspec.AccelNone:     Unaccelerated,
+		runspec.AccelBlocking: FADEBlocking,
+		runspec.AccelFADE:     FADENonBlocking,
+	}
+)
+
+// coreName inverts coreKinds (the baseline store keys runs by name).
+func coreName(k cpu.Kind) string {
+	for name, kind := range coreKinds {
+		if kind == k {
+			return name
+		}
+	}
+	return runspec.Core4Way
 }
 
-// AccelFromName is the inverse of AccelName ("" selects the default,
-// non-blocking FADE).
-func AccelFromName(name string) (Accel, error) {
-	switch name {
-	case "", runspec.AccelFADE:
-		return FADENonBlocking, nil
-	case runspec.AccelBlocking:
-		return FADEBlocking, nil
-	case runspec.AccelNone:
-		return Unaccelerated, nil
-	default:
-		return 0, fmt.Errorf("system: unknown accel %q (want none|blocking|fade)", name)
-	}
-}
-
-// CoreName maps a cpu.Kind onto the runspec vocabulary.
-func CoreName(k cpu.Kind) string {
-	switch k {
-	case cpu.InOrder:
-		return runspec.CoreInOrder
-	case cpu.OoO2:
-		return runspec.Core2Way
-	default:
-		return runspec.Core4Way
-	}
-}
-
-// CoreFromName is the inverse of CoreName ("" selects the default 4-way
-// OoO core).
-func CoreFromName(name string) (cpu.Kind, error) {
-	switch name {
-	case "", runspec.Core4Way:
-		return cpu.OoO4, nil
-	case runspec.Core2Way:
-		return cpu.OoO2, nil
-	case runspec.CoreInOrder:
-		return cpu.InOrder, nil
-	default:
-		return 0, fmt.Errorf("system: unknown core %q (want inorder|2way|4way)", name)
-	}
-}
-
-// ConfigFromSpec maps a canonical run spec onto a runnable Config. The
+// configFromSpec maps a normalized spec onto the simulator's Config. The
 // spec's MaxCycles and WallClockMS become RunLimits (MaxCycles as a hard
-// cap, WallClockMS as the real-time watchdog); everything else maps
-// field-for-field. It rejects only unknown enum names — Config.Validate
-// covers the rest.
-func ConfigFromSpec(s runspec.Spec) (Config, error) {
-	var zero Config
-	accel, err := AccelFromName(s.Accel)
-	if err != nil {
-		return zero, err
-	}
-	core, err := CoreFromName(s.Core)
-	if err != nil {
-		return zero, err
-	}
-	cfg := Config{
-		Core:                 core,
+// cap, WallClockMS as the real-time watchdog); everything else maps field
+// for field.
+func configFromSpec(s runspec.Spec) Config {
+	return Config{
+		Core:                 coreKinds[s.Core],
 		Topology:             Topology{AppCores: s.AppCores, MonCores: s.MonCores, SMT: s.SMT},
-		Accel:                accel,
+		Accel:                accelModes[s.Accel],
 		Monitor:              s.Monitor,
 		EventQueueCap:        s.EventQueueCap,
 		UnfilteredCap:        s.UnfilteredCap,
@@ -98,47 +63,30 @@ func ConfigFromSpec(s runspec.Spec) (Config, error) {
 		Faults:               s.Faults,
 		CheckInvariants:      s.CheckInvariants,
 		FastForward:          s.FastForward,
+		Limits: RunLimits{
+			MaxCycles: s.MaxCycles,
+			WallClock: time.Duration(s.WallClockMS) * time.Millisecond,
+		},
 	}
-	cfg.Limits = RunLimits{
-		MaxCycles: s.MaxCycles,
-		WallClock: time.Duration(s.WallClockMS) * time.Millisecond,
-	}
-	return cfg, nil
 }
 
-// SpecFromConfig is the inverse of ConfigFromSpec: the canonical spec of
-// running bench under cfg. ConfigFromSpec(SpecFromConfig(b, cfg)) describes
-// the same run (normalized: zero-value defaults fold onto their documented
-// values).
-func SpecFromConfig(bench string, cfg Config) runspec.Spec {
-	topo := cfg.Topology.normalize()
-	s := runspec.Spec{
-		Benchmark:            bench,
-		Monitor:              cfg.Monitor,
-		Accel:                AccelName(cfg.Accel),
-		Core:                 CoreName(cfg.Core),
-		AppCores:             topo.AppCores,
-		MonCores:             topo.MonCores,
-		SMT:                  topo.SMT,
-		Seed:                 cfg.Seed,
-		Instrs:               cfg.Instrs,
-		WarmupInstrs:         cfg.WarmupInstrs,
-		EventQueueCap:        cfg.EventQueueCap,
-		UnfilteredCap:        cfg.UnfilteredCap,
-		MDCacheBytes:         cfg.MDCacheBytes,
-		BlockingSignalCycles: cfg.BlockingSignalCycles,
-		TimelineEvery:        cfg.TimelineEvery,
-		CheckInvariants:      cfg.CheckInvariants,
-		FastForward:          cfg.FastForward,
-		MaxCycles:            cfg.MaxCycles,
-		WallClockMS:          cfg.Limits.WallClock.Milliseconds(),
-		Faults:               cfg.Faults,
-		Inject:               cfg.Inject,
+// ValidateSpec reports whether s describes a runnable simulation: known
+// vocabulary and benchmark, and for a full-system run a valid topology,
+// queue and metadata-cache geometry, monitor, fault plan and limits. It is
+// the check ExecSpec applies first, for callers (fadeserve admission) that
+// must reject a spec before queueing it.
+func ValidateSpec(s runspec.Spec) error {
+	s = s.Normalize()
+	if err := s.Validate(); err != nil {
+		return err
 	}
-	if cfg.Limits.MaxCycles != 0 {
-		s.MaxCycles = cfg.Limits.MaxCycles
+	if _, ok := trace.Lookup(s.Benchmark); !ok {
+		return fmt.Errorf("system: unknown benchmark %q", s.Benchmark)
 	}
-	return s
+	if s.Kind == runspec.KindRun {
+		return configFromSpec(s).validate()
+	}
+	return nil
 }
 
 // CoreModelIPC is the outcome of one core-model cross-validation cell
@@ -151,10 +99,10 @@ type CoreModelIPC struct {
 	InOrder  float64 `json:"inorder"`
 }
 
-// RunCoreModelStudy runs the core-model cross-validation for one
+// runCoreModelStudy runs the core-model cross-validation for one
 // benchmark: the rate model on the sim kernel, then the detailed model
 // 4-way and in-order, all over the same generated workload.
-func RunCoreModelStudy(ctx context.Context, bench string, seed, instrs uint64) (*CoreModelIPC, error) {
+func runCoreModelStudy(ctx context.Context, bench string, seed, instrs uint64) (*CoreModelIPC, error) {
 	prof, ok := trace.Lookup(bench)
 	if !ok {
 		return nil, fmt.Errorf("system: unknown benchmark %q", bench)
@@ -187,9 +135,9 @@ func RunCoreModelStudy(ctx context.Context, bench string, seed, instrs uint64) (
 	return &CoreModelIPC{Rate: rate, Detailed: stats.Ratio(r4, c4), InOrder: stats.Ratio(ri, ci)}, nil
 }
 
-// Outcome is the result of executing one runspec.Spec: exactly one field
-// is set, matching the spec's kind. It is the unit the result cache
-// stores.
+// Outcome is the result of executing one runspec.Spec: exactly one of the
+// result fields is set, matching the spec's kind. It is the unit the result
+// cache stores.
 type Outcome struct {
 	// Result is set for KindRun specs.
 	Result *Result `json:"result,omitempty"`
@@ -200,6 +148,12 @@ type Outcome struct {
 	// Baseline is set for KindBaseline specs: the unmonitored cycle count
 	// and warm-up boundary cycle.
 	Baseline *BaselineOutcome `json:"baseline,omitempty"`
+
+	// Source reports where a WithCache execution found the outcome
+	// (rcache.SourceMiss: simulated by this call, or executed uncached).
+	// It describes how the simulator ran, not what it simulated, so it is
+	// never encoded.
+	Source rcache.Source `json:"-"`
 }
 
 // BaselineOutcome is the KindBaseline result: the denominator of every
@@ -209,56 +163,107 @@ type BaselineOutcome struct {
 	WarmBoundary uint64 `json:"warm_boundary"`
 }
 
-// ExecSpec executes a canonical run spec, dispatching on its kind. The
-// spec is normalized and validated first, so an incomplete spec executes
-// exactly like its explicit-defaults equivalent (and hashes the same).
-func ExecSpec(ctx context.Context, s runspec.Spec) (*Outcome, error) {
-	s = s.Normalize()
-	if err := s.Validate(); err != nil {
+// Option configures one ExecSpec call.
+type Option func(*execOptions)
+
+type execOptions struct {
+	monitor monitor.Monitor
+	cache   *rcache.Cache
+}
+
+// WithMonitor runs a KindRun spec under a caller-supplied monitor instead
+// of the built-in one the spec names: the extension point for user-defined
+// monitoring tools. The monitor must be fresh (the run mutates its
+// non-critical state), and the spec must describe a single application
+// core, since each core needs its own monitor instance.
+func WithMonitor(m monitor.Monitor) Option {
+	return func(o *execOptions) { o.monitor = m }
+}
+
+// WithCache executes through the content-addressed result cache c, keyed
+// by the spec's hash. A hit decodes the stored outcome instead of
+// simulating; a miss simulates, stores, and decodes its own encoding, so
+// cached and fresh outcomes are byte-identical. Failed runs are never
+// cached. A nil c executes uncached.
+func WithCache(c *rcache.Cache) Option {
+	return func(o *execOptions) { o.cache = c }
+}
+
+// ExecSpec executes a run spec, dispatching on its kind. The spec is
+// normalized and validated first, so an incomplete spec executes exactly
+// like its explicit-defaults equivalent (and hashes the same). A KindRun
+// that aborts (canceled, over a limit, an invariant violated) returns its
+// partial Result inside the Outcome together with the error, so callers
+// can flush whatever the run had counted. A span trace carried by ctx
+// (spans.NewContext) receives the run's cycle-domain spans.
+func ExecSpec(ctx context.Context, s runspec.Spec, opts ...Option) (*Outcome, error) {
+	var o execOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	if o.cache == nil {
+		return exec(ctx, s, o.monitor)
+	}
+	if o.monitor != nil {
+		return nil, errors.New("system: a WithMonitor run has no canonical identity and cannot use WithCache")
+	}
+	var partial *Outcome
+	b, src, err := o.cache.Do(ctx, s.Hash(), func(ctx context.Context) ([]byte, error) {
+		out, err := exec(ctx, s, nil)
+		if err != nil {
+			partial = out
+			return nil, err
+		}
+		return EncodeOutcome(out)
+	})
+	if err != nil {
+		return partial, err
+	}
+	out, err := DecodeOutcome(b)
+	if err != nil {
 		return nil, err
+	}
+	out.Source = src
+	return out, nil
+}
+
+// exec simulates one spec (uncached); mon, when non-nil, replaces the
+// spec's built-in monitor.
+func exec(ctx context.Context, s runspec.Spec, mon monitor.Monitor) (*Outcome, error) {
+	s = s.Normalize()
+	if err := ValidateSpec(s); err != nil {
+		return nil, err
+	}
+	if mon != nil && s.Kind != runspec.KindRun {
+		return nil, fmt.Errorf("system: WithMonitor applies to full-system runs, not %q specs", s.Kind)
 	}
 	switch s.Kind {
 	case runspec.KindRun:
-		cfg, err := ConfigFromSpec(s)
-		if err != nil {
+		res, err := runSystem(ctx, s.Benchmark, configFromSpec(s), mon)
+		if res == nil {
 			return nil, err
 		}
-		res, err := RunContext(ctx, s.Benchmark, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Result: res}, nil
+		return &Outcome{Result: res}, err
 	case runspec.KindStudy:
-		core, err := CoreFromName(s.Core)
-		if err != nil {
-			return nil, err
-		}
-		qs, err := RunQueueStudyContext(ctx, s.Benchmark, s.Monitor, core, s.EventQueueCap, s.Seed, s.Instrs)
+		qs, err := runQueueStudy(ctx, s.Benchmark, s.Monitor, coreKinds[s.Core], s.EventQueueCap, s.Seed, s.Instrs)
 		if err != nil {
 			return nil, err
 		}
 		return &Outcome{Study: qs}, nil
 	case runspec.KindCoreModel:
-		cm, err := RunCoreModelStudy(ctx, s.Benchmark, s.Seed, s.Instrs)
+		cm, err := runCoreModelStudy(ctx, s.Benchmark, s.Seed, s.Instrs)
 		if err != nil {
 			return nil, err
 		}
 		return &Outcome{CoreModel: cm}, nil
-	case runspec.KindBaseline:
-		prof, ok := trace.Lookup(s.Benchmark)
-		if !ok {
-			return nil, fmt.Errorf("system: unknown benchmark %q", s.Benchmark)
-		}
+	default: // runspec.KindBaseline
+		prof, _ := trace.Lookup(s.Benchmark)
 		if s.Inject != nil {
 			p := *prof
 			p.Inject = *s.Inject
 			prof = &p
 		}
-		core, err := CoreFromName(s.Core)
-		if err != nil {
-			return nil, err
-		}
-		cfg := Config{Core: core, Seed: s.Seed, Instrs: s.Instrs,
+		cfg := Config{Core: coreKinds[s.Core], Seed: s.Seed, Instrs: s.Instrs,
 			MaxCycles: s.MaxCycles, WarmupInstrs: s.WarmupInstrs}
 		if cfg.MaxCycles == 0 {
 			cfg.MaxCycles = cfg.Instrs * 100
@@ -268,7 +273,5 @@ func ExecSpec(ctx context.Context, s runspec.Spec) (*Outcome, error) {
 			return nil, err
 		}
 		return &Outcome{Baseline: &BaselineOutcome{Cycles: val.cycles, WarmBoundary: val.boundary}}, nil
-	default:
-		return nil, fmt.Errorf("system: unknown spec kind %q", s.Kind)
 	}
 }

@@ -2,75 +2,39 @@ package system
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 	"unsafe"
 
 	"fade/internal/cpu"
-	"fade/internal/fault"
+	"fade/internal/monitor"
 	"fade/internal/rcache"
 	"fade/internal/runspec"
+	"fade/internal/sim"
 	"fade/internal/trace"
 )
-
-// TestSpecConfigRoundTrip: Config -> Spec -> Config preserves every run-
-// identity field, and both directions agree on the enum vocabularies.
-func TestSpecConfigRoundTrip(t *testing.T) {
-	cfg := DefaultConfig("MemLeak")
-	cfg.Instrs = 50_000
-	cfg.Seed = 7
-	cfg.Core = cpu.OoO2
-	cfg.Accel = FADEBlocking
-	cfg.BlockingSignalCycles = 14
-	cfg.MDCacheBytes = 2048
-	cfg.WarmupInstrs = 5_000
-	cfg.TimelineEvery = 10_000
-	cfg.FastForward = true
-	cfg.Faults = &fault.Plan{Seed: 3, EventDrop: &fault.Drop{Rate: 0.01}}
-
-	spec := SpecFromConfig("astar", cfg)
-	if spec.Benchmark != "astar" || spec.Accel != runspec.AccelBlocking || spec.Core != runspec.Core2Way {
-		t.Fatalf("spec = %+v", spec)
-	}
-	back, err := ConfigFromSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The topology normalizes (SingleCoreSMT spelled explicitly), which is
-	// the same system.
-	cfg.Topology = cfg.Topology.normalize()
-	if !reflect.DeepEqual(back, cfg) {
-		t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", back, cfg)
-	}
-}
 
 // TestSpecLimitsMapping: spec MaxCycles/WallClockMS become RunLimits.
 func TestSpecLimitsMapping(t *testing.T) {
 	s := runspec.Spec{Benchmark: "astar", Monitor: "MemLeak", MaxCycles: 9999, WallClockMS: 1500}
-	cfg, err := ConfigFromSpec(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := configFromSpec(s.Normalize())
 	if cfg.Limits.MaxCycles != 9999 || cfg.Limits.WallClock.Milliseconds() != 1500 {
 		t.Fatalf("limits = %+v", cfg.Limits)
-	}
-	back := SpecFromConfig("astar", cfg)
-	if back.MaxCycles != 9999 || back.WallClockMS != 1500 {
-		t.Fatalf("spec = %+v", back)
 	}
 }
 
 // TestExecSpecMatchesDirectRun: executing a spec produces the identical
-// Result as the legacy Config entry point.
+// Result as simulating the paper-default Config it names.
 func TestExecSpecMatchesDirectRun(t *testing.T) {
 	ResetBaselineCache()
-	cfg := DefaultConfig("AddrCheck")
+	cfg := defaultConfig("AddrCheck")
 	cfg.Instrs = 10_000
-	direct, err := Run("astar", cfg)
+	direct, err := run("astar", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ExecSpec(context.Background(), SpecFromConfig("astar", cfg))
+	out, err := ExecSpec(context.Background(), runspec.Spec{Benchmark: "astar", Monitor: "AddrCheck", Seed: 1, Instrs: 10_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +42,12 @@ func TestExecSpecMatchesDirectRun(t *testing.T) {
 		t.Fatal("run spec produced no Result")
 	}
 	if !reflect.DeepEqual(out.Result, direct) {
-		t.Fatal("ExecSpec result differs from direct Run")
+		t.Fatal("ExecSpec result differs from direct run")
 	}
 }
 
 func TestExecSpecStudy(t *testing.T) {
-	direct, err := RunQueueStudy("astar", "MemLeak", cpu.OoO4, 32, 1, 10_000)
+	direct, err := runQueueStudy(context.Background(), "astar", "MemLeak", cpu.OoO4, 32, 1, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +59,7 @@ func TestExecSpecStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if out.Study == nil || !reflect.DeepEqual(out.Study, direct) {
-		t.Fatal("study spec result differs from direct RunQueueStudy")
+		t.Fatal("study spec result differs from the direct queue study")
 	}
 }
 
@@ -135,11 +99,11 @@ func TestExecSpecRejectsBadSpecs(t *testing.T) {
 // TestOutcomeCodecRoundTrip: a full Result (metrics, timeline, histograms,
 // reports) survives the cache codec exactly.
 func TestOutcomeCodecRoundTrip(t *testing.T) {
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	cfg.Instrs = 50_000
 	cfg.TimelineEvery = 100_000
 	cfg.Inject = &trace.Inject{LeakFrac: 0.4}
-	res, err := Run("omnet", cfg)
+	res, err := run("omnet", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +140,9 @@ func TestOutcomeCodecRoundTrip(t *testing.T) {
 // TestDecodeOutcomeSharesMetricNames: outcomes decoded side by side share
 // one copy of each metric name instead of holding their own.
 func TestDecodeOutcomeSharesMetricNames(t *testing.T) {
-	cfg := DefaultConfig("AddrCheck")
+	cfg := defaultConfig("AddrCheck")
 	cfg.Instrs = 10_000
-	res, err := Run("astar", cfg)
+	res, err := run("astar", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +170,7 @@ func TestDecodeOutcomeSharesMetricNames(t *testing.T) {
 }
 
 func TestOutcomeCodecStudy(t *testing.T) {
-	qs, err := RunQueueStudy("astar", "AddrCheck", cpu.OoO4, 32, 1, 10_000)
+	qs, err := runQueueStudy(context.Background(), "astar", "AddrCheck", cpu.OoO4, 32, 1, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,31 +197,71 @@ func TestDecodeOutcomeRejectsVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestExecSpecCachedDifferential: with a cache, the first call simulates
-// and the second decodes — and both return the same outcome as the
-// uncached path, byte for byte under the codec.
+// TestExecSpecCachedDifferential: with WithCache, the first call
+// simulates and the second decodes — and both return the same outcome as
+// the uncached path, byte for byte under the codec.
 func TestExecSpecCachedDifferential(t *testing.T) {
-	spec := SpecFromConfig("astar", Config{Monitor: "MemLeak", Instrs: 10_000, Seed: 1})
+	spec := runspec.Spec{Benchmark: "astar", Monitor: "MemLeak", Instrs: 10_000, Seed: 1}
 	plain, err := ExecSpec(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := rcache.NewMem(8)
-	first, src1, err := ExecSpecCached(context.Background(), c, spec)
+	first, err := ExecSpec(context.Background(), spec, WithCache(c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src1 != rcache.SourceMiss {
-		t.Fatalf("first cached call source = %v", src1)
+	if first.Source != rcache.SourceMiss {
+		t.Fatalf("first cached call source = %v", first.Source)
 	}
-	second, src2, err := ExecSpecCached(context.Background(), c, spec)
+	second, err := ExecSpec(context.Background(), spec, WithCache(c))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src2 != rcache.SourceMem {
-		t.Fatalf("second cached call source = %v", src2)
+	if second.Source != rcache.SourceMem {
+		t.Fatalf("second cached call source = %v", second.Source)
 	}
+	second.Source = rcache.SourceMiss
 	if !reflect.DeepEqual(first, plain) || !reflect.DeepEqual(second, plain) {
 		t.Fatal("cached outcomes differ from the uncached run")
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("cache stats = %+v, want 1 miss and 1 hit", st)
+	}
+}
+
+// TestExecSpecCachedAbort: an aborted run returns its partial Result with
+// the error under WithCache too, and is not cached — a retry simulates
+// again.
+func TestExecSpecCachedAbort(t *testing.T) {
+	spec := runspec.Spec{Benchmark: "astar", Monitor: "MemLeak", Instrs: 10_000, Seed: 1, MaxCycles: 2_000}
+	c := rcache.NewMem(8)
+	for i := 0; i < 2; i++ {
+		out, err := ExecSpec(context.Background(), spec, WithCache(c))
+		if !errors.Is(err, sim.ErrCycleCapExceeded) {
+			t.Fatalf("attempt %d: err = %v, want the cycle cap", i, err)
+		}
+		if out == nil || out.Result == nil || out.Result.Metrics == nil {
+			t.Fatalf("attempt %d: no partial result with the error", i)
+		}
+		if v, _ := out.Result.Metrics.Get("run.aborted"); v != 1 {
+			t.Fatalf("attempt %d: run.aborted = %v", i, v)
+		}
+	}
+	if c.Len() != 0 || c.Stats().Misses != 0 {
+		t.Fatalf("an aborted run was cached: %d entries, stats %+v", c.Len(), c.Stats())
+	}
+}
+
+// TestExecSpecWithMonitorUncached: a custom monitor cannot be combined
+// with the cache — the spec does not identify the monitor.
+func TestExecSpecWithMonitorUncached(t *testing.T) {
+	mon, err := monitor.New("AddrCheck", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := runspec.Spec{Benchmark: "astar", Instrs: 10_000, Seed: 1}
+	if _, err := ExecSpec(context.Background(), spec, WithMonitor(mon), WithCache(rcache.NewMem(1))); err == nil {
+		t.Fatal("custom monitor accepted a cache")
 	}
 }

@@ -40,18 +40,12 @@ type QueueStudy struct {
 	Metrics *obs.Snapshot
 }
 
-// RunQueueStudy simulates bench under the named monitor with an ideal
+// runQueueStudy simulates bench under the named monitor with an ideal
 // 1-event/cycle drain and the given event-queue capacity (queue.Unbounded
-// for the infinite-queue analysis). It is RunQueueStudyContext without
-// cancellation.
-func RunQueueStudy(bench, monName string, coreKind cpu.Kind, queueCap int, seed, instrs uint64) (*QueueStudy, error) {
-	return RunQueueStudyContext(context.Background(), bench, monName, coreKind, queueCap, seed, instrs)
-}
-
-// RunQueueStudyContext is RunQueueStudy under a context: the run aborts
-// with an error wrapping sim.ErrCanceled within one scheduler checkpoint
-// interval of ctx being canceled.
-func RunQueueStudyContext(ctx context.Context, bench, monName string, coreKind cpu.Kind, queueCap int, seed, instrs uint64) (*QueueStudy, error) {
+// for the infinite-queue analysis). The run aborts with an error wrapping
+// sim.ErrCanceled within one scheduler checkpoint interval of ctx being
+// canceled.
+func runQueueStudy(ctx context.Context, bench, monName string, coreKind cpu.Kind, queueCap int, seed, instrs uint64) (*QueueStudy, error) {
 	prof, ok := trace.Lookup(bench)
 	if !ok {
 		return nil, fmt.Errorf("system: unknown benchmark %q", bench)

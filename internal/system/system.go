@@ -44,7 +44,8 @@ func (a Accel) String() string {
 	}
 }
 
-// Config describes one simulated system.
+// Config describes one simulated system: the simulator's own form of a
+// runspec.Spec, built by ExecSpec and reported back as Result.Config.
 type Config struct {
 	Core     cpu.Kind
 	Topology Topology
@@ -116,22 +117,6 @@ type Config struct {
 	// their historical shape). CheckInvariants and fault injection pin the
 	// run back to cycle-exact execution automatically.
 	FastForward bool
-}
-
-// DefaultConfig returns the paper's evaluation configuration: non-blocking
-// FADE on a single dual-threaded 4-way OoO core with 32/16-entry queues
-// (Sections 6 and 7.2).
-func DefaultConfig(monitorName string) Config {
-	return Config{
-		Core:          cpu.OoO4,
-		Topology:      SingleCoreSMT,
-		Accel:         FADENonBlocking,
-		Monitor:       monitorName,
-		EventQueueCap: 32,
-		UnfilteredCap: 16,
-		Seed:          1,
-		Instrs:        400_000,
-	}
 }
 
 // CoreResult is one application core's view of a run: its private
@@ -211,65 +196,6 @@ type Result struct {
 	Timeline []*obs.Snapshot
 }
 
-// Run simulates benchmark bench under cfg, constructing one fresh instance
-// of the named built-in monitor per application core, and returns the
-// result. It is RunContext without cancellation.
-func Run(bench string, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), bench, cfg)
-}
-
-// RunContext is Run under a context: the run aborts with an error wrapping
-// sim.ErrCanceled within one scheduler checkpoint interval of ctx being
-// canceled (or of cfg.Limits.WallClock elapsing). An aborted run returns
-// its partial Result alongside the error — Result.Metrics snapshots
-// whatever the simulation had counted, with the run.aborted gauge set — so
-// callers can flush partial telemetry.
-func RunContext(ctx context.Context, bench string, cfg Config) (*Result, error) {
-	prof, ok := trace.Lookup(bench)
-	if !ok {
-		return nil, fmt.Errorf("system: unknown benchmark %q", bench)
-	}
-	threads := 1
-	if prof.Parallel {
-		threads = prof.Threads
-	}
-	topo := cfg.Topology.normalize()
-	if err := topo.validate(); err != nil {
-		return nil, err
-	}
-	mons := make([]monitor.Monitor, topo.AppCores)
-	for i := range mons {
-		mon, err := monitor.New(cfg.Monitor, threads)
-		if err != nil {
-			return nil, err
-		}
-		mons[i] = mon
-	}
-	return runSystem(ctx, bench, cfg, mons)
-}
-
-// RunWithMonitor simulates benchmark bench under cfg with a caller-supplied
-// monitor — the extension point for user-defined monitoring tools. The
-// monitor must be fresh (its non-critical state is mutated by the run), and
-// the topology must have a single application core: each core needs its own
-// monitor instance, which only Run can construct.
-func RunWithMonitor(bench string, cfg Config, mon monitor.Monitor) (*Result, error) {
-	return RunWithMonitorContext(context.Background(), bench, cfg, mon)
-}
-
-// RunWithMonitorContext is RunWithMonitor under a context, with the same
-// cancellation contract as RunContext.
-func RunWithMonitorContext(ctx context.Context, bench string, cfg Config, mon monitor.Monitor) (*Result, error) {
-	topo := cfg.Topology.normalize()
-	if err := topo.validate(); err != nil {
-		return nil, err
-	}
-	if topo.AppCores > 1 {
-		return nil, fmt.Errorf("system: RunWithMonitor supports single-app-core topologies only (one monitor instance cannot serve %d cores); use Run", topo.AppCores)
-	}
-	return runSystem(ctx, bench, cfg, []monitor.Monitor{mon})
-}
-
 // coreGroup is one application core's private slice of the system: the core
 // itself, its event queue, its filtering unit (nil when unaccelerated), and
 // the monitor thread draining its software-bound events.
@@ -297,11 +223,20 @@ func (g *coreGroup) drained() bool {
 }
 
 // runSystem wires cfg's topology into core groups — one monitor per
-// application core — and drives them on the sim scheduler.
-func runSystem(ctx context.Context, bench string, cfg Config, mons []monitor.Monitor) (*Result, error) {
+// application core — and drives them on the sim scheduler. Each core gets
+// a fresh instance of the built-in monitor cfg names, unless custom is set:
+// then the topology must have a single application core, which custom
+// monitors. An aborted run returns its partial Result alongside the error
+// (Result.Metrics snapshots whatever the run had counted, with the
+// run.aborted gauge set).
+func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Monitor) (*Result, error) {
 	prof, ok := trace.Lookup(bench)
 	if !ok {
 		return nil, fmt.Errorf("system: unknown benchmark %q", bench)
+	}
+	threads := 1
+	if prof.Parallel {
+		threads = prof.Threads
 	}
 	if cfg.Inject != nil {
 		p := *prof
@@ -325,11 +260,21 @@ func runSystem(ctx context.Context, bench string, cfg Config, mons []monitor.Mon
 	}
 	cfg.Topology = cfg.Topology.normalize()
 	topo := cfg.Topology
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if len(mons) != topo.AppCores {
-		return nil, fmt.Errorf("system: %d monitors for %d application cores", len(mons), topo.AppCores)
+	mons := []monitor.Monitor{custom}
+	if custom == nil {
+		mons = make([]monitor.Monitor, topo.AppCores)
+		for i := range mons {
+			mon, err := monitor.New(cfg.Monitor, threads)
+			if err != nil {
+				return nil, err
+			}
+			mons[i] = mon
+		}
+	} else if topo.AppCores > 1 {
+		return nil, fmt.Errorf("system: a custom monitor supports single-app-core topologies only (one monitor instance cannot serve %d cores)", topo.AppCores)
 	}
 	single := topo.AppCores == 1
 	deadline := cfg.Limits.deadline(time.Now())

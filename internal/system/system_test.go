@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -10,26 +11,26 @@ import (
 )
 
 func smallCfg(mon string) Config {
-	cfg := DefaultConfig(mon)
+	cfg := defaultConfig(mon)
 	cfg.Instrs = 60_000
 	return cfg
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	if _, err := Run("nope", smallCfg("MemLeak")); err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+	if _, err := run("nope", smallCfg("MemLeak")); err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestRunUnknownMonitor(t *testing.T) {
 	cfg := smallCfg("Nope")
-	if _, err := Run("astar", cfg); err == nil {
+	if _, err := run("astar", cfg); err == nil {
 		t.Fatal("unknown monitor accepted")
 	}
 }
 
 func TestRunResultConsistency(t *testing.T) {
-	r, err := Run("astar", smallCfg("MemLeak"))
+	r, err := run("astar", smallCfg("MemLeak"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +59,11 @@ func TestRunResultConsistency(t *testing.T) {
 }
 
 func TestRunDeterminism(t *testing.T) {
-	a, err := Run("gcc", smallCfg("MemCheck"))
+	a, err := run("gcc", smallCfg("MemCheck"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run("gcc", smallCfg("MemCheck"))
+	b, err := run("gcc", smallCfg("MemCheck"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestRunDeterminism(t *testing.T) {
 func TestUnacceleratedHasNoFilterStats(t *testing.T) {
 	cfg := smallCfg("AddrCheck")
 	cfg.Accel = Unaccelerated
-	r, err := Run("astar", cfg)
+	r, err := run("astar", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,12 +92,12 @@ func TestFADEReducesSlowdown(t *testing.T) {
 	for _, mon := range []string{"AddrCheck", "MemLeak", "MemCheck"} {
 		cfg := smallCfg(mon)
 		cfg.Accel = Unaccelerated
-		u, err := Run("astar", cfg)
+		u, err := run("astar", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Accel = FADENonBlocking
-		f, err := Run("astar", cfg)
+		f, err := run("astar", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,12 +116,12 @@ func TestNonBlockingBeatsBlocking(t *testing.T) {
 	} {
 		cfg := smallCfg(c.mon)
 		cfg.Accel = FADEBlocking
-		b, err := Run(c.bench, cfg)
+		b, err := run(c.bench, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Accel = FADENonBlocking
-		n, err := Run(c.bench, cfg)
+		n, err := run(c.bench, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,12 +142,12 @@ func TestTwoCoreNotSlowerThanSingle(t *testing.T) {
 			bench = "streamc"
 		}
 		cfg := smallCfg(mon)
-		s, err := Run(bench, cfg)
+		s, err := run(bench, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Topology = TwoCore
-		d, err := Run(bench, cfg)
+		d, err := run(bench, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,12 +164,12 @@ func TestDetectionsSurviveAcceleration(t *testing.T) {
 	cfg.Instrs = 100_000
 
 	cfg.Accel = Unaccelerated
-	sw, err := Run("omnet", cfg)
+	sw, err := run("omnet", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Accel = FADENonBlocking
-	hw, err := Run("omnet", cfg)
+	hw, err := run("omnet", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestDetectionsSurviveAcceleration(t *testing.T) {
 }
 
 func TestQueueStudyBasics(t *testing.T) {
-	qs, err := RunQueueStudy("astar", "AddrCheck", cpu.OoO4, queue.Unbounded, 1, 50_000)
+	qs, err := runQueueStudy(context.Background(), "astar", "AddrCheck", cpu.OoO4, queue.Unbounded, 1, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestQueueStudyBasics(t *testing.T) {
 func TestQueueStudyBzipOverflows(t *testing.T) {
 	// bzip's monitored IPC exceeds 1.0 under MemLeak: the infinite queue
 	// grows without bound (Section 3.2).
-	qs, err := RunQueueStudy("bzip", "MemLeak", cpu.OoO4, queue.Unbounded, 1, 150_000)
+	qs, err := runQueueStudy(context.Background(), "bzip", "MemLeak", cpu.OoO4, queue.Unbounded, 1, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +226,11 @@ func TestQueueStudyBzipOverflows(t *testing.T) {
 }
 
 func TestQueueStudyFiniteQueueSlower(t *testing.T) {
-	big, err := RunQueueStudy("gobmk", "MemLeak", cpu.OoO4, 32*1024, 1, 100_000)
+	big, err := runQueueStudy(context.Background(), "gobmk", "MemLeak", cpu.OoO4, 32*1024, 1, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := RunQueueStudy("gobmk", "MemLeak", cpu.OoO4, 32, 1, 100_000)
+	small, err := runQueueStudy(context.Background(), "gobmk", "MemLeak", cpu.OoO4, 32, 1, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,10 +240,10 @@ func TestQueueStudyFiniteQueueSlower(t *testing.T) {
 }
 
 func TestQueueStudyUnknownInputs(t *testing.T) {
-	if _, err := RunQueueStudy("nope", "MemLeak", cpu.OoO4, 32, 1, 1000); err == nil {
+	if _, err := runQueueStudy(context.Background(), "nope", "MemLeak", cpu.OoO4, 32, 1, 1000); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, err := RunQueueStudy("astar", "Nope", cpu.OoO4, 32, 1, 1000); err == nil {
+	if _, err := runQueueStudy(context.Background(), "astar", "Nope", cpu.OoO4, 32, 1, 1000); err == nil {
 		t.Fatal("unknown monitor accepted")
 	}
 }
@@ -259,7 +260,7 @@ func TestTopologyAndAccelStrings(t *testing.T) {
 }
 
 func TestDefaultConfig(t *testing.T) {
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	if cfg.EventQueueCap != 32 || cfg.UnfilteredCap != 16 {
 		t.Fatalf("queue capacities %d/%d", cfg.EventQueueCap, cfg.UnfilteredCap)
 	}
@@ -270,7 +271,7 @@ func TestDefaultConfig(t *testing.T) {
 
 func TestParallelBenchmarkRuns(t *testing.T) {
 	cfg := smallCfg("AtomCheck")
-	r, err := Run("water", cfg)
+	r, err := run("water", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +282,12 @@ func TestParallelBenchmarkRuns(t *testing.T) {
 
 func TestWarmupWindow(t *testing.T) {
 	cfg := smallCfg("MemLeak")
-	full, err := Run("astar", cfg)
+	full, err := run("astar", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.WarmupInstrs = 20_000
-	warm, err := Run("astar", cfg)
+	warm, err := run("astar", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestWarmupWindow(t *testing.T) {
 func TestWarmupBeyondRunIsIgnored(t *testing.T) {
 	cfg := smallCfg("AddrCheck")
 	cfg.WarmupInstrs = cfg.Instrs * 2 // never reached: falls back to full-run slowdown
-	r, err := Run("astar", cfg)
+	r, err := run("astar", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestWarmupBeyondRunIsIgnored(t *testing.T) {
 func TestUnboundedEventQueueNoBackpressure(t *testing.T) {
 	cfg := smallCfg("MemLeak")
 	cfg.EventQueueCap = queue.Unbounded
-	r, err := Run("bzip", cfg) // bzip overflows any finite queue
+	r, err := run("bzip", cfg) // bzip overflows any finite queue
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,12 +333,12 @@ func TestMDCacheSizeMonotonic(t *testing.T) {
 	// A bigger MD cache never makes FADE slower on a miss-heavy workload.
 	cfg := smallCfg("MemCheck")
 	cfg.MDCacheBytes = 1 << 10
-	small, err := Run("mcf", cfg)
+	small, err := run("mcf", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.MDCacheBytes = 32 << 10
-	big, err := Run("mcf", cfg)
+	big, err := run("mcf", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

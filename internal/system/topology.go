@@ -35,13 +35,6 @@ var (
 	TwoCore = Topology{AppCores: 1, MonCores: 1}
 )
 
-// CMP returns the scaled-out evaluation topology: n application cores, each
-// paired with a dedicated monitor core (Fig. 8a replicated n times, the
-// organization of the Section 7 scalability discussion). CMP(1) == TwoCore.
-func CMP(appCores int) Topology {
-	return Topology{AppCores: appCores, MonCores: appCores}
-}
-
 func (t Topology) String() string {
 	switch t.normalize() {
 	case SingleCoreSMT:

@@ -16,7 +16,7 @@ func traceRun(t *testing.T, cfg Config) (chrome, jsonl []byte, tr *spans.Trace) 
 	t.Helper()
 	tr = spans.New("golden", 0)
 	ctx := spans.NewContext(context.Background(), tr)
-	if _, err := RunContext(ctx, "astar", cfg); err != nil {
+	if _, err := runSystem(ctx, "astar", cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	var cb, jb bytes.Buffer
@@ -55,14 +55,14 @@ func TestGoldenTraces(t *testing.T) {
 		}},
 		{"trace-cmp4-ff", func(c *Config) {
 			c.Instrs = 4_000
-			c.Topology = CMP(4)
+			c.Topology = cmpTopology(4)
 			c.FastForward = true
 		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig("MemLeak")
+			cfg := defaultConfig("MemLeak")
 			tc.mutate(&cfg)
 			chrome, jsonl, tr := traceRun(t, cfg)
 			chrome2, jsonl2, _ := traceRun(t, cfg)
@@ -115,12 +115,12 @@ func TestGoldenTraces(t *testing.T) {
 // are excluded.
 func TestTraceEpisodesFFInvariant(t *testing.T) {
 	episodes := func(ff bool) []spans.Span {
-		cfg := DefaultConfig("MemLeak")
+		cfg := defaultConfig("MemLeak")
 		cfg.Instrs = 20_000
-		cfg.Topology = CMP(2)
+		cfg.Topology = cmpTopology(2)
 		cfg.FastForward = ff
 		tr := spans.New("diff", 1<<16)
-		if _, err := RunContext(spans.NewContext(context.Background(), tr), "astar", cfg); err != nil {
+		if _, err := runSystem(spans.NewContext(context.Background(), tr), "astar", cfg, nil); err != nil {
 			t.Fatal(err)
 		}
 		var out []spans.Span
@@ -151,9 +151,9 @@ func TestTraceEpisodesFFInvariant(t *testing.T) {
 // emit spans.* metrics (shape-stability, like sim.ff.*) — implicitly
 // covered by TestGoldenMetrics — and a traced run must register them.
 func TestTraceMetricsRegisteredOnlyWhenTracing(t *testing.T) {
-	cfg := DefaultConfig("MemLeak")
+	cfg := defaultConfig("MemLeak")
 	cfg.Instrs = 20_000
-	r, err := Run("astar", cfg)
+	r, err := run("astar", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTraceMetricsRegisteredOnlyWhenTracing(t *testing.T) {
 		t.Fatal("untraced run exposed spans.* metrics")
 	}
 	tr := spans.New("t", 0)
-	r2, err := RunContext(spans.NewContext(context.Background(), tr), "astar", cfg)
+	r2, err := runSystem(spans.NewContext(context.Background(), tr), "astar", cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
