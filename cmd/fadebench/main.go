@@ -364,9 +364,10 @@ func distribute(ctx context.Context, addr string, ids []string, o fade.Experimen
 	fmt.Fprintf(os.Stderr, "fadebench: fabric: %d/%d cells done (%d workers, %d leases granted, %d expired, %d retries, %d run locally)\n",
 		st.Done, st.Total, st.WorkersRegistered, st.LeasesGranted, st.LeasesExpired, st.Retries, st.LocalCells)
 	if err == nil && st.Workers > 0 {
-		// Workers poll every couple of seconds; keep answering "sweep
-		// done" long enough for each to observe it and exit cleanly
-		// instead of finding the port closed mid-poll.
+		// Drive returns the moment the last cell lands, but idle workers
+		// poll at up to their PollMax (2s by default); keep answering
+		// "sweep done" long enough for each to observe it and exit
+		// cleanly instead of finding the port closed mid-poll.
 		select {
 		case <-time.After(3 * time.Second):
 		case <-ctx.Done():

@@ -16,6 +16,12 @@
 // execution fails, the sweep returns ErrIncomplete naming the failed
 // cells; a partial table is flagged, never silently truncated.
 //
+// The coordinator's Drive loop has no fixed poll. It wakes on a state
+// change (a cell done, failed, exhausted or re-queued, or the set
+// sealed), on the next lease deadline, or when the grace window ends,
+// whichever comes first, so a sweep returns as soon as its last cell
+// lands.
+//
 // Workers (RunWorker, cmd/fadeworker) are thin loops over the
 // internal/client retrying HTTP client: lease, heartbeat at a third of
 // the TTL, execute through their own result cache, upload the encoded

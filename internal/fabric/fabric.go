@@ -149,6 +149,11 @@ type Coordinator struct {
 	workers      map[string]*workerState
 	leaseSeq     uint64
 	lastActivity time.Time // last worker interaction (or New/Seal)
+
+	// changed is Drive's one-slot wake-up: raised under mu whenever a
+	// cell turns done, failed, exhausted or pending again, or the set is
+	// sealed.
+	changed chan struct{}
 }
 
 // NewCoordinator builds a coordinator. Options.Cache is required: it is
@@ -164,6 +169,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		cells:   make(map[rcache.Key]*cellState),
 		leases:  make(map[string]*lease),
 		workers: make(map[string]*workerState),
+		changed: make(chan struct{}, 1),
 	}
 	c.lastActivity = opts.Now()
 	c.met = newFabricMetrics(c.reg, c)
@@ -205,6 +211,16 @@ func (c *Coordinator) Seal() {
 	defer c.mu.Unlock()
 	c.sealed = true
 	c.lastActivity = c.opts.Now()
+	c.signalLocked()
+}
+
+// signalLocked wakes Drive to re-evaluate the cell set. The slot holds
+// one pending wake-up; further signals before Drive drains it coalesce.
+func (c *Coordinator) signalLocked() {
+	select {
+	case c.changed <- struct{}{}:
+	default:
+	}
 }
 
 // Register records a worker. Registration is idempotent and implicit in
@@ -342,6 +358,7 @@ func (c *Coordinator) Complete(worker, leaseID string, hash rcache.Key, payload 
 	cs.errMsg = ""
 	c.opts.Cache.Put(hash, payload)
 	c.met.completeOK.Inc()
+	c.signalLocked()
 	c.opts.Logger.Info("fabric: cell complete", "lease", leaseID, "worker", worker, "cell", cs.label)
 	return false, nil
 }
@@ -398,6 +415,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 // the retry cap.
 func (c *Coordinator) requeueLocked(cs *cellState, reason string) {
 	cs.leaseID = ""
+	c.signalLocked()
 	if cs.attempts > c.opts.MaxRetries {
 		cs.state = cellExhausted
 		c.opts.Logger.Warn("fabric: cell exhausted lease retries",
@@ -425,7 +443,7 @@ func (c *Coordinator) allTerminalLocked() bool {
 // when there are no live leases and no worker has spoken for the grace
 // window — the whole pending backlog, which covers both "no workers ever
 // registered" and "the fleet died".
-func (c *Coordinator) claimLocalLocked(grace time.Duration) []*cellState {
+func (c *Coordinator) claimLocalLocked(now time.Time, grace time.Duration) []*cellState {
 	var out []*cellState
 	for _, h := range c.order {
 		if cs := c.cells[h]; cs.state == cellExhausted {
@@ -433,7 +451,6 @@ func (c *Coordinator) claimLocalLocked(grace time.Duration) []*cellState {
 			out = append(out, cs)
 		}
 	}
-	now := c.opts.Now()
 	if len(c.leases) == 0 && now.Sub(c.lastActivity) >= grace {
 		for _, h := range c.queue {
 			cs := c.cells[h]
@@ -448,26 +465,48 @@ func (c *Coordinator) claimLocalLocked(grace time.Duration) []*cellState {
 	return out
 }
 
+// nextWakeLocked is how long Drive may sleep before the clock alone
+// changes what it would do: the earliest lease deadline, or — with no
+// lease out and cells still queued — the end of the grace window. Zero
+// means only a state change can.
+func (c *Coordinator) nextWakeLocked(now time.Time, grace time.Duration) time.Duration {
+	var next time.Time
+	for _, l := range c.leases {
+		if next.IsZero() || l.deadline.Before(next) {
+			next = l.deadline
+		}
+	}
+	if len(c.leases) == 0 && len(c.queue) > 0 {
+		next = c.lastActivity.Add(grace)
+	}
+	if next.IsZero() {
+		return 0
+	}
+	return next.Sub(now)
+}
+
 // Drive is the coordinator's main loop: it expires stale leases, runs the
 // degradation ladder (exhausted cells immediately, the pending backlog
 // after grace with no worker activity), and returns when the sealed cell
-// set is fully terminal. The returned error is nil for a complete sweep,
-// ctx.Err() on cancellation, or wraps ErrIncomplete naming the cells that
-// failed even locally.
+// set is fully terminal. It has no fixed poll: between passes it sleeps
+// until a state change is signalled (see Coordinator.changed), the next
+// lease deadline passes, or the grace window ends. The
+// returned error is nil for a complete sweep, ctx.Err() on cancellation,
+// or wraps ErrIncomplete naming the cells that failed even locally.
 func (c *Coordinator) Drive(ctx context.Context, grace time.Duration, parallel int) error {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	tick := time.NewTicker(100 * time.Millisecond)
-	defer tick.Stop()
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		c.mu.Lock()
-		c.expireLocked(c.opts.Now())
-		batch := c.claimLocalLocked(grace)
+		now := c.opts.Now()
+		c.expireLocked(now)
+		batch := c.claimLocalLocked(now, grace)
 		done := c.sealed && c.allTerminalLocked()
+		wake := c.nextWakeLocked(now, grace)
 		c.mu.Unlock()
 
 		if len(batch) > 0 {
@@ -477,10 +516,8 @@ func (c *Coordinator) Drive(ctx context.Context, grace time.Duration, parallel i
 		if done {
 			break
 		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
+		if err := c.await(ctx, wake); err != nil {
+			return err
 		}
 	}
 
@@ -495,6 +532,24 @@ func (c *Coordinator) Drive(ctx context.Context, grace time.Duration, parallel i
 	if len(failed) > 0 {
 		return fmt.Errorf("%w: %d of %d cells failed local execution: %s",
 			ErrIncomplete, len(failed), len(c.order), strings.Join(failed, "; "))
+	}
+	return nil
+}
+
+// await blocks until ctx ends, a state change is signalled, or — when
+// wake is positive — wake has elapsed.
+func (c *Coordinator) await(ctx context.Context, wake time.Duration) error {
+	var fire <-chan time.Time
+	if wake > 0 {
+		t := time.NewTimer(wake)
+		defer t.Stop()
+		fire = t.C
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-c.changed:
+	case <-fire:
 	}
 	return nil
 }
@@ -516,6 +571,7 @@ func (c *Coordinator) runLocal(ctx context.Context, batch []*cellState, parallel
 			cs.state = cellDone
 			c.opts.Logger.Info("fabric: cell completed locally", "cell", cs.label)
 		}
+		c.signalLocked()
 		c.mu.Unlock()
 		return struct{}{}, nil
 	})

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -202,36 +203,108 @@ func TestAddDedupAndPrecache(t *testing.T) {
 	}
 }
 
-// TestDriveDegradesToLocal: with no workers and zero grace, Drive runs
-// every cell on the coordinator itself and the sweep completes — real
-// (small) simulations through the real cache.
+// TestDriveDegradesToLocal: Drive runs cells on the coordinator itself
+// when no worker will — real (small) simulations through the real cache.
+// With no workers and zero grace it claims the backlog at once; when the
+// only worker takes a lease and vanishes, nothing but Drive's own timer
+// is left to expire the lease and then end the grace window.
 func TestDriveDegradesToLocal(t *testing.T) {
 	cells, err := experiments.CellsFor("fig2bc", experiments.Options{Instrs: 2_000})
 	if err != nil {
 		t.Fatalf("CellsFor: %v", err)
 	}
-	cells = cells[:4]
-	cache := rcache.NewMem(64)
-	coord, err := NewCoordinator(Options{Cache: cache})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	coord.Add(cells)
-	coord.Seal()
+	for _, tc := range []struct {
+		name        string
+		cells       int
+		ttl, grace  time.Duration
+		ghost       bool // a worker leases a cell before Drive starts, then never returns
+		wantExpired uint64
+		within      time.Duration
+	}{
+		{name: "no workers", cells: 4, within: time.Minute},
+		{name: "worker vanishes", cells: 1, ttl: 50 * time.Millisecond, grace: 100 * time.Millisecond,
+			ghost: true, wantExpired: 1, within: 2 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cells := cells[:tc.cells]
+			cache := rcache.NewMem(64)
+			coord, err := NewCoordinator(Options{Cache: cache, LeaseTTL: tc.ttl})
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			coord.Add(cells)
+			coord.Seal()
+			if tc.ghost {
+				if g, _, _ := coord.Lease("ghost"); g == nil {
+					t.Fatal("ghost worker got no lease")
+				}
+			}
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			ctx, cancel := context.WithTimeout(context.Background(), tc.within)
+			defer cancel()
+			if err := coord.Drive(ctx, tc.grace, 2); err != nil {
+				t.Fatalf("Drive: %v", err)
+			}
+			st := coord.Stats()
+			if st.Done != tc.cells || st.LocalCells != uint64(tc.cells) || st.LeasesExpired < tc.wantExpired {
+				t.Fatalf("stats = %+v, want %d done, %d local, >= %d expired", st, tc.cells, tc.cells, tc.wantExpired)
+			}
+			for _, c := range cells {
+				if _, _, ok := cache.Get(c.Spec.Hash()); !ok {
+					t.Fatalf("cell %s missing from the cache after local execution", c.Label)
+				}
+			}
+		})
+	}
+}
+
+// TestDriveWakesOnCompletion: Drive returns as soon as the last cell
+// completes, not at the next poll. Five one-cell sweeps run back to back,
+// each completed by a worker goroutine 10 ms into the sweep; a fixed
+// 100 ms poll would need at least half a second for the five.
+func TestDriveWakesOnCompletion(t *testing.T) {
+	const sweeps = 5
+	payload := validOutcome(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := coord.Drive(ctx, 0, 2); err != nil {
-		t.Fatalf("Drive: %v", err)
-	}
-	st := coord.Stats()
-	if st.Done != 4 || st.LocalCells != 4 {
-		t.Fatalf("stats = %+v, want 4 done, 4 local", st)
-	}
-	for _, c := range cells {
-		if _, _, ok := cache.Get(c.Spec.Hash()); !ok {
-			t.Fatalf("cell %s missing from the cache after local execution", c.Label)
+	var total time.Duration
+	for i := 0; i < sweeps; i++ {
+		coord, err := NewCoordinator(Options{Cache: rcache.NewMem(8)})
+		if err != nil {
+			t.Fatalf("NewCoordinator: %v", err)
 		}
+		cell := testCell(fmt.Sprintf("sweep-%d", i))
+		coord.Add([]experiments.Cell{cell})
+		coord.Seal()
+
+		werr := make(chan error, 1)
+		go func() {
+			// Let Drive make its first pass and go to sleep: the
+			// completion has to wake it.
+			time.Sleep(10 * time.Millisecond)
+			g, _, _ := coord.Lease("w")
+			if g == nil {
+				werr <- errors.New("no grant for the sweep's only cell")
+				return
+			}
+			_, err := coord.Complete("w", g.ID, g.Spec.Hash(), payload)
+			werr <- err
+		}()
+		start := time.Now()
+		if err := coord.Drive(ctx, time.Minute, 1); err != nil {
+			t.Fatalf("sweep %d: Drive: %v", i, err)
+		}
+		total += time.Since(start)
+		if err := <-werr; err != nil {
+			t.Fatalf("sweep %d: worker: %v", i, err)
+		}
+		if st := coord.Stats(); st.CompleteOK != 1 || st.LocalCells != 0 {
+			t.Fatalf("sweep %d: stats = %+v, want 1 completed by the worker, 0 local", i, st)
+		}
+	}
+	t.Logf("%d Drive calls took %v", sweeps, total)
+	if total >= 250*time.Millisecond {
+		t.Fatalf("%d one-cell sweeps took %v in Drive, want under 250ms", sweeps, total)
 	}
 }
 

@@ -30,12 +30,18 @@ func snapToWire(s *obs.Snapshot) *snapWire {
 	return &snapWire{Cycle: s.Cycle, Values: s.Values}
 }
 
+// snapFromWire copies the decoded values into an exactly sized slice:
+// encoding/json grows its slice by doubling, and the slack would stay
+// allocated for as long as the outcome is kept (every table a sweep
+// holds, every run record a server keeps).
 func snapFromWire(w *snapWire) *obs.Snapshot {
 	if w == nil {
 		return nil
 	}
-	internNames(w.Values)
-	return &obs.Snapshot{Cycle: w.Cycle, Values: w.Values}
+	vals := make([]obs.Value, len(w.Values))
+	copy(vals, w.Values)
+	internNames(vals)
+	return &obs.Snapshot{Cycle: w.Cycle, Values: vals}
 }
 
 // maxInternedNames bounds the metric-name intern table. The simulator's

@@ -9,6 +9,7 @@ import (
 
 	"fade/internal/cpu"
 	"fade/internal/monitor"
+	"fade/internal/obs"
 	"fade/internal/rcache"
 	"fade/internal/runspec"
 	"fade/internal/sim"
@@ -165,6 +166,41 @@ func TestDecodeOutcomeSharesMetricNames(t *testing.T) {
 	for i := range va {
 		if va[i].Name != vc[i].Name || unsafe.StringData(va[i].Name) != unsafe.StringData(vc[i].Name) {
 			t.Fatalf("metric %q decoded into two copies", va[i].Name)
+		}
+	}
+}
+
+// TestDecodeOutcomeTrimsValues: decoded snapshots hold their values in
+// an exactly sized slice. encoding/json leaves up to double the length
+// as spare capacity, and a sweep keeps every decoded outcome of its table
+// alive until the table is built.
+func TestDecodeOutcomeTrimsValues(t *testing.T) {
+	cfg := defaultConfig("AddrCheck")
+	cfg.Instrs = 10_000
+	cfg.TimelineEvery = 2_000
+	res, err := run("astar", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs, err := runQueueStudy(context.Background(), "astar", "AddrCheck", cpu.OoO4, 32, 1, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := EncodeOutcome(&Outcome{Result: res, Study: qs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeOutcome(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snaps := append([]*obs.Snapshot{got.Result.Metrics, got.Study.Metrics}, got.Result.Timeline...)
+	if len(snaps) < 3 {
+		t.Fatalf("decoded %d snapshots, want metrics, study metrics and a timeline", len(snaps))
+	}
+	for i, s := range snaps {
+		if n, c := len(s.Values), cap(s.Values); n == 0 || c > n+n/8 {
+			t.Errorf("snapshot %d: %d values in a slice of capacity %d, want at most %d", i, n, c, n+n/8)
 		}
 	}
 }
