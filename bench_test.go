@@ -14,6 +14,8 @@ import (
 	"context"
 	"strconv"
 	"testing"
+
+	"fade/internal/trace"
 )
 
 // benchInstrs keeps individual benchmark iterations tractable; the shapes
@@ -231,6 +233,31 @@ func BenchmarkTraceGeneration(b *testing.B) {
 			b.Fatal("unbounded source ended")
 		}
 	}
+}
+
+// BenchmarkTraceReplay measures the trace store's replay cursor, the
+// source every simulation but a stream's first reads: one op is one
+// instruction decoded from a stored gcc trace (reopened, never
+// regenerated, at its end). Compare ns/instr with
+// BenchmarkTraceGeneration's ns/op.
+func BenchmarkTraceReplay(b *testing.B) {
+	prof, _ := LookupProfile("gcc")
+	const n = 300_000
+	src := trace.Open(prof, 1, n)
+	for { // the first read generates and stores the trace
+		if _, ok := src.Next(); !ok {
+			break
+		}
+	}
+	src = trace.Open(prof, 1, n)
+	defer func() { src.Close() }()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := src.Next(); !ok {
+			src = trace.Open(prof, 1, n)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/instr")
 }
 
 // BenchmarkEndToEndSimulation measures whole-system simulation speed in

@@ -7,9 +7,11 @@
 //
 // Every experiment is a grid of independent, deterministic, seeded
 // simulations. The functions below enumerate the grid as a flat cell list,
-// fan the cells out across cores through par.RunCells, and assemble rows
-// from the results in cell order — so the tables are byte-identical to a
-// sequential run (Options.Parallel = 1) regardless of scheduling.
+// fan the cells out across cores through par.RunCellsOrdered, and assemble
+// rows from the results in cell order — so the tables are byte-identical to
+// a sequential run (Options.Parallel = 1) regardless of scheduling. Cells
+// start grouped by the instruction stream they draw, so the trace store
+// (trace.Open) generates each stream once per sweep.
 //
 // # Observability
 //

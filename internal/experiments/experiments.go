@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sort"
 	"strings"
 
 	"fade/internal/monitor"
@@ -95,11 +96,55 @@ type experiment struct {
 }
 
 // runCells dispatches an experiment's independent simulation cells through
-// the worker pool, returning results in cell order. Options.Ctx is passed
-// to every cell; cells must thread it into system.ExecSpec so cancellation
-// reaches the scheduler's checkpoints.
-func runCells[C, R any](o Options, cells []C, fn func(context.Context, C) (R, error)) ([]R, error) {
-	return par.RunCells(o.Ctx, o.Parallel, cells, fn)
+// the worker pool in traceOrder, returning results in cell order.
+// Options.Ctx is passed to every cell; cells must thread it into
+// system.ExecSpec so cancellation reaches the scheduler's checkpoints.
+func runCells[R any](o Options, cells []Cell, fn func(context.Context, Cell) (R, error)) ([]R, error) {
+	return par.RunCellsOrdered(o.Ctx, o.Parallel, cells, traceOrder(cells), fn)
+}
+
+// traceOrder is the order in which to start cells so that the cells
+// drawing the same instruction stream run back to back: cells grouped by
+// (benchmark, seed, instrs, inject), table order within a group. The trace
+// store then generates each stream once and holds only the traces running
+// cells read plus one idle one, however the table interleaves benchmarks
+// (fig9 is monitor-major).
+//
+// Groups start in the order of their last cell. A sweep keeps every
+// outcome until its table is built; in this order only cells before a
+// group's last cell have finished when the group runs, so it runs over no
+// more kept outcomes than that cell does in table order. So in fig9 and
+// fault-sweep the 4-thread AtomCheck groups, whose cells need the most
+// memory, run first rather than last.
+func traceOrder(cells []Cell) []int {
+	type key struct {
+		bench        string
+		seed, instrs uint64
+		inject       trace.Inject
+	}
+	group := map[key]int{}
+	var groups [][]int
+	for i, c := range cells {
+		k := key{bench: c.Spec.Benchmark, seed: c.Spec.Seed, instrs: c.Spec.Instrs}
+		if c.Spec.Inject != nil {
+			k.inject = *c.Spec.Inject
+		}
+		g, ok := group[k]
+		if !ok {
+			g = len(groups)
+			group[k] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	sort.SliceStable(groups, func(a, b int) bool {
+		return groups[a][len(groups[a])-1] < groups[b][len(groups[b])-1]
+	})
+	order := make([]int, 0, len(cells))
+	for _, g := range groups {
+		order = append(order, g...)
+	}
+	return order
 }
 
 // run executes one registered experiment: enumerate cells, execute each

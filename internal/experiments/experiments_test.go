@@ -2,9 +2,13 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"fade/internal/runspec"
+	"fade/internal/spans"
 	"fade/internal/system"
 )
 
@@ -226,5 +230,114 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Errorf("%s: parallel output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s",
 				fn.name, st.String(), wt.String())
 		}
+	}
+}
+
+// TestTraceOrderGroupsCells: fig9's monitor-major table starts benchmark
+// by benchmark, each group contiguous, groups in order of their last
+// cell, table order inside a group.
+func TestTraceOrderGroupsCells(t *testing.T) {
+	cells, err := CellsFor("fig9", tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := traceOrder(cells)
+	if len(order) != len(cells) {
+		t.Fatalf("order lists %d of %d cells", len(order), len(cells))
+	}
+	seen := make([]bool, len(cells))
+	done := map[string]bool{}
+	for k, i := range order {
+		if seen[i] {
+			t.Fatalf("cell %d dispatched twice", i)
+		}
+		seen[i] = true
+		b := cells[i].Spec.Benchmark
+		if k > 0 {
+			prev := cells[order[k-1]].Spec.Benchmark
+			if prev == b && order[k-1] > i {
+				t.Fatalf("group %s out of table order at position %d", b, k)
+			}
+			if prev != b {
+				if done[b] {
+					t.Fatalf("group %s split at position %d", b, k)
+				}
+				done[prev] = true
+			}
+		}
+	}
+	last := map[string]int{}
+	for i, c := range cells {
+		last[c.Spec.Benchmark] = i
+	}
+	for k := 1; k < len(order); k++ {
+		prev, b := cells[order[k-1]].Spec.Benchmark, cells[order[k]].Spec.Benchmark
+		if prev != b && last[prev] > last[b] {
+			t.Fatalf("group %s (last cell %d) starts after group %s (last cell %d)", b, last[b], prev, last[prev])
+		}
+	}
+
+	// Groups a = {0, 2, 5}, m = {1, 3, 6}, g = {4}.
+	var small []Cell
+	for i, b := range []string{"astar", "mcf", "astar", "mcf", "gcc", "astar", "mcf"} {
+		small = append(small, Cell{Label: fmt.Sprint(b, i), Spec: runspec.Spec{Benchmark: b, Seed: 1, Instrs: 1000}})
+	}
+	if got := fmt.Sprint(traceOrder(small)); got != "[4 0 2 5 1 3 6]" {
+		t.Errorf("traceOrder = %s, want [4 0 2 5 1 3 6]", got)
+	}
+}
+
+// TestGroupedDispatchKeepsDeterminism: with cells dispatched out of table
+// order, outcomes still come back in table order, each par.cell span names
+// its table index, and the reported error is the lowest-indexed failing
+// cell's even though a later-indexed failure ran first.
+func TestGroupedDispatchKeepsDeterminism(t *testing.T) {
+	var cells []Cell
+	for i, b := range []string{"astar", "mcf", "astar", "mcf", "gcc"} {
+		cells = append(cells, Cell{Label: fmt.Sprint(b, i), Spec: runspec.Spec{Benchmark: b, Seed: 1, Instrs: 1000}})
+	}
+	want := []int{0, 2, 1, 3, 4}
+	if got := traceOrder(cells); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("traceOrder = %v, want %v", got, want)
+	}
+
+	tr := spans.New("t", 64)
+	o := Options{Parallel: 1, Ctx: spans.NewContext(context.Background(), tr)}
+	var ran []string
+	outs, err := runCells(o, cells, func(_ context.Context, c Cell) (string, error) {
+		ran = append(ran, c.Label)
+		return c.Label, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cells {
+		if outs[i] != c.Label {
+			t.Fatalf("outcome %d is %q, want %q", i, outs[i], c.Label)
+		}
+	}
+	if fmt.Sprint(ran) != "[astar0 astar2 mcf1 mcf3 gcc4]" {
+		t.Fatalf("dispatch order %v", ran)
+	}
+	var spanCells []uint64
+	for _, s := range tr.Spans() {
+		if s.Name == spans.NameParCell {
+			spanCells = append(spanCells, s.Args[0].Num)
+		}
+	}
+	if fmt.Sprint(spanCells) != "[0 2 1 3 4]" {
+		t.Fatalf("par.cell spans name cells %v; want table indices in dispatch order [0 2 1 3 4]", spanCells)
+	}
+
+	// Cell 2 (first group) fails before cell 1 (second group) runs; the
+	// error is still cell 1's.
+	_, err = runCells(Options{Parallel: 1, Ctx: context.Background()}, cells, func(_ context.Context, c Cell) (string, error) {
+		if c.Label == "mcf1" || c.Label == "astar2" {
+			return "", errors.New("boom " + c.Label)
+		}
+		return c.Label, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "cell 1: boom mcf1") {
+		t.Fatalf("err = %v, want cell 1's", err)
 	}
 }

@@ -3,5 +3,6 @@
 // independent, deterministic, seeded simulations (benchmark × configuration
 // cells); Pool fans them out across GOMAXPROCS workers and RunCells returns
 // their results in input order, so the regenerated tables are byte-identical
-// to a sequential run regardless of scheduling.
+// to a sequential run regardless of scheduling. RunCellsOrdered changes only
+// the order cells start in.
 package par

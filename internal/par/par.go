@@ -168,6 +168,18 @@ func (p *Pool) Wait() error {
 // same way (as a *PanicError carrying the cell identity), never crashing the
 // process or deadlocking the drain.
 func RunCells[C, R any](ctx context.Context, workers int, cells []C, fn func(context.Context, C) (R, error)) ([]R, error) {
+	return RunCellsOrdered(ctx, workers, cells, nil, fn)
+}
+
+// RunCellsOrdered is RunCells with a dispatch order: cells start in the
+// order order lists their indices (nil is input order), which must be a
+// permutation of the input indices. Only start order changes — results,
+// the reported error and every par.cell span still refer to input
+// indices — so the determinism contract is RunCells'.
+func RunCellsOrdered[C, R any](ctx context.Context, workers int, cells []C, order []int, fn func(context.Context, C) (R, error)) ([]R, error) {
+	if order != nil && len(order) != len(cells) {
+		panic(fmt.Sprintf("par: dispatch order lists %d of %d cells", len(order), len(cells)))
+	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -178,8 +190,11 @@ func RunCells[C, R any](ctx context.Context, workers int, cells []C, fn func(con
 	// exported trace. tr == nil (the common case) costs one context lookup.
 	tr := spans.FromContext(ctx)
 	p := NewPool(workers)
-	for i := range cells {
-		i := i
+	for k := range cells {
+		i := k
+		if order != nil {
+			i = order[k]
+		}
 		p.Go(func() (err error) {
 			// Recover here, not just in the pool, so the error names the
 			// failing cell; the pool's own recover remains the backstop for

@@ -21,6 +21,7 @@ import (
 	"fade/internal/sim"
 	"fade/internal/spans"
 	"fade/internal/system"
+	"fade/internal/trace"
 )
 
 // Options configures a Server/Scheduler. The zero value of every field
@@ -249,6 +250,14 @@ func NewScheduler(opts Options) *Scheduler {
 		sink.Gauge("serve.go.goroutines", float64(runtime.NumGoroutine()))
 		sink.Gauge("serve.go.heap_bytes", float64(ms.HeapAlloc))
 		sink.Counter("serve.go.gc_pauses", uint64(ms.NumGC))
+		// The process-wide trace store (trace.Open), shared by every run.
+		ts := trace.StoreStats()
+		sink.Counter("serve.tracestore.fills", ts.Fills)
+		sink.Counter("serve.tracestore.hits", ts.Hits)
+		sink.Counter("serve.tracestore.bypasses", ts.Bypasses)
+		sink.Counter("serve.tracestore.evictions", ts.Evictions)
+		sink.Gauge("serve.tracestore.traces", float64(ts.Traces))
+		sink.Gauge("serve.tracestore.live_bytes", float64(ts.LiveBytes))
 	}))
 	go s.dispatch()
 	return s

@@ -619,6 +619,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"fade_serve_queue_depth",
 		"fade_serve_runs_completed 1",
 		"fade_serve_http_latency_us_submit_count",
+		"fade_serve_tracestore_fills",
+		"fade_serve_tracestore_live_bytes",
 		`run="` + id + `"`,
 		`tenant="alice"`,
 		`bench="astar"`,

@@ -115,8 +115,9 @@ func runBaseline(ctx context.Context, prof *trace.Profile, cfg Config, deadline 
 // end-of-stream.
 func simulateBaseline(ctx context.Context, prof *trace.Profile, cfg Config, deadline time.Time) (baselineVal, error) {
 	baselineSims.Add(1)
-	gen := trace.New(prof, cfg.Seed, cfg.Instrs)
-	app := cpu.NewAppCore(cfg.Core, prof, gen, nil, nil)
+	src := trace.Open(prof, cfg.Seed, cfg.Instrs)
+	defer src.Close()
+	app := cpu.NewAppCore(cfg.Core, prof, src, nil, nil)
 	clock := sim.NewClock()
 	clock.Register(app)
 	sched := &sim.Scheduler{Clock: clock, MaxCycles: cfg.MaxCycles,

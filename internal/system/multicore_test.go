@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fade/internal/monitor"
+	"fade/internal/trace"
 )
 
 func multiConfig(t Topology) Config {
@@ -181,5 +182,31 @@ func TestMulticoreMetricNamespaces(t *testing.T) {
 	}
 	if _, ok := single.Metrics.Get("app.0.instrs"); ok {
 		t.Error("single-core metrics contain indexed app.0.instrs")
+	}
+}
+
+// TestStoredStreamsMatchPerCoreSeeds: every CMP core draws its own stream
+// from the trace store (coreSeed keys it), and each replays its generator
+// exactly, hot bit included.
+func TestStoredStreamsMatchPerCoreSeeds(t *testing.T) {
+	for _, bench := range []string{"astar", "ocean"} {
+		prof, _ := trace.Lookup(bench)
+		for i := 0; i < 4; i++ {
+			seed := coreSeed(3, i)
+			src := trace.Open(prof, seed, 20_000)
+			want := trace.New(prof, seed, 20_000)
+			for n := 0; ; n++ {
+				g, okG := src.Next()
+				w, okW := want.Next()
+				if okG != okW || g != w || src.Hot() != want.Hot() {
+					t.Fatalf("%s core %d: record %d differs: got %+v (hot %v), want %+v (hot %v)",
+						bench, i, n, g, src.Hot(), w, want.Hot())
+				}
+				if !okW {
+					break
+				}
+			}
+			src.Close()
+		}
 	}
 }

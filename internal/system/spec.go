@@ -110,8 +110,9 @@ func runCoreModelStudy(ctx context.Context, bench string, seed, instrs uint64) (
 	if instrs == 0 {
 		instrs = 400_000
 	}
-	gen := trace.New(prof, seed, instrs)
-	app := cpu.NewAppCore(cpu.OoO4, prof, gen, nil, nil)
+	src := trace.Open(prof, seed, instrs)
+	defer src.Close()
+	app := cpu.NewAppCore(cpu.OoO4, prof, src, nil, nil)
 	clock := sim.NewClock()
 	clock.Register(app)
 	sched := &sim.Scheduler{Clock: clock, MaxCycles: instrs * 200,
@@ -124,15 +125,23 @@ func runCoreModelStudy(ctx context.Context, bench string, seed, instrs uint64) (
 		return nil, fmt.Errorf("system: rate model for %s: %w", bench, out.Err)
 	}
 	rate := stats.Ratio(app.Instrs(), out.Cycles)
-	c4, r4, err := cpu.RunDetailed(cpu.OoO4, trace.New(prof, seed, instrs), seed, instrs*200)
+	c4, r4, err := runDetailed(cpu.OoO4, prof, seed, instrs)
 	if err != nil {
 		return nil, fmt.Errorf("system: detailed model for %s: %w", bench, err)
 	}
-	ci, ri, err := cpu.RunDetailed(cpu.InOrder, trace.New(prof, seed, instrs), seed, instrs*200)
+	ci, ri, err := runDetailed(cpu.InOrder, prof, seed, instrs)
 	if err != nil {
 		return nil, fmt.Errorf("system: in-order detailed model for %s: %w", bench, err)
 	}
 	return &CoreModelIPC{Rate: rate, Detailed: stats.Ratio(r4, c4), InOrder: stats.Ratio(ri, ci)}, nil
+}
+
+// runDetailed runs the dependency-driven core model of the given kind over
+// the stored stream.
+func runDetailed(kind cpu.Kind, prof *trace.Profile, seed, instrs uint64) (cycles, retired uint64, err error) {
+	src := trace.Open(prof, seed, instrs)
+	defer src.Close()
+	return cpu.RunDetailed(kind, src, seed, instrs*200)
 }
 
 // Outcome is the result of executing one runspec.Spec: exactly one of the

@@ -71,9 +71,10 @@ func runQueueStudy(ctx context.Context, bench, monName string, coreKind cpu.Kind
 		return nil, err
 	}
 
-	gen := trace.New(prof, seed, instrs)
+	src := trace.Open(prof, seed, instrs)
+	defer src.Close()
 	evq := queue.NewBounded[isa.Event](queueCap)
-	app := cpu.NewAppCore(coreKind, prof, gen, mon, evq)
+	app := cpu.NewAppCore(coreKind, prof, src, mon, evq)
 
 	reg := obs.NewRegistry()
 	reg.Register(app)

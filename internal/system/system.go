@@ -296,8 +296,9 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 		}
 		md := metadata.NewState()
 		mons[i].Init(md)
-		gen := trace.New(prof, ccfg.Seed, cfg.Instrs)
-		app, monCore, fu, evq, err := build(prof, cfg, gen, mons[i], md)
+		src := trace.Open(prof, ccfg.Seed, cfg.Instrs)
+		defer src.Close()
+		app, monCore, fu, evq, err := build(prof, cfg, src, mons[i], md)
 		if err != nil {
 			return nil, err
 		}
@@ -725,9 +726,9 @@ func (v monBusyView) QuietTicks(float64) uint64 { return sim.QuietForever }
 func (v monBusyView) SkipTicks(uint64, float64) {}
 
 // build wires one core group's components.
-func build(prof *trace.Profile, cfg Config, gen *trace.Generator, mon monitor.Monitor, md *metadata.State) (*cpu.AppCore, *cpu.MonitorCore, *core.FilteringUnit, *queue.Bounded[isa.Event], error) {
+func build(prof *trace.Profile, cfg Config, src trace.Source, mon monitor.Monitor, md *metadata.State) (*cpu.AppCore, *cpu.MonitorCore, *core.FilteringUnit, *queue.Bounded[isa.Event], error) {
 	evq := queue.NewBounded[isa.Event](cfg.EventQueueCap)
-	app := cpu.NewAppCore(cfg.Core, prof, gen, mon, evq)
+	app := cpu.NewAppCore(cfg.Core, prof, src, mon, evq)
 
 	if cfg.Accel == Unaccelerated {
 		monCore := cpu.NewMonitorCoreDirect(cfg.Core, mon, md, evq)

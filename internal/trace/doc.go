@@ -12,4 +12,28 @@
 // Profiles are registered at init; Source yields instructions
 // deterministically from (profile, seed, limit). Record/Reader serialize a
 // stream to the compact binary trace format for replay.
+//
+// Because a stream is a pure function of (profile, seed, limit), the
+// simulator generates each one once. Open looks the stream up in a
+// process-wide store keyed by the full Profile value (Inject included),
+// the seed and the limit, and returns a Replay cursor. The store keeps one
+// generator per stream. A cursor decodes what is already stored; at the
+// end of it, the cursor generates the next batch of records under the
+// stream's lock, returns them and stores them for the other cursors. So
+// concurrent readers never generate the same records twice. The first
+// read costs about 1.4 times a Generator's, the later ones about a
+// quarter of it. Records are packed into fixed-size chunks in the record
+// encoding trace files use (codec.go), about 4 bytes per instruction. Hot
+// reports the generator's hot-phase bit as it stood after the last Next,
+// so the core timing model sees exactly what a Generator would have
+// produced. Unbounded streams and streams over 2^21 instructions come
+// from a Generator directly.
+//
+// A cursor holds its trace until it is closed or read to the end.
+// Released traces stay as an idle set of one, and older ones are evicted;
+// an open cursor's trace is never evicted. Sweeps dispatch the cells that
+// share a trace back to back (internal/experiments), so that set is
+// enough, and the store holds O(pool width) traces however long the
+// sweep. StoreStats reports fills, hits, bypasses, evictions and live
+// bytes as process telemetry; they never enter a simulation Result.
 package trace

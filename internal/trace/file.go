@@ -4,14 +4,15 @@ package trace
 // generated once, archived, and replayed byte-identically — the moral
 // equivalent of the trace snapshots a full-system simulator checkpoints.
 //
-// Layout: a fixed header ("FTRC", version, profile-name, record count hint)
-// followed by one variable-length record per instruction. Records use
-// delta-encoded PCs and uvarints for addresses/sizes; a typical SPEC-like
-// stream costs ~6 bytes per instruction.
+// Layout: a fixed header ("FTRC", version, profile-name length, profile
+// name) followed by one record per instruction in the shared record
+// encoding (codec.go), about 4 bytes per instruction for a SPEC-like
+// stream. Version 2 records carry the hot-phase bit, so a replayed file
+// drives the core timing model exactly as the generator did; version 1
+// files (no hot bit, about 9 bytes per instruction) are rejected.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -22,22 +23,15 @@ import (
 // Magic identifies trace files; Version gates format changes.
 const (
 	Magic   = "FTRC"
-	Version = 1
-)
-
-// record flag bits.
-const (
-	flagStack   = 1 << 0
-	flagHasAddr = 1 << 1
-	flagHasSize = 1 << 2
+	Version = 2
 )
 
 // Writer serializes an instruction stream.
 type Writer struct {
-	w      *bufio.Writer
-	buf    []byte
-	count  uint64
-	prevPC uint32
+	w     *bufio.Writer
+	buf   []byte
+	count uint64
+	enc   codec
 }
 
 // NewWriter writes a trace header for the named profile and returns a
@@ -59,38 +53,16 @@ func NewWriter(w io.Writer, profile string) (*Writer, error) {
 	if _, err := bw.WriteString(profile); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, buf: make([]byte, 0, 32)}, nil
+	return &Writer{w: bw, buf: make([]byte, 0, maxRecordLen)}, nil
 }
 
-// Write appends one instruction record.
-func (t *Writer) Write(in isa.Instr) error {
-	b := t.buf[:0]
-	b = append(b, byte(in.Op))
-
-	var flags byte
-	if in.Stack {
-		flags |= flagStack
+// Write appends one instruction record; hot is the source's hot-phase bit
+// after producing in (see Generator.Hot).
+func (t *Writer) Write(in isa.Instr, hot bool) error {
+	if in.Op >= isa.NumOps {
+		return fmt.Errorf("trace: cannot encode %v", in.Op)
 	}
-	hasAddr := in.Op.IsMem() || in.Op.IsStackUpdate() || in.Op.IsHighLevel()
-	if hasAddr {
-		flags |= flagHasAddr
-	}
-	hasSize := in.Op.IsStackUpdate() || in.Op.IsHighLevel()
-	if hasSize {
-		flags |= flagHasSize
-	}
-	b = append(b, flags, in.Thread, in.Src1, in.Src2, in.Dest)
-	// PC as a zig-zag delta from the previous record's PC.
-	delta := int64(in.PC) - int64(t.prevPC)
-	b = binary.AppendVarint(b, delta)
-	t.prevPC = in.PC
-	if hasAddr {
-		b = binary.AppendUvarint(b, uint64(in.Addr))
-	}
-	if hasSize {
-		b = binary.AppendUvarint(b, uint64(in.Size))
-	}
-	if _, err := t.w.Write(b); err != nil {
+	if _, err := t.w.Write(t.enc.append(t.buf[:0], &in, hot)); err != nil {
 		return err
 	}
 	t.count++
@@ -103,19 +75,21 @@ func (t *Writer) Count() uint64 { return t.count }
 // Flush flushes buffered records to the underlying writer.
 func (t *Writer) Flush() error { return t.w.Flush() }
 
-// Record generates limit instructions from src and writes them all.
+// Record generates limit instructions from src and writes them all. When
+// src reports a hot-phase bit (as a Generator does) the records carry it.
 func Record(w io.Writer, profile string, src Source, limit uint64) (uint64, error) {
 	tw, err := NewWriter(w, profile)
 	if err != nil {
 		return 0, err
 	}
+	h, _ := src.(interface{ Hot() bool })
 	var n uint64
 	for n = 0; limit == 0 || n < limit; n++ {
 		in, ok := src.Next()
 		if !ok {
 			break
 		}
-		if err := tw.Write(in); err != nil {
+		if err := tw.Write(in, h != nil && h.Hot()); err != nil {
 			return n, err
 		}
 	}
@@ -126,7 +100,8 @@ func Record(w io.Writer, profile string, src Source, limit uint64) (uint64, erro
 type Reader struct {
 	r       *bufio.Reader
 	profile string
-	prevPC  uint32
+	dec     codec
+	hot     bool
 	err     error
 }
 
@@ -160,52 +135,34 @@ func (t *Reader) Profile() string { return t.profile }
 // Err returns the first decode error encountered (io.EOF excluded).
 func (t *Reader) Err() error { return t.err }
 
-// Next implements Source.
+// Hot reports the hot-phase bit recorded with the last record returned.
+func (t *Reader) Hot() bool { return t.hot }
+
+// Next implements Source. It decodes straight out of the bufio buffer, so
+// replay allocates nothing per record.
 func (t *Reader) Next() (isa.Instr, bool) {
-	var in isa.Instr
-	op, err := t.r.ReadByte()
-	if err != nil {
+	if t.err != nil {
+		return isa.Instr{}, false
+	}
+	// Peek returns what is buffered up to maxRecordLen; a short read is
+	// only an error if the record it holds is incomplete.
+	b, err := t.r.Peek(maxRecordLen)
+	if len(b) == 0 {
 		if err != io.EOF {
 			t.err = err
 		}
-		return in, false
+		return isa.Instr{}, false
 	}
-	fixed := make([]byte, 5)
-	if _, err := io.ReadFull(t.r, fixed); err != nil {
-		t.err = fmt.Errorf("trace: truncated record: %w", err)
-		return in, false
-	}
-	in.Op = isa.Op(op)
-	flags := fixed[0]
-	in.Thread = fixed[1]
-	in.Src1, in.Src2, in.Dest = fixed[2], fixed[3], fixed[4]
-	in.Stack = flags&flagStack != 0
-
-	delta, err := binary.ReadVarint(t.r)
-	if err != nil {
-		t.err = fmt.Errorf("trace: reading PC: %w", err)
-		return in, false
-	}
-	in.PC = uint32(int64(t.prevPC) + delta)
-	t.prevPC = in.PC
-
-	if flags&flagHasAddr != 0 {
-		v, err := binary.ReadUvarint(t.r)
-		if err != nil {
-			t.err = fmt.Errorf("trace: reading addr: %w", err)
-			return in, false
+	var in isa.Instr
+	hot, n, derr := t.dec.decode(b, &in)
+	if derr != nil {
+		if derr == errShortRecord && err != nil && err != io.EOF {
+			derr = err
 		}
-		in.Addr = uint32(v)
+		t.err = derr
+		return isa.Instr{}, false
 	}
-	if flags&flagHasSize != 0 {
-		v, err := binary.ReadUvarint(t.r)
-		if err != nil {
-			t.err = fmt.Errorf("trace: reading size: %w", err)
-			return in, false
-		}
-		in.Size = uint32(v)
-	} else if in.Op.IsMem() {
-		in.Size = 4
-	}
+	t.r.Discard(n)
+	t.hot = hot
 	return in, true
 }

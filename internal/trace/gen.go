@@ -258,6 +258,9 @@ func (g *Generator) Next() (isa.Instr, bool) {
 // phases run at a higher IPC (denser monitored-event production).
 func (g *Generator) Hot() bool { return g.w.hot }
 
+// Close implements Stream; a generator holds nothing to release.
+func (g *Generator) Close() {}
+
 // stepPhase advances the hot/cold phase state machine.
 func (w *world) stepPhase() {
 	p := w.prof

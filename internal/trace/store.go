@@ -1,0 +1,318 @@
+package trace
+
+import (
+	"sync"
+
+	"fade/internal/isa"
+)
+
+// The trace store: every simulation that draws an instruction stream opens
+// it here instead of running a generator of its own. A stream is a pure
+// function of (profile, seed, limit), so the store generates each one once,
+// packs it with the record codec as its readers first need it, and has
+// every reader decode the shared, immutable bytes the others stored.
+
+// Stream is an opened instruction stream: a Source that also reports the
+// generator's hot-phase bit as it stood after the last Next (the core
+// timing model reads it per instruction), and that releases its hold on
+// the store when closed.
+type Stream interface {
+	Source
+	Hot() bool
+	// Close ends the stream and releases its hold on the store. A stream
+	// read to its end has already released it; Close is idempotent.
+	Close()
+}
+
+const (
+	// chunkSize is the capacity of one storage chunk. A trace grows chunk
+	// by chunk instead of re-growing one slice, so filling never holds two
+	// copies of it; records never straddle chunks.
+	chunkSize = 64 << 10
+	// maxStoredInstrs is the longest trace the store holds (about 9 MB
+	// packed). Longer and unbounded streams are generated on the fly.
+	maxStoredInstrs = 1 << 21
+	// idleTraces is how many traces no stream is reading the store keeps.
+	// Sweeps dispatch the cells sharing a trace back to back, so the next
+	// cell (or its baseline) finds the one it needs among the last
+	// released; live bytes stay within (open traces + idleTraces).
+	idleTraces = 1
+)
+
+// StoreSnapshot is process telemetry about the trace store: how the
+// simulator ran, not what the simulated hardware did.
+type StoreSnapshot struct {
+	Fills     uint64 // streams entered into the store, then generated once
+	Hits      uint64 // opens of a stream already in the store, complete or not
+	Bypasses  uint64 // opens streamed from a generator: unbounded or too long
+	Evictions uint64 // idle traces dropped
+	Traces    int    // traces held
+	LiveBytes int64  // packed bytes held
+}
+
+// storeKey identifies a stream. Profile is compared by value, Inject
+// included, so a modified copy of a registered profile never aliases it.
+type storeKey struct {
+	prof  Profile
+	seed  uint64
+	limit uint64
+}
+
+// entry is one stored trace: records in the shared record encoding, in
+// chunks, with the generator that produces the rest. Its mutex guards
+// everything but refs, and is held while a cursor generates, so the
+// stream is generated once however many cursors read it. Bytes below a
+// chunk's length are never written again. refs (guarded by the store's
+// mutex) counts the open streams on the entry; it is evicted only at
+// zero.
+type entry struct {
+	key storeKey
+	mu  sync.Mutex
+	// chunks hold the stored prefix of the stream.
+	chunks [][]byte
+	bytes  int64
+	gen    *Generator // nil once the whole stream is stored
+	enc    codec      // encoder state after the stored prefix
+	refs   int
+}
+
+type traceStore struct {
+	mu      sync.Mutex
+	entries map[storeKey]*entry
+	idle    []*entry // unread entries, least recently released first
+	stats   StoreSnapshot
+}
+
+func newStore() *traceStore { return &traceStore{entries: make(map[storeKey]*entry)} }
+
+// traces is the process-wide store behind Open.
+var traces = newStore()
+
+// Open returns the instruction stream of prof seeded with seed, limit
+// instructions long: New(prof, seed, limit) instruction for instruction,
+// hot bit included. The store holds one generator per stream: a stream
+// that reaches the end of what is stored generates the next batch itself,
+// returns it, and stores it for the others, so the stream is generated
+// once however many streams read it. Generating and storing costs about
+// 1.4 times what generating alone does; a later read decodes, at about a
+// quarter of it, so a stream read twice already costs less than two
+// generators. An unbounded (limit 0) or overlong stream comes straight
+// from a generator. Callers Close the stream when done.
+func Open(prof *Profile, seed, limit uint64) Stream { return traces.open(prof, seed, limit) }
+
+// StoreStats returns a snapshot of the process-wide store's counters.
+func StoreStats() StoreSnapshot { return traces.snapshot() }
+
+func (s *traceStore) open(prof *Profile, seed, limit uint64) Stream {
+	if limit == 0 || limit > maxStoredInstrs {
+		s.mu.Lock()
+		s.stats.Bypasses++
+		s.mu.Unlock()
+		return New(prof, seed, limit)
+	}
+	// New panics on an invalid profile; do so before any entry exists.
+	if err := prof.Validate(); err != nil {
+		panic(err)
+	}
+	k := storeKey{prof: *prof, seed: seed, limit: limit}
+	s.mu.Lock()
+	if e := s.entries[k]; e != nil {
+		s.stats.Hits++
+		if e.refs == 0 {
+			s.unidle(e)
+		}
+		e.refs++
+		s.mu.Unlock()
+		return &Replay{s: s, e: e}
+	}
+	// Build the generator outside the store's lock but inside the new
+	// entry's, which other openers of the stream then wait on.
+	e := &entry{key: k, refs: 1}
+	e.mu.Lock()
+	s.entries[k] = e
+	s.stats.Fills++
+	s.stats.Traces++
+	s.mu.Unlock()
+	e.gen = New(prof, seed, limit)
+	e.mu.Unlock()
+	return &Replay{s: s, e: e}
+}
+
+// release drops one stream's hold on e. An entry nobody reads joins the
+// idle set, whose oldest members are evicted beyond idleTraces.
+func (s *traceStore) release(e *entry) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e.refs--; e.refs > 0 {
+		return
+	}
+	s.idle = append(s.idle, e)
+	for len(s.idle) > idleTraces {
+		old := s.idle[0]
+		s.idle = s.idle[1:]
+		delete(s.entries, old.key)
+		s.stats.Evictions++
+		s.stats.Traces--
+		s.stats.LiveBytes -= old.bytes
+		old.chunks, old.gen = nil, nil
+	}
+}
+
+// unidle removes e from the idle set; the caller holds s.mu.
+func (s *traceStore) unidle(e *entry) {
+	for i, x := range s.idle {
+		if x == e {
+			s.idle = append(s.idle[:i], s.idle[i+1:]...)
+			return
+		}
+	}
+}
+
+func (s *traceStore) snapshot() StoreSnapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
+// batchLen is how many instructions a cursor generates at a time once it
+// reaches the end of what is stored.
+const batchLen = 256
+
+// Replay is a cursor over one stream in the store. It decodes the stored
+// prefix; past it, it generates a batch under the entry's lock, returns
+// it from its own buffer and stores it for the other cursors. Until it is
+// closed (or reads to the end) it holds the trace, so eviction never
+// invalidates it.
+type Replay struct {
+	s *traceStore
+	e *entry // nil once released
+
+	// The stored bytes not yet decoded: view, the rest of chunk ci from
+	// offset off as last seen.
+	ci, off int
+	view    []byte
+	dec     codec
+
+	// A generated batch: batch[bi:] are still to be returned; bit i of
+	// hots is batch[i]'s hot bit.
+	batch []isa.Instr
+	hots  [batchLen / 64]uint64
+	bi    int
+
+	hot bool
+}
+
+// Next implements Source.
+func (r *Replay) Next() (isa.Instr, bool) {
+	for {
+		if r.bi < len(r.batch) {
+			in := r.batch[r.bi]
+			r.hot = r.hots[r.bi/64]>>(r.bi%64)&1 != 0
+			r.bi++
+			return in, true
+		}
+		if len(r.view) > 0 {
+			var in isa.Instr
+			hot, n, err := r.dec.decode(r.view, &in)
+			if err != nil {
+				panic(err) // the store wrote these bytes with the same codec
+			}
+			r.view = r.view[n:]
+			r.off += n
+			r.hot = hot
+			return in, true
+		}
+		if !r.refill() {
+			r.Close()
+			return isa.Instr{}, false
+		}
+	}
+}
+
+// refill moves the cursor to stored bytes it has not decoded, or, at the
+// end of what is stored, generates the next batch. It reports false at
+// the end of the stream.
+func (r *Replay) refill() bool {
+	e := r.e
+	if e == nil {
+		return false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	r.batch, r.bi = r.batch[:0], 0
+	for r.ci < len(e.chunks) {
+		if c := e.chunks[r.ci]; r.off < len(c) {
+			r.view = c[r.off:]
+			return true
+		}
+		if r.ci+1 == len(e.chunks) {
+			break
+		}
+		r.ci, r.off = r.ci+1, 0
+	}
+	if e.gen == nil {
+		return false
+	}
+	r.generate(e)
+	return len(r.batch) > 0
+}
+
+// generate extends e's stored stream by up to batchLen records, which the
+// cursor returns from its buffer; the caller holds e.mu and the cursor is
+// at the end of what is stored.
+func (r *Replay) generate(e *entry) {
+	if r.batch == nil {
+		r.batch = make([]isa.Instr, 0, batchLen)
+	}
+	r.hots = [batchLen / 64]uint64{}
+	var cur []byte // the last chunk, stored back into e.chunks when done
+	if len(e.chunks) > 0 {
+		cur = e.chunks[len(e.chunks)-1]
+	}
+	var grew int
+	for len(r.batch) < batchLen {
+		in, ok := e.gen.Next()
+		if !ok {
+			e.gen = nil
+			break
+		}
+		hot := e.gen.Hot()
+		if cap(cur)-len(cur) < maxRecordLen {
+			if cur != nil {
+				e.chunks[len(e.chunks)-1] = cur
+			}
+			cur = make([]byte, 0, chunkSize)
+			e.chunks = append(e.chunks, cur)
+		}
+		n := len(cur)
+		cur = e.enc.append(cur, &in, hot)
+		grew += len(cur) - n
+		if hot {
+			r.hots[len(r.batch)/64] |= 1 << (len(r.batch) % 64)
+		}
+		r.batch = append(r.batch, in)
+	}
+	if cur != nil {
+		e.chunks[len(e.chunks)-1] = cur
+		r.ci, r.off, r.view = len(e.chunks)-1, len(cur), nil
+	}
+	r.dec = e.enc
+	e.bytes += int64(grew)
+	r.s.mu.Lock()
+	r.s.stats.LiveBytes += int64(grew)
+	r.s.mu.Unlock()
+}
+
+// Hot reports the generator's hot-phase bit as it stood after the record
+// Next last returned.
+func (r *Replay) Hot() bool { return r.hot }
+
+// Close implements Stream. The stream ends: a closed cursor returns no
+// more records, since its trace may be evicted.
+func (r *Replay) Close() {
+	if r.e != nil {
+		r.s.release(r.e)
+		r.e = nil
+	}
+	r.view, r.batch, r.bi = nil, nil, 0
+}

@@ -1,0 +1,322 @@
+package trace
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"testing"
+)
+
+// sameStream drains got against a fresh generator for the same stream and
+// fails on the first difference in any field or in the hot bit, which is
+// compared before the first Next, after every Next and after the end.
+func sameStream(t *testing.T, name string, got Stream, prof *Profile, seed, limit uint64) {
+	t.Helper()
+	want := New(prof, seed, limit)
+	if got.Hot() != want.Hot() {
+		t.Fatalf("%s: hot bit before the first record: got %v, want %v", name, got.Hot(), want.Hot())
+	}
+	for i := 0; ; i++ {
+		w, okW := want.Next()
+		g, okG := got.Next()
+		if okW != okG {
+			t.Fatalf("%s: streams end at different lengths (record %d)", name, i)
+		}
+		if g != w {
+			t.Fatalf("%s: record %d:\n  want %+v\n  got  %+v", name, i, w, g)
+		}
+		if got.Hot() != want.Hot() {
+			t.Fatalf("%s: hot bit after record %d: got %v, want %v", name, i, got.Hot(), want.Hot())
+		}
+		if !okW {
+			break
+		}
+	}
+	if _, ok := got.Next(); ok {
+		t.Fatalf("%s: stream yielded a record past its end", name)
+	}
+	if got.Hot() != want.Hot() {
+		t.Fatalf("%s: hot bit after the end changed", name)
+	}
+}
+
+// TestReplayMatchesGenerator is the store's exactness proof: every
+// profile, several seeds, and injected profiles replay instruction for
+// instruction, hot bit included.
+func TestReplayMatchesGenerator(t *testing.T) {
+	s := newStore()
+	const limit = 20_000
+	for _, name := range AllNames() {
+		prof, _ := Lookup(name)
+		for _, seed := range []uint64{1, 7, 0xDEADBEEF} {
+			// The first open generates the stream, the second decodes it.
+			sameStream(t, fmt.Sprintf("%s/seed%d generated", name, seed), s.open(prof, seed, limit), prof, seed, limit)
+			sameStream(t, fmt.Sprintf("%s/seed%d stored", name, seed), s.open(prof, seed, limit), prof, seed, limit)
+		}
+	}
+	base, _ := Lookup("astar")
+	for _, inj := range []Inject{
+		{LeakFrac: 0.3},
+		{WildAccessPer1K: 2},
+		{TaintedJump: true},
+		{AtomViolation: true},
+	} {
+		p := *base
+		if inj.TaintedJump {
+			p = *mustLookup(t, "gcc")
+		}
+		if inj.AtomViolation {
+			p = *mustLookup(t, "ocean")
+		}
+		p.Inject = inj
+		sameStream(t, fmt.Sprintf("%s%+v", p.Name, inj), s.open(&p, 3, limit), &p, 3, limit)
+		sameStream(t, fmt.Sprintf("%s%+v replayed", p.Name, inj), s.open(&p, 3, limit), &p, 3, limit)
+	}
+	// The injected copies are their own keys, not aliases of the
+	// registered profiles: every stream was generated once, read twice.
+	if st := s.snapshot(); st.Hits != st.Fills {
+		t.Fatalf("distinct streams shared a stored trace: %+v", st)
+	}
+}
+
+func mustLookup(t *testing.T, name string) *Profile {
+	t.Helper()
+	p, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("no profile %q", name)
+	}
+	return p
+}
+
+// TestReplayPartialConsumer stops a consumer part-way: closing it returns
+// the trace to the idle set, and the next opener decodes the stored prefix
+// and generates the rest with the same generator.
+func TestReplayPartialConsumer(t *testing.T) {
+	s := newStore()
+	prof := mustLookup(t, "mcf")
+	src := s.open(prof, 5, 10_000)
+	for i := 0; i < 1234; i++ {
+		if _, ok := src.Next(); !ok {
+			t.Fatal("stream ended early")
+		}
+	}
+	src.Close()
+	src.Close() // idempotent
+	if _, ok := src.Next(); ok {
+		t.Fatal("a closed stream yielded a record")
+	}
+	if st := s.snapshot(); st.Fills != 1 || st.Traces != 1 {
+		t.Fatalf("after a partial read: %+v", st)
+	}
+	sameStream(t, "reopened", s.open(prof, 5, 10_000), prof, 5, 10_000)
+	if st := s.snapshot(); st.Fills != 1 || st.Hits != 1 {
+		t.Fatalf("reopen regenerated the trace: %+v", st)
+	}
+}
+
+// TestOpenBypassesStore: unbounded and overlong streams come straight from
+// a generator and store nothing.
+func TestOpenBypassesStore(t *testing.T) {
+	s := newStore()
+	prof := mustLookup(t, "gcc")
+	if _, ok := s.open(prof, 1, 0).(*Generator); !ok {
+		t.Fatal("limit 0 did not stream from a generator")
+	}
+	if _, ok := s.open(prof, 1, maxStoredInstrs+1).(*Generator); !ok {
+		t.Fatal("an overlong trace did not stream from a generator")
+	}
+	if st := s.snapshot(); st.Bypasses != 2 || st.Fills != 0 || st.Traces != 0 {
+		t.Fatalf("bypassed opens touched the store: %+v", st)
+	}
+}
+
+// TestOpenSingleFlight opens one key from many goroutines at once: exactly
+// one fill happens and every opener reads the identical stream.
+func TestOpenSingleFlight(t *testing.T) {
+	s := newStore()
+	prof := mustLookup(t, "hmmer")
+	const n = 8
+	var want bytes.Buffer
+	Record(&want, prof.Name, New(prof, 11, 30_000), 0)
+	got := make([]bytes.Buffer, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			src := s.open(prof, 11, 30_000)
+			defer src.Close()
+			Record(&got[i], prof.Name, src, 0)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if !bytes.Equal(got[i].Bytes(), want.Bytes()) {
+			t.Fatalf("opener %d read a different stream", i)
+		}
+	}
+	st := s.snapshot()
+	if st.Fills != 1 || st.Hits != n-1 {
+		t.Fatalf("want 1 fill and %d hits, got %+v", n-1, st)
+	}
+	if st.Traces != 1 || st.LiveBytes <= 0 {
+		t.Fatalf("the released trace was not kept idle: %+v", st)
+	}
+}
+
+// TestEvictionKeepsCursorsValid: an entry an open cursor reads is never
+// evicted, however many other traces come and go; idle entries beyond
+// idleTraces are evicted and their bytes leave LiveBytes; a closed cursor
+// returns no more records.
+func TestEvictionKeepsCursorsValid(t *testing.T) {
+	s := newStore()
+	prof := mustLookup(t, "bzip")
+	held := s.open(prof, 1, 8_000)
+	want := New(prof, 1, 8_000)
+	read := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			g, okG := held.Next()
+			w, okW := want.Next()
+			if okG != okW || g != w || held.Hot() != want.Hot() {
+				t.Fatalf("record %d differs", i)
+			}
+		}
+	}
+	read(4_000)
+	s.open(prof, 1, 8_000).Close() // a second reader leaves; held still holds it
+	for seed := uint64(2); seed < 6; seed++ {
+		s.open(prof, seed, 8_000).Close()
+	}
+	st := s.snapshot()
+	if st.Evictions != 3 || st.Traces != 1+idleTraces || s.entries[storeKey{prof: *prof, seed: 1, limit: 8_000}] == nil {
+		t.Fatalf("want 3 evictions and the held trace plus %d idle, got %+v", idleTraces, st)
+	}
+	read(4_001) // to the end, and one past it
+	if _, ok := held.Next(); ok {
+		t.Fatal("a drained stream yielded a record")
+	}
+
+	again := s.open(prof, 1, 8_000)
+	if s.snapshot().Fills != st.Fills {
+		t.Fatal("the held trace was evicted and regenerated")
+	}
+	again.Next()
+	again.Close()
+	if _, ok := again.Next(); ok {
+		t.Fatal("a closed stream yielded a record")
+	}
+	for seed := uint64(10); seed < 13; seed++ {
+		s.open(prof, seed, 8_000).Close()
+	}
+	st = s.snapshot()
+	one := s.entries[storeKey{prof: *prof, seed: 12, limit: 8_000}]
+	if st.Traces != idleTraces || one == nil || st.LiveBytes != one.bytes {
+		t.Fatalf("released traces were not evicted: %+v", st)
+	}
+}
+
+// TestReplayCompactness pins the packed size the store's memory bound
+// rests on.
+func TestReplayCompactness(t *testing.T) {
+	s := newStore()
+	for _, name := range []string{"gcc", "mcf", "hmmer", "ocean"} {
+		drain(s.open(mustLookup(t, name), 1, 100_000))
+		perInstr := float64(s.snapshot().LiveBytes) / 100_000
+		t.Logf("%s: %.2f bytes/instr", name, perInstr)
+		if perInstr > 5 {
+			t.Errorf("%s: stored trace costs %.2f bytes/instr", name, perInstr)
+		}
+	}
+}
+
+// TestReplayAllocs: replaying from the store or from a trace file
+// allocates nothing per record.
+func TestReplayAllocs(t *testing.T) {
+	prof := mustLookup(t, "astar")
+	s := newStore()
+	drain(s.open(prof, 1, 50_000))
+	src := s.open(prof, 1, 50_000)
+	if a := testing.AllocsPerRun(10_000, func() { src.Next() }); a != 0 {
+		t.Errorf("Replay.Next allocates %.1f times per record", a)
+	}
+	var buf bytes.Buffer
+	Record(&buf, prof.Name, New(prof, 1, 50_000), 0)
+	rd, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(10_000, func() { rd.Next() }); a != 0 {
+		t.Errorf("Reader.Next allocates %.1f times per record", a)
+	}
+	if rd.Err() != nil {
+		t.Fatal(rd.Err())
+	}
+}
+
+// TestFillPanicLeavesNoEntry: a profile New rejects panics in Open, as New
+// itself would, and leaves nothing behind in the store.
+func TestFillPanicLeavesNoEntry(t *testing.T) {
+	s := newStore()
+	bad := *mustLookup(t, "gcc")
+	bad.LoadFrac = 2
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an invalid profile did not panic")
+			}
+		}()
+		s.open(&bad, 1, 1_000)
+	}()
+	if st := s.snapshot(); len(s.entries) != 0 || st.Fills != 0 || st.LiveBytes != 0 {
+		t.Fatalf("a failed fill left state behind: %+v, %d entries", st, len(s.entries))
+	}
+}
+
+// drain reads src to its end.
+func drain(src Stream) {
+	for {
+		if _, ok := src.Next(); !ok {
+			return
+		}
+	}
+}
+
+// TestInterleavedReadersShareOneGenerator: two streams of one trace read
+// alternately from one goroutine, each sometimes ahead of the other, both
+// reproduce the generator, and the stream is generated once.
+func TestInterleavedReadersShareOneGenerator(t *testing.T) {
+	s := newStore()
+	prof := mustLookup(t, "ocean")
+	const n = 100_000
+	a, b := s.open(prof, 4, n), s.open(prof, 4, n)
+	wa, wb := New(prof, 4, n), New(prof, 4, n)
+	step := func(src Stream, want *Generator, k int) bool {
+		for i := 0; i < k; i++ {
+			g, okG := src.Next()
+			w, okW := want.Next()
+			if okG != okW || g != w || src.Hot() != want.Hot() {
+				t.Fatalf("record differs: got %+v, want %+v", g, w)
+			}
+			if !okW {
+				return false
+			}
+		}
+		return true
+	}
+	for moreA, moreB := true, true; moreA || moreB; {
+		if moreA {
+			moreA = step(a, wa, 7_001)
+		}
+		if moreB {
+			moreB = step(b, wb, 3_001)
+		}
+	}
+	e := s.entries[storeKey{prof: *prof, seed: 4, limit: n}]
+	if st := s.snapshot(); st.Fills != 1 || st.Hits != 1 || e == nil || e.gen != nil {
+		t.Fatalf("want one fill, one hit and a complete trace, got %+v", st)
+	}
+}
