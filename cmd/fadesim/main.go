@@ -34,6 +34,7 @@ import (
 	"fade"
 	"fade/internal/fault"
 	"fade/internal/spans"
+	"fade/internal/system"
 )
 
 func main() {
@@ -284,7 +285,8 @@ func writeFile(path string, fn func(*os.File) error) error {
 func printResult(r *fade.Result) {
 	fmt.Printf("benchmark        %s\n", r.Benchmark)
 	fmt.Printf("monitor          %s\n", r.Config.Monitor)
-	fmt.Printf("system           %s, %s, %s\n", r.Config.Topology, r.Config.Core, r.Config.Accel)
+	topology, core, accel := system.Labels(r.Config)
+	fmt.Printf("system           %s, %s, %s\n", topology, core, accel)
 	fmt.Printf("instructions     %d\n", r.Instrs)
 	fmt.Printf("monitored events %d (%.2f per instr)\n", r.MonitoredEvents,
 		float64(r.MonitoredEvents)/float64(r.Instrs))

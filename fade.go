@@ -69,11 +69,9 @@ type (
 	Outcome = system.Outcome
 	// Option configures one Exec call.
 	Option = system.Option
-	// Result is the outcome of one full-system simulation.
+	// Result is the outcome of one full-system simulation. Its Config
+	// field is the Spec it ran: normalized, with WallClockMS cleared.
 	Result = system.Result
-	// Config is the simulated system a Result reports (Result.Config),
-	// filled in by the simulator from the Spec.
-	Config = system.Config
 	// QueueStudy is the Section 3 characterization result (monitored load
 	// and queue occupancy under an ideal 1-event/cycle drain).
 	QueueStudy = system.QueueStudy

@@ -163,7 +163,7 @@ func TestAblationExperiments(t *testing.T) {
 }
 
 // TestMulticoreScaling smoke-tests the CMP sweep and checks the acceptance
-// anchor: the 1-core cell of the FADE row equals a direct TwoCore run.
+// anchor: the 1-core cell of the FADE row equals a direct two-core run.
 func TestMulticoreScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multicore sweep is heavy")
@@ -183,7 +183,7 @@ func TestMulticoreScaling(t *testing.T) {
 		if row[0] == "MemLeak" && row[1] == "FADE" {
 			found = true
 			if row[2] != f2(ref.Slowdown) {
-				t.Fatalf("1-core cell %s != TwoCore slowdown %s", row[2], f2(ref.Slowdown))
+				t.Fatalf("1-core cell %s != two-core slowdown %s", row[2], f2(ref.Slowdown))
 			}
 		}
 	}

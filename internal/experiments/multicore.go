@@ -29,7 +29,7 @@ var multicoreAccels = []struct{ name, label string }{
 // acceleration mode on the CMP topology (N app cores, N dedicated monitor
 // cores). Each cell's aggregate slowdown normalizes the CMP's completion
 // time to its slowest per-core baseline; the 1-core cell is exactly the
-// TwoCore system of Fig. 11(a).
+// two-core system of Fig. 11(a).
 func MulticoreScaling(o Options) (*Table, error) { return run(expMulticore, o) }
 
 var expMulticore = experiment{

@@ -72,9 +72,11 @@ type Spec struct {
 	// ("" normalizes to Core4Way).
 	Core string `json:"core,omitempty"`
 
-	// AppCores/MonCores/SMT describe the topology (system.Topology's
-	// shape). The zero topology normalizes to the paper's single
-	// dual-threaded SMT core.
+	// AppCores/MonCores/SMT describe the topology: AppCores application
+	// cores, each with its own filtering unit and queues, whose monitor
+	// threads run either in each core's second SMT thread (SMT, MonCores
+	// 0) or round-robin on MonCores dedicated monitor cores. The zero
+	// topology normalizes to the paper's single dual-threaded SMT core.
 	AppCores int  `json:"app_cores,omitempty"`
 	MonCores int  `json:"mon_cores,omitempty"`
 	SMT      bool `json:"smt,omitempty"`
@@ -112,8 +114,8 @@ type Spec struct {
 	// part of the result).
 	FastForward bool `json:"fast_forward,omitempty"`
 
-	// MaxCycles caps simulated time (0 derives the simulator's default
-	// from Instrs). Hashed: a run truncated by the cap is a different
+	// MaxCycles caps simulated time (0 selects DefaultMaxCycles(Instrs);
+	// see CycleCap). Hashed: a run truncated by the cap is a different
 	// result.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// WallClockMS caps real time. NOT hashed: it is an execution budget —
@@ -184,8 +186,7 @@ func (s Spec) Normalize() Spec {
 		if s.UnfilteredCap == 0 {
 			s.UnfilteredCap = 16
 		}
-		// The zero topology is the paper's single dual-threaded SMT core
-		// (system.Topology's historical default).
+		// The zero topology is the paper's single dual-threaded SMT core.
 		if s.AppCores == 0 && s.MonCores == 0 && !s.SMT {
 			s.AppCores, s.SMT = 1, true
 		} else if s.AppCores == 0 {
@@ -199,6 +200,22 @@ func (s Spec) Normalize() Spec {
 		s.Inject = nil
 	}
 	return s
+}
+
+// DefaultMaxCycles is the cycle cap a run gets when its spec leaves
+// MaxCycles at 0: 100 cycles per application instruction, a safety net
+// no completing run comes near.
+func DefaultMaxCycles(instrs uint64) uint64 { return instrs * 100 }
+
+// CycleCap returns the simulated-time cap a run of s executes under:
+// MaxCycles when set, otherwise DefaultMaxCycles of the (normalized)
+// instruction budget. Normalize does not fold it in, because MaxCycles is
+// hashed as given.
+func (s Spec) CycleCap() uint64 {
+	if s.MaxCycles > 0 {
+		return s.MaxCycles
+	}
+	return DefaultMaxCycles(s.Normalize().Instrs)
 }
 
 // Validate rejects specs whose enumerated fields are outside the

@@ -244,7 +244,7 @@ func (r *SubmitRequest) Spec(defaultInstrs uint64, lim Limits) (runspec.Spec, er
 	}
 	if r.TimelineEvery > 0 && lim.MaxTimelinePoints > 0 {
 		// The derived cycle cap bounds how many points can accumulate.
-		cap := s.Instrs * 100
+		cap := runspec.DefaultMaxCycles(s.Instrs)
 		if points := cap / r.TimelineEvery; points > lim.MaxTimelinePoints {
 			return zero, errLimits("timeline_every %d could record %d points, over the server limit %d",
 				r.TimelineEvery, points, lim.MaxTimelinePoints)
@@ -365,11 +365,12 @@ type CoreView struct {
 // resultView flattens a system.Result (possibly partial, from an aborted
 // run) into its deterministic wire form.
 func resultView(res *system.Result, aborted bool) (*ResultView, error) {
+	topology, _, accel := system.Labels(res.Config)
 	v := &ResultView{
 		Benchmark: res.Benchmark,
 		Monitor:   res.Config.Monitor,
-		Accel:     res.Config.Accel.String(),
-		Topology:  res.Config.Topology.String(),
+		Accel:     accel,
+		Topology:  topology,
 		Seed:      res.Config.Seed,
 		Instrs:    res.Instrs,
 		Aborted:   aborted,

@@ -46,7 +46,12 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	}
 	*h = Histogram{total: w.Total, sum: w.Sum, max: w.Max}
 	var bucketTotal uint64
-	for _, b := range w.Buckets {
+	for i, b := range w.Buckets {
+		// The encoder writes each value once, ascending; a repeated value
+		// would overwrite its earlier count behind the total check.
+		if i > 0 && b.V <= w.Buckets[i-1].V {
+			return fmt.Errorf("stats: histogram: bucket values not strictly ascending at %d", b.V)
+		}
 		if b.V >= 0 && b.V < maxDense {
 			if b.V >= len(h.dense) {
 				h.growDense(b.V)

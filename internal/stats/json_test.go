@@ -75,3 +75,14 @@ func TestHistogramJSONRejectsInconsistentTotal(t *testing.T) {
 		t.Fatal("inconsistent bucket total accepted")
 	}
 }
+
+// TestHistogramJSONRejectsRepeatedBuckets: a repeated bucket value would
+// overwrite the earlier count while the header total still matches the
+// sum, so the histogram would re-encode inconsistently.
+func TestHistogramJSONRejectsRepeatedBuckets(t *testing.T) {
+	var h Histogram
+	err := json.Unmarshal([]byte(`{"total":5,"sum":0,"max":0,"buckets":[{"v":0,"n":3},{"v":0,"n":2}]}`), &h)
+	if err == nil {
+		t.Fatal("repeated bucket value accepted")
+	}
+}

@@ -41,25 +41,26 @@ type baselineVal struct {
 	boundary uint64 // cycle at which WarmupInstrs instructions had retired
 }
 
-// baselineSpec is the canonical identity of one unmonitored baseline run.
-// Deliberately excluded, preserving the old cache-key semantics: MaxCycles
-// and the wall-clock deadline (execution budgets — a completed baseline is
-// the same under any), and FastForward (results are byte-identical either
-// way, so both modes share an entry).
-func baselineSpec(prof *trace.Profile, cfg Config) runspec.Spec {
-	s := runspec.Spec{
+// baselineSpec is the canonical identity of the unmonitored baseline of
+// a run of s over prof (whose Inject already carries the spec's bug
+// injection). Deliberately excluded, preserving the old cache-key
+// semantics: MaxCycles and the wall-clock deadline (execution budgets — a
+// completed baseline is the same under any), and FastForward (results are
+// byte-identical either way, so both modes share an entry).
+func baselineSpec(prof *trace.Profile, s runspec.Spec) runspec.Spec {
+	b := runspec.Spec{
 		Kind:         runspec.KindBaseline,
 		Benchmark:    prof.Name,
-		Core:         coreName(cfg.Core),
-		Seed:         cfg.Seed,
-		Instrs:       cfg.Instrs,
-		WarmupInstrs: cfg.WarmupInstrs,
+		Core:         s.Core,
+		Seed:         s.Seed,
+		Instrs:       s.Instrs,
+		WarmupInstrs: s.WarmupInstrs,
 	}
 	if prof.Inject != (trace.Inject{}) {
 		inj := prof.Inject
-		s.Inject = &inj
+		b.Inject = &inj
 	}
-	return s
+	return b
 }
 
 // baselineVal round-trips through the store as 16 bytes, little-endian.
@@ -89,16 +90,17 @@ func ResetBaselineCache() { baselineStore.Reset() }
 func baselineCacheLen() int { return baselineStore.Len() }
 
 // runBaseline measures the unmonitored application-only execution time that
-// slowdowns are normalized to, and the warm-up boundary cycle. ctx and
-// deadline bound the computation but are not part of the cache key: a
-// canceled or timed-out baseline fails without being cached, so a later
-// caller with a live context recomputes it.
-func runBaseline(ctx context.Context, prof *trace.Profile, cfg Config, deadline time.Time) (baselineVal, error) {
+// slowdowns are normalized to, and the warm-up boundary cycle, for a run
+// of the normalized spec s over prof. ctx and deadline bound the
+// computation but are not part of the cache key: a canceled or timed-out
+// baseline fails without being cached, so a later caller with a live
+// context recomputes it.
+func runBaseline(ctx context.Context, prof *trace.Profile, s runspec.Spec, deadline time.Time) (baselineVal, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	b, _, err := baselineStore.Do(ctx, baselineSpec(prof, cfg).Hash(), func(ctx context.Context) ([]byte, error) {
-		val, err := simulateBaseline(ctx, prof, cfg, deadline)
+	b, _, err := baselineStore.Do(ctx, baselineSpec(prof, s).Hash(), func(ctx context.Context) ([]byte, error) {
+		val, err := simulateBaseline(ctx, prof, s, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -112,22 +114,22 @@ func runBaseline(ctx context.Context, prof *trace.Profile, cfg Config, deadline 
 
 // simulateBaseline performs the actual unmonitored run on the sim kernel:
 // one component (the application core at full share), terminating at
-// end-of-stream.
-func simulateBaseline(ctx context.Context, prof *trace.Profile, cfg Config, deadline time.Time) (baselineVal, error) {
+// end-of-stream, under the spec's cycle cap and fast-forward setting.
+func simulateBaseline(ctx context.Context, prof *trace.Profile, s runspec.Spec, deadline time.Time) (baselineVal, error) {
 	baselineSims.Add(1)
-	src := trace.Open(prof, cfg.Seed, cfg.Instrs)
+	src := trace.Open(prof, s.Seed, s.Instrs)
 	defer src.Close()
-	app := cpu.NewAppCore(cfg.Core, prof, src, nil, nil)
+	app := cpu.NewAppCore(coreKinds[s.Core], prof, src, nil, nil)
 	clock := sim.NewClock()
 	clock.Register(app)
-	sched := &sim.Scheduler{Clock: clock, MaxCycles: cfg.MaxCycles,
+	sched := &sim.Scheduler{Clock: clock, MaxCycles: s.CycleCap(),
 		Done: func(uint64) bool { return app.Done() }, Deadline: deadline,
-		FastForward: cfg.FastForward}
+		FastForward: s.FastForward}
 	if ctx != nil && ctx != context.Background() {
 		sched.Ctx = ctx
 	}
-	if cfg.WarmupInstrs > 0 {
-		sched.Warmed = func() bool { return app.Instrs() >= cfg.WarmupInstrs }
+	if s.WarmupInstrs > 0 {
+		sched.Warmed = func() bool { return app.Instrs() >= s.WarmupInstrs }
 	}
 	out := sched.Run()
 	if !out.Completed {

@@ -3,7 +3,6 @@ package system
 import (
 	"testing"
 
-	"fade/internal/cpu"
 	"fade/internal/runspec"
 	"fade/internal/trace"
 )
@@ -18,28 +17,29 @@ func TestBaselineSpecIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("astar profile missing")
 	}
-	base := Config{Core: cpu.OoO4, Seed: 1, Instrs: 10_000}
+	base := runspec.Spec{Core: runspec.Core4Way, Seed: 1, Instrs: 10_000}
 	want := baselineSpec(prof, base).Hash()
 
 	same := base
 	same.MaxCycles = 123
+	same.WallClockMS = 5_000
 	same.FastForward = true
 	same.Monitor = "MemLeak"
-	same.Accel = FADEBlocking
+	same.Accel = runspec.AccelBlocking
 	same.EventQueueCap = 64
 	if baselineSpec(prof, same).Hash() != want {
 		t.Error("monitoring-side/execution knobs changed the baseline identity")
 	}
 
-	for name, mut := range map[string]func(*Config){
-		"core":   func(c *Config) { c.Core = cpu.InOrder },
-		"seed":   func(c *Config) { c.Seed = 2 },
-		"instrs": func(c *Config) { c.Instrs = 20_000 },
-		"warmup": func(c *Config) { c.WarmupInstrs = 1_000 },
+	for name, mut := range map[string]func(*runspec.Spec){
+		"core":   func(c *runspec.Spec) { c.Core = runspec.CoreInOrder },
+		"seed":   func(c *runspec.Spec) { c.Seed = 2 },
+		"instrs": func(c *runspec.Spec) { c.Instrs = 20_000 },
+		"warmup": func(c *runspec.Spec) { c.WarmupInstrs = 1_000 },
 	} {
-		cfg := base
-		mut(&cfg)
-		if baselineSpec(prof, cfg).Hash() == want {
+		spec := base
+		mut(&spec)
+		if baselineSpec(prof, spec).Hash() == want {
 			t.Errorf("%s change did not change the baseline identity", name)
 		}
 	}
@@ -72,23 +72,23 @@ func TestResetBaselineCacheForcesResimulation(t *testing.T) {
 	ResetBaselineCache()
 	defer ResetBaselineCache()
 
-	cfg := defaultConfig("MemLeak")
-	cfg.Instrs = 5_000
-	if _, err := run("astar", cfg); err != nil {
+	spec := defaultSpec("MemLeak")
+	spec.Instrs = 5_000
+	if _, err := run("astar", spec); err != nil {
 		t.Fatal(err)
 	}
 	sims := baselineSims.Load()
 	if n := baselineCacheLen(); n == 0 {
 		t.Fatal("baseline store empty after a run")
 	}
-	if _, err := run("astar", cfg); err != nil {
+	if _, err := run("astar", spec); err != nil {
 		t.Fatal(err)
 	}
 	if got := baselineSims.Load(); got != sims {
 		t.Fatalf("cached rerun simulated baseline again (%d -> %d)", sims, got)
 	}
 	ResetBaselineCache()
-	if _, err := run("astar", cfg); err != nil {
+	if _, err := run("astar", spec); err != nil {
 		t.Fatal(err)
 	}
 	if got := baselineSims.Load(); got != sims+1 {

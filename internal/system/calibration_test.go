@@ -4,8 +4,8 @@ import (
 	"context"
 	"testing"
 
-	"fade/internal/cpu"
 	"fade/internal/queue"
+	"fade/internal/runspec"
 	"fade/internal/stats"
 	"fade/internal/trace"
 )
@@ -26,14 +26,14 @@ func benchesFor(mon string) []string {
 	}
 }
 
-func suiteAverages(t *testing.T, mon string, accel Accel, instrs uint64) (slow float64, filter float64) {
+func suiteAverages(t *testing.T, mon string, accel string, instrs uint64) (slow float64, filter float64) {
 	t.Helper()
 	var slows, filters []float64
 	for _, bench := range benchesFor(mon) {
-		cfg := defaultConfig(mon)
-		cfg.Accel = accel
-		cfg.Instrs = instrs
-		r, err := run(bench, cfg)
+		spec := defaultSpec(mon)
+		spec.Accel = accel
+		spec.Instrs = instrs
+		r, err := run(bench, spec)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", mon, bench, err)
 		}
@@ -60,7 +60,7 @@ func TestCalibrationTable2(t *testing.T) {
 		"TaintCheck": {0.75, 0.96}, // taint density ramps with run length; 0.90 at 300K instrs
 	}
 	for mon, band := range bands {
-		_, filter := suiteAverages(t, mon, FADENonBlocking, 120_000)
+		_, filter := suiteAverages(t, mon, runspec.AccelFADE, 120_000)
 		if filter < band[0] || filter > band[1] {
 			t.Errorf("%s filter ratio %.3f outside [%v,%v] (paper Table 2)", mon, filter, band[0], band[1])
 		}
@@ -90,13 +90,13 @@ func TestCalibrationFig9(t *testing.T) {
 	}
 	var unaccAll, fadeAll []float64
 	for mon, b := range unaccBands {
-		slow, _ := suiteAverages(t, mon, Unaccelerated, 120_000)
+		slow, _ := suiteAverages(t, mon, runspec.AccelNone, 120_000)
 		unaccAll = append(unaccAll, slow)
 		if slow < b.lo || slow > b.hi {
 			t.Errorf("%s unaccelerated slowdown %.2f outside [%v,%v]", mon, slow, b.lo, b.hi)
 		}
 		fb := fadeBands[mon]
-		fslow, _ := suiteAverages(t, mon, FADENonBlocking, 120_000)
+		fslow, _ := suiteAverages(t, mon, runspec.AccelFADE, 120_000)
 		fadeAll = append(fadeAll, fslow)
 		if fslow < fb.lo || fslow > fb.hi {
 			t.Errorf("%s FADE slowdown %.2f outside [%v,%v]", mon, fslow, fb.lo, fb.hi)
@@ -120,11 +120,11 @@ func TestCalibrationMonitoredIPC(t *testing.T) {
 	var addr, leak []float64
 	perBench := map[string]float64{}
 	for _, bench := range trace.SerialNames() {
-		a, err := runQueueStudy(context.Background(), bench, "AddrCheck", cpu.OoO4, queue.Unbounded, 1, 120_000)
+		a, err := study(context.Background(), bench, "AddrCheck", queue.Unbounded, 1, 120_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := runQueueStudy(context.Background(), bench, "MemLeak", cpu.OoO4, queue.Unbounded, 1, 120_000)
+		m, err := study(context.Background(), bench, "MemLeak", queue.Unbounded, 1, 120_000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,14 +157,14 @@ func TestCalibrationBurstiness(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs are slow")
 	}
-	om, err := runQueueStudy(context.Background(), "omnet", "MemLeak", cpu.OoO4, queue.Unbounded, 1, 250_000)
+	om, err := study(context.Background(), "omnet", "MemLeak", queue.Unbounded, 1, 250_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if om.MaxOccupancy < 500 {
 		t.Errorf("omnet max occupancy %d; paper needs ~8K entries", om.MaxOccupancy)
 	}
-	mc, err := runQueueStudy(context.Background(), "mcf", "MemLeak", cpu.OoO4, queue.Unbounded, 1, 250_000)
+	mc, err := study(context.Background(), "mcf", "MemLeak", queue.Unbounded, 1, 250_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +179,9 @@ func TestCalibrationUnfilteredBursts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration runs are slow")
 	}
-	cfg := defaultConfig("MemLeak")
-	cfg.Instrs = 120_000
-	r, err := run("gobmk", cfg)
+	spec := defaultSpec("MemLeak")
+	spec.Instrs = 120_000
+	r, err := run("gobmk", spec)
 	if err != nil {
 		t.Fatal(err)
 	}

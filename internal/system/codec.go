@@ -12,7 +12,7 @@ import (
 // carries its own framing version; this one covers the payload schema, so
 // a Result shape change invalidates cached entries loudly (decode error →
 // recompute) instead of silently misreading them.
-const codecVersion = 1
+const codecVersion = 2
 
 // snapWire is the lossless wire form of obs.Snapshot. Snapshot's own
 // MarshalJSON is the human-facing exposition ({"cycle":N,"metrics":{...}})

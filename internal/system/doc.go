@@ -11,7 +11,8 @@
 // options add a user-defined monitor (WithMonitor) or route execution
 // through the content-addressed result cache (WithCache), the path every
 // cached caller — fadebench sweeps, fabric workers, fadeserve — shares.
-// Config is the simulator's internal form of a spec, built in one place.
+// The simulator reads the normalized spec directly; Result.Config reports
+// it back (WallClockMS cleared), and Labels names its system for reports.
 //
 // # Observability
 //

@@ -8,6 +8,7 @@ import (
 
 	"fade/internal/fault"
 	"fade/internal/monitor"
+	"fade/internal/runspec"
 )
 
 // stripFF removes the sim.ff.* lines from a Prometheus dump. Fast-forward
@@ -36,11 +37,11 @@ func TestFastForwardDifferential(t *testing.T) {
 	}
 	topos := []struct {
 		name string
-		topo Topology
+		set  func(*runspec.Spec)
 	}{
-		{"single-smt", SingleCoreSMT},
-		{"two-core", TwoCore},
-		{"cmp4", cmpTopology(4)},
+		{"single-smt", func(*runspec.Spec) {}},
+		{"two-core", func(s *runspec.Spec) { setCMP(s, 1) }},
+		{"cmp4", func(s *runspec.Spec) { setCMP(s, 4) }},
 	}
 	plans := []struct {
 		name string
@@ -60,12 +61,12 @@ func TestFastForwardDifferential(t *testing.T) {
 						// arm simulates its own baseline rather than proving
 						// only that the cache works.
 						ResetBaselineCache()
-						cfg := defaultConfig(mon)
-						cfg.Topology = tc.topo
-						cfg.Instrs = 30_000
-						cfg.Faults = pc.plan
-						cfg.FastForward = ff
-						r, err := run("astar", cfg)
+						spec := defaultSpec(mon)
+						tc.set(&spec)
+						spec.Instrs = 30_000
+						spec.Faults = pc.plan
+						spec.FastForward = ff
+						r, err := run("astar", spec)
 						if err != nil {
 							t.Fatalf("ff=%v: %v", ff, err)
 						}
@@ -103,20 +104,20 @@ func TestFastForwardDifferential(t *testing.T) {
 func TestGoldenMetricsFastForward(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*runspec.Spec)
 	}{
-		{"single-smt-fade", func(c *Config) {}},
-		{"two-core-fade", func(c *Config) { c.Topology = TwoCore }},
-		{"single-smt-unaccel", func(c *Config) { c.Accel = Unaccelerated }},
+		{"single-smt-fade", func(c *runspec.Spec) {}},
+		{"two-core-fade", func(c *runspec.Spec) { setCMP(c, 1) }},
+		{"single-smt-unaccel", func(c *runspec.Spec) { c.Accel = runspec.AccelNone }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			ResetBaselineCache()
-			cfg := defaultConfig("MemLeak")
-			cfg.FastForward = true
-			tc.mutate(&cfg)
-			r, err := run("astar", cfg)
+			spec := defaultSpec("MemLeak")
+			spec.FastForward = true
+			tc.mutate(&spec)
+			r, err := run("astar", spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,12 +141,12 @@ func TestGoldenMetricsFastForward(t *testing.T) {
 func TestFastForwardInvariantCheckedUnderInjection(t *testing.T) {
 	ResetBaselineCache()
 	defer ResetBaselineCache()
-	cfg := defaultConfig("MemLeak")
-	cfg.Instrs = 30_000
-	cfg.Faults = fullPlan()
-	cfg.CheckInvariants = true
-	cfg.FastForward = true
-	r, err := run("astar", cfg)
+	spec := defaultSpec("MemLeak")
+	spec.Instrs = 30_000
+	spec.Faults = fullPlan()
+	spec.CheckInvariants = true
+	spec.FastForward = true
+	r, err := run("astar", spec)
 	if err != nil {
 		t.Fatalf("invariant checker rejected a fast-forward-requested run: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fade/internal/obs"
+	"fade/internal/runspec"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden testdata files")
@@ -20,18 +21,18 @@ var updateGolden = flag.Bool("update", false, "rewrite golden testdata files")
 func TestGoldenMetrics(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*runspec.Spec)
 	}{
-		{"single-smt-fade", func(c *Config) {}},
-		{"two-core-fade", func(c *Config) { c.Topology = TwoCore }},
-		{"single-smt-unaccel", func(c *Config) { c.Accel = Unaccelerated }},
+		{"single-smt-fade", func(c *runspec.Spec) {}},
+		{"two-core-fade", func(c *runspec.Spec) { setCMP(c, 1) }},
+		{"single-smt-unaccel", func(c *runspec.Spec) { c.Accel = runspec.AccelNone }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := defaultConfig("MemLeak")
-			tc.mutate(&cfg)
-			r, err := run("astar", cfg)
+			spec := defaultSpec("MemLeak")
+			tc.mutate(&spec)
+			r, err := run("astar", spec)
 			if err != nil {
 				t.Fatal(err)
 			}

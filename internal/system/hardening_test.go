@@ -9,10 +9,10 @@ import (
 	"strings"
 	"testing"
 
-	"fade/internal/cpu"
 	"fade/internal/fault"
 	"fade/internal/obs"
 	"fade/internal/queue"
+	"fade/internal/runspec"
 	"fade/internal/sim"
 	"fade/internal/trace"
 )
@@ -44,10 +44,10 @@ func promDump(t *testing.T, r *Result) []byte {
 // model or metric naming lands.
 func TestGoldenMetricsUnderFaults(t *testing.T) {
 	run := func() []byte {
-		cfg := defaultConfig("MemLeak")
-		cfg.Instrs = 60_000
-		cfg.Faults = fullPlan()
-		r, err := run("astar", cfg)
+		spec := defaultSpec("MemLeak")
+		spec.Instrs = 60_000
+		spec.Faults = fullPlan()
+		r, err := run("astar", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,10 +79,10 @@ func TestGoldenMetricsUnderFaults(t *testing.T) {
 // the absolute bytes; this pins the nil/empty equivalence.)
 func TestFaultFreeRunUnchangedByPlumbing(t *testing.T) {
 	run := func(plan *fault.Plan) []byte {
-		cfg := defaultConfig("MemLeak")
-		cfg.Instrs = 40_000
-		cfg.Faults = plan
-		r, err := run("astar", cfg)
+		spec := defaultSpec("MemLeak")
+		spec.Instrs = 40_000
+		spec.Faults = plan
+		r, err := run("astar", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,17 +97,17 @@ func TestFaultFreeRunUnchangedByPlumbing(t *testing.T) {
 // phase stops the run within one checkpoint interval, returns ErrCanceled,
 // and still hands back the partial metrics snapshot with run.aborted set.
 func TestCancelReturnsPartialMetrics(t *testing.T) {
-	cfg := defaultConfig("MemLeak")
-	cfg.Instrs = 40_000
-	cfg.Seed = 0xCA9CE1
+	spec := defaultSpec("MemLeak")
+	spec.Instrs = 40_000
+	spec.Seed = 0xCA9CE1
 	// Warm the baseline cache so the canceled run reaches the monitored
 	// phase (the baseline key ignores the context).
-	if _, err := run("astar", cfg); err != nil {
+	if _, err := run("astar", spec); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := runSystem(ctx, "astar", cfg, nil)
+	res, err := runCtx(ctx, "astar", spec)
 	if !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -133,14 +133,14 @@ func TestCancelReturnsPartialMetrics(t *testing.T) {
 // ErrCycleCapExceeded (carrying partial state), never return a truncated
 // result as success.
 func TestCycleCapReturnsStructuredError(t *testing.T) {
-	cfg := defaultConfig("MemLeak")
-	cfg.Instrs = 40_000
-	cfg.Seed = 0xCA9CE2
-	if _, err := run("astar", cfg); err != nil { // warm the baseline cache
+	spec := defaultSpec("MemLeak")
+	spec.Instrs = 40_000
+	spec.Seed = 0xCA9CE2
+	if _, err := run("astar", spec); err != nil { // warm the baseline cache
 		t.Fatal(err)
 	}
-	cfg.Limits = RunLimits{MaxCycles: 2_000}
-	res, err := runSystem(context.Background(), "astar", cfg, nil)
+	spec.MaxCycles = 2_000
+	res, err := run("astar", spec)
 	if !errors.Is(err, sim.ErrCycleCapExceeded) {
 		t.Fatalf("err = %v, want ErrCycleCapExceeded", err)
 	}
@@ -162,11 +162,11 @@ func TestInvariantCheckerCleanUnderFaults(t *testing.T) {
 		mon, bench := mon, bench
 		t.Run(mon, func(t *testing.T) {
 			t.Parallel()
-			cfg := defaultConfig(mon)
-			cfg.Instrs = 25_000
-			cfg.Faults = fullPlan()
-			cfg.CheckInvariants = true
-			if _, err := run(bench, cfg); err != nil {
+			spec := defaultSpec(mon)
+			spec.Instrs = 25_000
+			spec.Faults = fullPlan()
+			spec.CheckInvariants = true
+			if _, err := run(bench, spec); err != nil {
 				t.Fatalf("%s/%s under faults: %v", mon, bench, err)
 			}
 		})
@@ -179,67 +179,72 @@ func TestInvariantCheckerCleanUnderFaults(t *testing.T) {
 func TestInvariantCheckerCleanAcrossModes(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*runspec.Spec)
 	}{
-		{"unaccelerated", func(c *Config) { c.Accel = Unaccelerated }},
-		{"blocking", func(c *Config) { c.Accel = FADEBlocking }},
-		{"nonblocking", func(c *Config) {}},
-		{"two-core", func(c *Config) { c.Topology = TwoCore }},
-		{"cmp4-faults", func(c *Config) { c.Topology = cmpTopology(4); c.Faults = fullPlan() }},
+		{"unaccelerated", func(c *runspec.Spec) { c.Accel = runspec.AccelNone }},
+		{"blocking", func(c *runspec.Spec) { c.Accel = runspec.AccelBlocking }},
+		{"nonblocking", func(c *runspec.Spec) {}},
+		{"two-core", func(c *runspec.Spec) { setCMP(c, 1) }},
+		{"cmp4-faults", func(c *runspec.Spec) { setCMP(c, 4); c.Faults = fullPlan() }},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := defaultConfig("MemLeak")
-			cfg.Instrs = 25_000
-			cfg.CheckInvariants = true
-			tc.mutate(&cfg)
-			if _, err := run("astar", cfg); err != nil {
+			spec := defaultSpec("MemLeak")
+			spec.Instrs = 25_000
+			spec.CheckInvariants = true
+			tc.mutate(&spec)
+			if _, err := run("astar", spec); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// TestInvalidConfigsErrorNeverPanic fuzzes the public Run surface with the
-// invalid configurations users actually produce; every one must come back
-// as an error naming the problem — a panic fails the test harness.
+// TestInvalidConfigsErrorNeverPanic fuzzes the public surface with the
+// invalid specs users actually produce; every one must be rejected by
+// admission (ValidateSpec) and by the executor, as an error naming the
+// problem — a panic fails the test harness.
 func TestInvalidConfigsErrorNeverPanic(t *testing.T) {
 	cases := []struct {
 		name   string
 		bench  string
-		mutate func(*Config)
+		mutate func(*runspec.Spec)
 	}{
-		{"negative-evq", "astar", func(c *Config) { c.EventQueueCap = -1 }},
-		{"negative-ufq", "astar", func(c *Config) { c.UnfilteredCap = -4 }},
-		{"negative-mdcache", "astar", func(c *Config) { c.MDCacheBytes = -8 }},
-		{"non-power-of-two-mdcache", "astar", func(c *Config) { c.MDCacheBytes = 3000 }},
-		{"tiny-mdcache", "astar", func(c *Config) { c.MDCacheBytes = 1 }},
-		{"bad-signal-latency", "astar", func(c *Config) { c.BlockingSignalCycles = -2 }},
-		{"negative-app-cores", "astar", func(c *Config) { c.Topology = Topology{AppCores: -1, MonCores: 1} }},
-		{"zero-mon-cores", "astar", func(c *Config) { c.Topology = Topology{AppCores: 2, MonCores: 0} }},
-		{"smt-multicore", "astar", func(c *Config) { c.Topology = Topology{AppCores: 2, MonCores: 2, SMT: true} }},
-		{"unknown-monitor", "astar", func(c *Config) { c.Monitor = "Bogus" }},
-		{"unknown-benchmark", "no-such-bench", func(c *Config) {}},
-		{"bad-fault-capfactor", "astar", func(c *Config) {
+		{"negative-evq", "astar", func(c *runspec.Spec) { c.EventQueueCap = -1 }},
+		{"negative-ufq", "astar", func(c *runspec.Spec) { c.UnfilteredCap = -4 }},
+		{"negative-mdcache", "astar", func(c *runspec.Spec) { c.MDCacheBytes = -8 }},
+		{"non-power-of-two-mdcache", "astar", func(c *runspec.Spec) { c.MDCacheBytes = 3000 }},
+		{"tiny-mdcache", "astar", func(c *runspec.Spec) { c.MDCacheBytes = 1 }},
+		{"bad-signal-latency", "astar", func(c *runspec.Spec) { c.BlockingSignalCycles = -2 }},
+		{"negative-app-cores", "astar", func(c *runspec.Spec) { c.AppCores, c.MonCores, c.SMT = -1, 1, false }},
+		{"zero-mon-cores", "astar", func(c *runspec.Spec) { c.AppCores, c.MonCores, c.SMT = 2, 0, false }},
+		{"smt-multicore", "astar", func(c *runspec.Spec) { c.AppCores, c.MonCores, c.SMT = 2, 2, true }},
+		{"unknown-monitor", "astar", func(c *runspec.Spec) { c.Monitor = "Bogus" }},
+		{"unknown-benchmark", "no-such-bench", func(c *runspec.Spec) {}},
+		{"bad-fault-capfactor", "astar", func(c *runspec.Spec) {
 			c.Faults = &fault.Plan{MEQPressure: &fault.Pressure{MeanGap: 10, MeanDuration: 10, CapFactor: 2}}
 		}},
-		{"bad-fault-drop-rate", "astar", func(c *Config) {
+		{"bad-fault-drop-rate", "astar", func(c *runspec.Spec) {
 			c.Faults = &fault.Plan{EventDrop: &fault.Drop{Rate: -1}}
 		}},
-		{"bad-fault-stall-gap", "astar", func(c *Config) {
+		{"bad-fault-stall-gap", "astar", func(c *runspec.Spec) {
 			c.Faults = &fault.Plan{MonitorStall: &fault.Stall{MeanGap: 0, MeanDuration: 5}}
 		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := defaultConfig("MemLeak")
-			cfg.Instrs = 5_000
-			tc.mutate(&cfg)
-			if _, err := run(tc.bench, cfg); err == nil {
-				t.Fatalf("invalid config %s accepted", tc.name)
+			spec := defaultSpec("MemLeak")
+			spec.Instrs = 5_000
+			tc.mutate(&spec)
+			spec.Benchmark = tc.bench
+			if err := ValidateSpec(spec); err == nil {
+				t.Fatalf("ValidateSpec accepted invalid spec %s", tc.name)
+			}
+			if _, err := run(tc.bench, spec); err == nil {
+				t.Fatalf("ExecSpec accepted invalid spec %s", tc.name)
 			}
 		})
 	}
@@ -249,12 +254,12 @@ func TestInvalidConfigsErrorNeverPanic(t *testing.T) {
 // MaxAtomThreads hardware threads; a wider workload must be rejected with an
 // error, not a later index panic.
 func TestAtomCheckThreadCapEnforced(t *testing.T) {
-	if _, err := runQueueStudy(context.Background(), "ocean", "AtomCheck", cpu.OoO4, 32, 1, 5_000); err != nil {
+	if _, err := study(context.Background(), "ocean", "AtomCheck", 32, 1, 5_000); err != nil {
 		t.Fatalf("4-thread AtomCheck rejected: %v", err)
 	}
-	cfg := defaultConfig("AtomCheck")
-	cfg.Instrs = 5_000
-	if _, err := run("astar", cfg); err != nil {
+	spec := defaultSpec("AtomCheck")
+	spec.Instrs = 5_000
+	if _, err := run("astar", spec); err != nil {
 		t.Fatalf("single-threaded AtomCheck rejected: %v", err)
 	}
 }
@@ -263,7 +268,7 @@ func TestAtomCheckThreadCapEnforced(t *testing.T) {
 // panic on non-positive capacities.
 func TestQueueStudyRejectsBadCap(t *testing.T) {
 	for _, cap := range []int{0, -3} {
-		_, err := runQueueStudy(context.Background(), "astar", "MemLeak", cpu.OoO4, cap, 1, 5_000)
+		_, err := study(context.Background(), "astar", "MemLeak", cap, 1, 5_000)
 		if err == nil || !strings.Contains(err.Error(), "queue") {
 			t.Fatalf("queueCap %d: err = %v, want queue capacity error", cap, err)
 		}
@@ -274,27 +279,30 @@ func TestQueueStudyRejectsBadCap(t *testing.T) {
 func TestQueueStudyCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := runQueueStudy(ctx, "astar", "MemLeak", cpu.OoO4, 32, 0xCA9CE3, 50_000)
+	_, err := study(ctx, "astar", "MemLeak", 32, 0xCA9CE3, 50_000)
 	if !errors.Is(err, sim.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 
-// TestValidateAcceptsDefaults: every monitor's default configuration — and
-// the zero-cap convention (0 = paper default) — passes validation.
+// TestValidateAcceptsDefaults: every monitor's default spec — and the
+// zero-cap convention (0 = paper default) — passes validation.
 func TestValidateAcceptsDefaults(t *testing.T) {
 	for _, mon := range []string{"AddrCheck", "MemCheck", "TaintCheck", "MemLeak", "AtomCheck"} {
-		if err := defaultConfig(mon).validate(); err != nil {
-			t.Errorf("defaultConfig(%s) invalid: %v", mon, err)
+		spec := defaultSpec(mon)
+		spec.Benchmark = "astar"
+		if err := ValidateSpec(spec); err != nil {
+			t.Errorf("defaultSpec(%s) invalid: %v", mon, err)
 		}
 	}
-	cfg := defaultConfig("MemLeak")
-	cfg.EventQueueCap, cfg.UnfilteredCap, cfg.MDCacheBytes = 0, 0, 0
-	if err := cfg.validate(); err != nil {
-		t.Errorf("zero-defaults config invalid: %v", err)
+	spec := defaultSpec("MemLeak")
+	spec.Benchmark = "astar"
+	spec.EventQueueCap, spec.UnfilteredCap, spec.MDCacheBytes = 0, 0, 0
+	if err := ValidateSpec(spec); err != nil {
+		t.Errorf("zero-defaults spec invalid: %v", err)
 	}
-	cfg.EventQueueCap = queue.Unbounded
-	if err := cfg.validate(); err != nil {
+	spec.EventQueueCap = queue.Unbounded
+	if err := ValidateSpec(spec); err != nil {
 		t.Errorf("unbounded event queue invalid: %v", err)
 	}
 }
@@ -308,11 +316,11 @@ func TestFaultSweepSeverityMonotonic(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown severity %q", level)
 		}
-		cfg := defaultConfig("MemLeak")
-		cfg.Instrs = 40_000
-		cfg.Faults = plan
-		cfg.CheckInvariants = true
-		r, err := run("astar", cfg)
+		spec := defaultSpec("MemLeak")
+		spec.Instrs = 40_000
+		spec.Faults = plan
+		spec.CheckInvariants = true
+		r, err := run("astar", spec)
 		if err != nil {
 			t.Fatalf("%s: %v", level, err)
 		}
@@ -327,11 +335,11 @@ func TestFaultSweepSeverityMonotonic(t *testing.T) {
 // must be fully accounted for — the MEQ drop counter and the engine agree,
 // and the run completes (the loss is detected, not fatal).
 func TestDropProbeDetected(t *testing.T) {
-	cfg := defaultConfig("MemLeak")
-	cfg.Instrs = 40_000
-	cfg.Faults = &fault.Plan{EventDrop: &fault.Drop{Rate: 0.01}}
-	cfg.CheckInvariants = true
-	r, err := run("astar", cfg)
+	spec := defaultSpec("MemLeak")
+	spec.Instrs = 40_000
+	spec.Faults = &fault.Plan{EventDrop: &fault.Drop{Rate: 0.01}}
+	spec.CheckInvariants = true
+	r, err := run("astar", spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,50 +6,53 @@ import (
 	"testing"
 
 	"fade/internal/monitor"
+	"fade/internal/runspec"
 	"fade/internal/trace"
 )
 
-func multiConfig(t Topology) Config {
-	c := defaultConfig("MemLeak")
-	c.Instrs = 20_000
-	c.Topology = t
-	return c
+// multiSpec is a short MemLeak run on app application cores served by mon
+// dedicated monitor cores, or by SMT monitor threads when smt is set.
+func multiSpec(app, mon int, smt bool) runspec.Spec {
+	s := defaultSpec("MemLeak")
+	s.Instrs = 20_000
+	s.AppCores, s.MonCores, s.SMT = app, mon, smt
+	return s
 }
 
 // TestCMPCoreZeroMatchesTwoCore pins the CMP generalization to the historical
-// two-core system: core 0 of a cmpTopology(2) run is wired identically to a TwoCore
-// run (same seed, same private group), so its per-core sub-result must equal
-// the TwoCore aggregate exactly.
+// two-core system: core 0 of a 2+2-core run is wired identically to a
+// two-core run (same seed, same private group), so its per-core sub-result
+// must equal the two-core aggregate exactly.
 func TestCMPCoreZeroMatchesTwoCore(t *testing.T) {
-	ref, err := run("astar", multiConfig(TwoCore))
+	ref, err := run("astar", multiSpec(1, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := run("astar", multiConfig(cmpTopology(2)))
+	cmp, err := run("astar", multiSpec(2, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cmp.Cores) != 2 {
-		t.Fatalf("cmpTopology(2) has %d core results", len(cmp.Cores))
+		t.Fatalf("2+2-core run has %d core results", len(cmp.Cores))
 	}
 	c0 := cmp.Cores[0]
 	if c0.Cycles != ref.Cycles {
-		t.Errorf("core 0 cycles = %d, TwoCore = %d", c0.Cycles, ref.Cycles)
+		t.Errorf("core 0 cycles = %d, two-core = %d", c0.Cycles, ref.Cycles)
 	}
 	if c0.BaselineCycles != ref.BaselineCycles {
-		t.Errorf("core 0 baseline = %d, TwoCore = %d", c0.BaselineCycles, ref.BaselineCycles)
+		t.Errorf("core 0 baseline = %d, two-core = %d", c0.BaselineCycles, ref.BaselineCycles)
 	}
 	if c0.Instrs != ref.Instrs {
-		t.Errorf("core 0 instrs = %d, TwoCore = %d", c0.Instrs, ref.Instrs)
+		t.Errorf("core 0 instrs = %d, two-core = %d", c0.Instrs, ref.Instrs)
 	}
 	if c0.MonitoredEvents != ref.MonitoredEvents {
-		t.Errorf("core 0 events = %d, TwoCore = %d", c0.MonitoredEvents, ref.MonitoredEvents)
+		t.Errorf("core 0 events = %d, two-core = %d", c0.MonitoredEvents, ref.MonitoredEvents)
 	}
 	if c0.HandlersRun != ref.HandlersRun {
-		t.Errorf("core 0 handlers = %d, TwoCore = %d", c0.HandlersRun, ref.HandlersRun)
+		t.Errorf("core 0 handlers = %d, two-core = %d", c0.HandlersRun, ref.HandlersRun)
 	}
 	if c0.Slowdown != ref.Slowdown {
-		t.Errorf("core 0 slowdown = %v, TwoCore = %v", c0.Slowdown, ref.Slowdown)
+		t.Errorf("core 0 slowdown = %v, two-core = %v", c0.Slowdown, ref.Slowdown)
 	}
 	// Core 1 runs a decorrelated trace: it must differ from core 0.
 	if cmp.Cores[1].Seed == c0.Seed {
@@ -65,44 +68,41 @@ func TestCMPCoreZeroMatchesTwoCore(t *testing.T) {
 }
 
 func TestTopologyValidation(t *testing.T) {
-	bad := []Topology{
-		{AppCores: 2, SMT: true, MonCores: 1}, // SMT with dedicated cores
-		{AppCores: 2, MonCores: 3},            // more monitor cores than apps
-		{AppCores: 2},                         // non-SMT without monitor cores
-		{AppCores: -1, MonCores: 1},           // negative
+	bad := []runspec.Spec{
+		multiSpec(2, 1, true),  // SMT with dedicated cores
+		multiSpec(2, 3, false), // more monitor cores than apps
+		multiSpec(2, 0, false), // non-SMT without monitor cores
+		multiSpec(-1, 1, false),
 	}
-	for _, topo := range bad {
-		if _, err := run("astar", multiConfig(topo)); err == nil {
-			t.Errorf("topology %+v accepted", topo)
+	for _, spec := range bad {
+		if _, err := run("astar", spec); err == nil {
+			t.Errorf("topology %d+%d smt=%v accepted", spec.AppCores, spec.MonCores, spec.SMT)
 		}
 	}
 }
 
 func TestTopologyString(t *testing.T) {
-	cases := map[string]Topology{
-		"single-core": SingleCoreSMT,
-		"two-core":    TwoCore,
-		"4+4-core":    cmpTopology(4),
-		"2-core-smt":  {AppCores: 2, SMT: true},
-		"4+2-core":    {AppCores: 4, MonCores: 2},
+	cases := map[string]runspec.Spec{
+		"single-core": multiSpec(1, 0, true),
+		"two-core":    multiSpec(1, 1, false),
+		"4+4-core":    multiSpec(4, 4, false),
+		"2-core-smt":  multiSpec(2, 0, true),
+		"4+2-core":    multiSpec(4, 2, false),
 	}
-	for want, topo := range cases {
-		if got := topo.String(); got != want {
-			t.Errorf("%+v.String() = %q, want %q", topo, got, want)
+	for want, spec := range cases {
+		if got, _, _ := Labels(spec); got != want {
+			t.Errorf("%d+%d smt=%v labeled %q, want %q", spec.AppCores, spec.MonCores, spec.SMT, got, want)
 		}
 	}
-	if (Topology{}).String() != "single-core" {
-		t.Error("zero topology does not normalize to single-core")
-	}
-	if cmpTopology(1) != TwoCore {
-		t.Error("cmpTopology(1) != TwoCore")
+	if got, _, _ := Labels((runspec.Spec{}).Normalize()); got != "single-core" {
+		t.Errorf("zero topology normalizes to %q, want single-core", got)
 	}
 }
 
 // TestMulticoreSMT exercises N SMT cores, each time-sharing its application
 // and monitor threads.
 func TestMulticoreSMT(t *testing.T) {
-	res, err := run("astar", multiConfig(Topology{AppCores: 2, SMT: true}))
+	res, err := run("astar", multiSpec(2, 0, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestMulticoreSMT(t *testing.T) {
 // TestSharedMonitorCore exercises MonCores < AppCores: one monitor core
 // fine-grained-multithreads the monitor threads of several groups.
 func TestSharedMonitorCore(t *testing.T) {
-	res, err := run("astar", multiConfig(Topology{AppCores: 2, MonCores: 1}))
+	res, err := run("astar", multiSpec(2, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,9 @@ func TestRunWithMonitorRejectsMulticore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runSystem(context.Background(), "astar", multiConfig(cmpTopology(2)), mon)
+	spec := multiSpec(2, 2, false)
+	spec.Benchmark, spec.Monitor = "astar", ""
+	_, err = ExecSpec(context.Background(), spec, WithMonitor(mon))
 	if err == nil || !strings.Contains(err.Error(), "single-app-core") {
 		t.Fatalf("err = %v, want single-app-core rejection", err)
 	}
@@ -153,7 +155,7 @@ func TestRunWithMonitorRejectsMulticore(t *testing.T) {
 // run indexes every component namespace (app.0.*, fu.1.*, ...) and drops the
 // un-indexed single-core names; a single-core run keeps the legacy names.
 func TestMulticoreMetricNamespaces(t *testing.T) {
-	multi, err := run("astar", multiConfig(cmpTopology(2)))
+	multi, err := run("astar", multiSpec(2, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,15 +165,15 @@ func TestMulticoreMetricNamespaces(t *testing.T) {
 		"sim.core.0.slowdown", "sim.core.1.cycles", "sim.core.1.baseline_cycles",
 	} {
 		if _, ok := multi.Metrics.Get(name); !ok {
-			t.Errorf("cmpTopology(2) metrics missing %s", name)
+			t.Errorf("2+2-core metrics missing %s", name)
 		}
 	}
 	for _, name := range []string{"app.instrs", "fu.events.instr", "moncore.handlers_run"} {
 		if _, ok := multi.Metrics.Get(name); ok {
-			t.Errorf("cmpTopology(2) metrics contain un-indexed %s", name)
+			t.Errorf("2+2-core metrics contain un-indexed %s", name)
 		}
 	}
-	single, err := run("astar", multiConfig(TwoCore))
+	single, err := run("astar", multiSpec(1, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}

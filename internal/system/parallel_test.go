@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"fade/internal/cpu"
+	"fade/internal/runspec"
 	"fade/internal/trace"
 )
 
@@ -20,7 +20,7 @@ func TestBaselineSingleFlight(t *testing.T) {
 		t.Fatal("astar profile missing")
 	}
 	// A seed no other test uses, so the cache cannot already hold the key.
-	cfg := Config{Core: cpu.OoO4, Seed: 0xB15E11FE, Instrs: 20_000, MaxCycles: 2_000_000}
+	spec := runspec.Spec{Core: runspec.Core4Way, Seed: 0xB15E11FE, Instrs: 20_000, MaxCycles: 2_000_000}
 
 	const workers = 8
 	before := baselineSims.Load()
@@ -31,7 +31,7 @@ func TestBaselineSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = runBaseline(context.Background(), prof, cfg, time.Time{})
+			_, errs[i] = runBaseline(context.Background(), prof, spec, time.Time{})
 		}()
 	}
 	wg.Wait()
@@ -45,7 +45,7 @@ func TestBaselineSingleFlight(t *testing.T) {
 	}
 
 	// The cached value is served without further simulation.
-	if _, err := runBaseline(context.Background(), prof, cfg, time.Time{}); err != nil {
+	if _, err := runBaseline(context.Background(), prof, spec, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := baselineSims.Load() - before; got != 1 {
@@ -69,10 +69,10 @@ func TestConcurrentRunsRaceClean(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					cfg := defaultConfig(mon)
-					cfg.Instrs = 15_000
-					cfg.Seed = 7
-					if _, err := run(bench, cfg); err != nil {
+					spec := defaultSpec(mon)
+					spec.Instrs = 15_000
+					spec.Seed = 7
+					if _, err := run(bench, spec); err != nil {
 						errCh <- err
 					}
 				}()

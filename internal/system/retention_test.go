@@ -12,9 +12,9 @@ import (
 func TestResultDoesNotPinMachine(t *testing.T) {
 	const keep = 6
 	const limit = 256 << 10
-	cfg := defaultConfig("AddrCheck")
-	cfg.Instrs = 20_000
-	if _, err := run("astar", cfg); err != nil { // warm process-wide caches
+	spec := defaultSpec("AddrCheck")
+	spec.Instrs = 20_000
+	if _, err := run("astar", spec); err != nil { // warm process-wide caches
 		t.Fatal(err)
 	}
 	heap := func() uint64 {
@@ -27,8 +27,8 @@ func TestResultDoesNotPinMachine(t *testing.T) {
 	before := heap()
 	kept := make([]*Result, 0, keep)
 	for i := 0; i < keep; i++ {
-		cfg.Seed = uint64(i + 1)
-		r, err := run("astar", cfg)
+		spec.Seed = uint64(i + 1)
+		r, err := run("astar", spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,65 +15,60 @@ import (
 	"fade/internal/trace"
 )
 
-// coreKinds and accelModes are the one mapping of runspec's core and accel
-// names onto the simulator's enums. runspec.Validate has already rejected
-// every other name, and Normalize has replaced "" with the default.
-var (
-	coreKinds = map[string]cpu.Kind{
-		runspec.CoreInOrder: cpu.InOrder,
-		runspec.Core2Way:    cpu.OoO2,
-		runspec.Core4Way:    cpu.OoO4,
-	}
-	accelModes = map[string]Accel{
-		runspec.AccelNone:     Unaccelerated,
-		runspec.AccelBlocking: FADEBlocking,
-		runspec.AccelFADE:     FADENonBlocking,
-	}
-)
-
-// coreName inverts coreKinds (the baseline store keys runs by name).
-func coreName(k cpu.Kind) string {
-	for name, kind := range coreKinds {
-		if kind == k {
-			return name
-		}
-	}
-	return runspec.Core4Way
+// coreKinds maps runspec's core names onto the simulator's core models.
+// runspec.Validate has already rejected every other name, and Normalize
+// has replaced "" with the default.
+var coreKinds = map[string]cpu.Kind{
+	runspec.CoreInOrder: cpu.InOrder,
+	runspec.Core2Way:    cpu.OoO2,
+	runspec.Core4Way:    cpu.OoO4,
 }
 
-// configFromSpec maps a normalized spec onto the simulator's Config. The
-// spec's MaxCycles and WallClockMS become RunLimits (MaxCycles as a hard
-// cap, WallClockMS as the real-time watchdog); everything else maps field
-// for field.
-func configFromSpec(s runspec.Spec) Config {
-	return Config{
-		Core:                 coreKinds[s.Core],
-		Topology:             Topology{AppCores: s.AppCores, MonCores: s.MonCores, SMT: s.SMT},
-		Accel:                accelModes[s.Accel],
-		Monitor:              s.Monitor,
-		EventQueueCap:        s.EventQueueCap,
-		UnfilteredCap:        s.UnfilteredCap,
-		MDCacheBytes:         s.MDCacheBytes,
-		BlockingSignalCycles: s.BlockingSignalCycles,
-		Seed:                 s.Seed,
-		Instrs:               s.Instrs,
-		WarmupInstrs:         s.WarmupInstrs,
-		Inject:               s.Inject,
-		TimelineEvery:        s.TimelineEvery,
-		Faults:               s.Faults,
-		CheckInvariants:      s.CheckInvariants,
-		FastForward:          s.FastForward,
-		Limits: RunLimits{
-			MaxCycles: s.MaxCycles,
-			WallClock: time.Duration(s.WallClockMS) * time.Millisecond,
-		},
+// accelLabels names runspec's acceleration modes as reports print them.
+var accelLabels = map[string]string{
+	runspec.AccelNone:     "unaccelerated",
+	runspec.AccelBlocking: "FADE-blocking",
+	runspec.AccelFADE:     "FADE",
+}
+
+// Labels returns the display labels of a normalized KindRun spec's
+// system, as fadesim's report and fadeserve's result document print
+// them: the topology ("single-core", "two-core", "N-core-smt",
+// "A+M-core"), the core model ("4-way OoO") and the acceleration mode
+// ("FADE", "FADE-blocking", "unaccelerated").
+func Labels(s runspec.Spec) (topology, core, accel string) {
+	switch {
+	case s.AppCores == 1 && s.SMT && s.MonCores == 0:
+		topology = "single-core"
+	case s.AppCores == 1 && !s.SMT && s.MonCores == 1:
+		topology = "two-core"
+	case s.SMT:
+		topology = fmt.Sprintf("%d-core-smt", s.AppCores)
+	default:
+		topology = fmt.Sprintf("%d+%d-core", s.AppCores, s.MonCores)
 	}
+	return topology, coreKinds[s.Core].String(), accelLabels[s.Accel]
+}
+
+// profileOf looks up the spec's benchmark profile, with the spec's bug
+// injection applied.
+func profileOf(s runspec.Spec) (*trace.Profile, error) {
+	prof, ok := trace.Lookup(s.Benchmark)
+	if !ok {
+		return nil, fmt.Errorf("system: unknown benchmark %q", s.Benchmark)
+	}
+	if s.Inject != nil {
+		p := *prof
+		p.Inject = *s.Inject
+		prof = &p
+	}
+	return prof, nil
 }
 
 // ValidateSpec reports whether s describes a runnable simulation: known
 // vocabulary and benchmark, and for a full-system run a valid topology,
-// queue and metadata-cache geometry, monitor, fault plan and limits. It is
-// the check ExecSpec applies first, for callers (fadeserve admission) that
+// queue and metadata-cache geometry, monitor and fault plan. It is the
+// check ExecSpec applies first, for callers (fadeserve admission) that
 // must reject a spec before queueing it.
 func ValidateSpec(s runspec.Spec) error {
 	s = s.Normalize()
@@ -84,7 +79,7 @@ func ValidateSpec(s runspec.Spec) error {
 		return fmt.Errorf("system: unknown benchmark %q", s.Benchmark)
 	}
 	if s.Kind == runspec.KindRun {
-		return configFromSpec(s).validate()
+		return validateRun(s)
 	}
 	return nil
 }
@@ -102,36 +97,33 @@ type CoreModelIPC struct {
 // runCoreModelStudy runs the core-model cross-validation for one
 // benchmark: the rate model on the sim kernel, then the detailed model
 // 4-way and in-order, all over the same generated workload.
-func runCoreModelStudy(ctx context.Context, bench string, seed, instrs uint64) (*CoreModelIPC, error) {
-	prof, ok := trace.Lookup(bench)
+func runCoreModelStudy(ctx context.Context, s runspec.Spec) (*CoreModelIPC, error) {
+	prof, ok := trace.Lookup(s.Benchmark)
 	if !ok {
-		return nil, fmt.Errorf("system: unknown benchmark %q", bench)
+		return nil, fmt.Errorf("system: unknown benchmark %q", s.Benchmark)
 	}
-	if instrs == 0 {
-		instrs = 400_000
-	}
-	src := trace.Open(prof, seed, instrs)
+	src := trace.Open(prof, s.Seed, s.Instrs)
 	defer src.Close()
 	app := cpu.NewAppCore(cpu.OoO4, prof, src, nil, nil)
 	clock := sim.NewClock()
 	clock.Register(app)
-	sched := &sim.Scheduler{Clock: clock, MaxCycles: instrs * 200,
+	sched := &sim.Scheduler{Clock: clock, MaxCycles: s.Instrs * 200,
 		Done: func(uint64) bool { return app.Done() }}
 	if ctx != nil && ctx != context.Background() {
 		sched.Ctx = ctx
 	}
 	out := sched.Run()
 	if !out.Completed {
-		return nil, fmt.Errorf("system: rate model for %s: %w", bench, out.Err)
+		return nil, fmt.Errorf("system: rate model for %s: %w", s.Benchmark, out.Err)
 	}
 	rate := stats.Ratio(app.Instrs(), out.Cycles)
-	c4, r4, err := runDetailed(cpu.OoO4, prof, seed, instrs)
+	c4, r4, err := runDetailed(cpu.OoO4, prof, s.Seed, s.Instrs)
 	if err != nil {
-		return nil, fmt.Errorf("system: detailed model for %s: %w", bench, err)
+		return nil, fmt.Errorf("system: detailed model for %s: %w", s.Benchmark, err)
 	}
-	ci, ri, err := runDetailed(cpu.InOrder, prof, seed, instrs)
+	ci, ri, err := runDetailed(cpu.InOrder, prof, s.Seed, s.Instrs)
 	if err != nil {
-		return nil, fmt.Errorf("system: in-order detailed model for %s: %w", bench, err)
+		return nil, fmt.Errorf("system: in-order detailed model for %s: %w", s.Benchmark, err)
 	}
 	return &CoreModelIPC{Rate: rate, Detailed: stats.Ratio(r4, c4), InOrder: stats.Ratio(ri, ci)}, nil
 }
@@ -216,8 +208,9 @@ func ExecSpec(ctx context.Context, s runspec.Spec, opts ...Option) (*Outcome, er
 	if o.monitor != nil {
 		return nil, errors.New("system: a WithMonitor run has no canonical identity and cannot use WithCache")
 	}
+	key := s.Hash()
 	var partial *Outcome
-	b, src, err := o.cache.Do(ctx, s.Hash(), func(ctx context.Context) ([]byte, error) {
+	b, src, err := o.cache.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
 		out, err := exec(ctx, s, nil)
 		if err != nil {
 			partial = out
@@ -229,6 +222,20 @@ func ExecSpec(ctx context.Context, s runspec.Spec, opts ...Option) (*Outcome, er
 		return partial, err
 	}
 	out, err := DecodeOutcome(b)
+	if err != nil && src != rcache.SourceMiss {
+		// A hit that no longer decodes (an entry written under an older
+		// codec version, or damaged) is stale, not a failure: simulate
+		// again and overwrite it.
+		if out, err = exec(ctx, s, nil); err != nil {
+			return out, err
+		}
+		if b, err = EncodeOutcome(out); err != nil {
+			return nil, err
+		}
+		o.cache.Put(key, b)
+		src = rcache.SourceMiss
+		out, err = DecodeOutcome(b)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -248,36 +255,29 @@ func exec(ctx context.Context, s runspec.Spec, mon monitor.Monitor) (*Outcome, e
 	}
 	switch s.Kind {
 	case runspec.KindRun:
-		res, err := runSystem(ctx, s.Benchmark, configFromSpec(s), mon)
+		res, err := runSystem(ctx, s, mon)
 		if res == nil {
 			return nil, err
 		}
 		return &Outcome{Result: res}, err
 	case runspec.KindStudy:
-		qs, err := runQueueStudy(ctx, s.Benchmark, s.Monitor, coreKinds[s.Core], s.EventQueueCap, s.Seed, s.Instrs)
+		qs, err := runQueueStudy(ctx, s)
 		if err != nil {
 			return nil, err
 		}
 		return &Outcome{Study: qs}, nil
 	case runspec.KindCoreModel:
-		cm, err := runCoreModelStudy(ctx, s.Benchmark, s.Seed, s.Instrs)
+		cm, err := runCoreModelStudy(ctx, s)
 		if err != nil {
 			return nil, err
 		}
 		return &Outcome{CoreModel: cm}, nil
 	default: // runspec.KindBaseline
-		prof, _ := trace.Lookup(s.Benchmark)
-		if s.Inject != nil {
-			p := *prof
-			p.Inject = *s.Inject
-			prof = &p
+		prof, err := profileOf(s)
+		if err != nil {
+			return nil, err
 		}
-		cfg := Config{Core: coreKinds[s.Core], Seed: s.Seed, Instrs: s.Instrs,
-			MaxCycles: s.MaxCycles, WarmupInstrs: s.WarmupInstrs}
-		if cfg.MaxCycles == 0 {
-			cfg.MaxCycles = cfg.Instrs * 100
-		}
-		val, err := simulateBaseline(ctx, prof, cfg, time.Time{})
+		val, err := simulateBaseline(ctx, prof, s, time.Time{})
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"fade/internal/cpu"
 	"fade/internal/monitor"
 	"fade/internal/obs"
 	"fade/internal/rcache"
@@ -16,22 +15,24 @@ import (
 	"fade/internal/trace"
 )
 
-// TestSpecLimitsMapping: spec MaxCycles/WallClockMS become RunLimits.
-func TestSpecLimitsMapping(t *testing.T) {
-	s := runspec.Spec{Benchmark: "astar", Monitor: "MemLeak", MaxCycles: 9999, WallClockMS: 1500}
-	cfg := configFromSpec(s.Normalize())
-	if cfg.Limits.MaxCycles != 9999 || cfg.Limits.WallClock.Milliseconds() != 1500 {
-		t.Fatalf("limits = %+v", cfg.Limits)
+// TestExecSpecWallClockExpired: a KindRun whose WallClockMS budget runs
+// out before the run completes fails with sim.ErrCanceled.
+func TestExecSpecWallClockExpired(t *testing.T) {
+	spec := runspec.Spec{Benchmark: "astar", Monitor: "MemLeak", Seed: 0xC10C, WallClockMS: 1}
+	if _, err := ExecSpec(context.Background(), spec); !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 
-// TestExecSpecMatchesDirectRun: executing a spec produces the identical
-// Result as simulating the paper-default Config it names.
+// TestExecSpecMatchesDirectRun: executing a minimal spec produces the
+// identical Result as simulating the spelled-out paper default it
+// normalizes to.
 func TestExecSpecMatchesDirectRun(t *testing.T) {
 	ResetBaselineCache()
-	cfg := defaultConfig("AddrCheck")
-	cfg.Instrs = 10_000
-	direct, err := run("astar", cfg)
+	spec := defaultSpec("AddrCheck")
+	spec.Benchmark = "astar"
+	spec.Instrs = 10_000
+	direct, err := runSystem(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +49,15 @@ func TestExecSpecMatchesDirectRun(t *testing.T) {
 }
 
 func TestExecSpecStudy(t *testing.T) {
-	direct, err := runQueueStudy(context.Background(), "astar", "MemLeak", cpu.OoO4, 32, 1, 10_000)
+	spec := runspec.Spec{
+		Kind: runspec.KindStudy, Benchmark: "astar", Monitor: "MemLeak",
+		EventQueueCap: 32, Seed: 1, Instrs: 10_000,
+	}
+	direct, err := runQueueStudy(context.Background(), spec.Normalize())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ExecSpec(context.Background(), runspec.Spec{
-		Kind: runspec.KindStudy, Benchmark: "astar", Monitor: "MemLeak",
-		EventQueueCap: 32, Seed: 1, Instrs: 10_000,
-	})
+	out, err := ExecSpec(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +102,11 @@ func TestExecSpecRejectsBadSpecs(t *testing.T) {
 // TestOutcomeCodecRoundTrip: a full Result (metrics, timeline, histograms,
 // reports) survives the cache codec exactly.
 func TestOutcomeCodecRoundTrip(t *testing.T) {
-	cfg := defaultConfig("MemLeak")
-	cfg.Instrs = 50_000
-	cfg.TimelineEvery = 100_000
-	cfg.Inject = &trace.Inject{LeakFrac: 0.4}
-	res, err := run("omnet", cfg)
+	spec := defaultSpec("MemLeak")
+	spec.Instrs = 50_000
+	spec.TimelineEvery = 100_000
+	spec.Inject = &trace.Inject{LeakFrac: 0.4}
+	res, err := run("omnet", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,9 +143,9 @@ func TestOutcomeCodecRoundTrip(t *testing.T) {
 // TestDecodeOutcomeSharesMetricNames: outcomes decoded side by side share
 // one copy of each metric name instead of holding their own.
 func TestDecodeOutcomeSharesMetricNames(t *testing.T) {
-	cfg := defaultConfig("AddrCheck")
-	cfg.Instrs = 10_000
-	res, err := run("astar", cfg)
+	spec := defaultSpec("AddrCheck")
+	spec.Instrs = 10_000
+	res, err := run("astar", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +177,14 @@ func TestDecodeOutcomeSharesMetricNames(t *testing.T) {
 // as spare capacity, and a sweep keeps every decoded outcome of its table
 // alive until the table is built.
 func TestDecodeOutcomeTrimsValues(t *testing.T) {
-	cfg := defaultConfig("AddrCheck")
-	cfg.Instrs = 10_000
-	cfg.TimelineEvery = 2_000
-	res, err := run("astar", cfg)
+	spec := defaultSpec("AddrCheck")
+	spec.Instrs = 10_000
+	spec.TimelineEvery = 2_000
+	res, err := run("astar", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := runQueueStudy(context.Background(), "astar", "AddrCheck", cpu.OoO4, 32, 1, 10_000)
+	qs, err := study(context.Background(), "astar", "AddrCheck", 32, 1, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +208,7 @@ func TestDecodeOutcomeTrimsValues(t *testing.T) {
 }
 
 func TestOutcomeCodecStudy(t *testing.T) {
-	qs, err := runQueueStudy(context.Background(), "astar", "AddrCheck", cpu.OoO4, 32, 1, 10_000)
+	qs, err := study(context.Background(), "astar", "AddrCheck", 32, 1, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,6 +266,75 @@ func TestExecSpecCachedDifferential(t *testing.T) {
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 1 {
 		t.Fatalf("cache stats = %+v, want 1 miss and 1 hit", st)
 	}
+
+	// The wall-clock budget is not part of the hash, so it must not reach
+	// the cached bytes either: an entry filled under a 60 s budget reads
+	// back exactly as a fresh run without one.
+	budgeted := spec
+	budgeted.WallClockMS = 60_000
+	c = rcache.NewMem(8)
+	if _, err := ExecSpec(context.Background(), budgeted, WithCache(c)); err != nil {
+		t.Fatal(err)
+	}
+	hit, err := ExecSpec(context.Background(), spec, WithCache(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit.Source != rcache.SourceMem {
+		t.Fatalf("budget-free read source = %v, want a hit", hit.Source)
+	}
+	if got, want := mustEncode(t, hit), mustEncode(t, plain); string(got) != string(want) {
+		t.Fatal("an entry cached under a wall-clock budget differs from a fresh run without one")
+	}
+}
+
+// TestExecSpecRecomputesStaleEntry: a cached entry that no longer decodes
+// (here, one written under an old codec version) is treated as a miss —
+// ExecSpec simulates, returns the fresh outcome, and overwrites the entry.
+func TestExecSpecRecomputesStaleEntry(t *testing.T) {
+	spec := runspec.Spec{Benchmark: "astar", Monitor: "MemLeak", Instrs: 10_000, Seed: 1}
+	dir := t.TempDir()
+	c, err := rcache.New(rcache.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(spec.Hash(), []byte(`{"v":0,"run":{"result":{}}}`))
+	out, err := ExecSpec(context.Background(), spec, WithCache(c))
+	if err != nil {
+		t.Fatalf("stale entry failed the run: %v", err)
+	}
+	if out.Source != rcache.SourceMiss {
+		t.Fatalf("stale entry source = %v, want a recomputation", out.Source)
+	}
+	plain, err := ExecSpec(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustEncode(t, plain)
+	if string(mustEncode(t, out)) != string(want) {
+		t.Fatal("recomputed outcome differs from a fresh run")
+	}
+	// The entry was overwritten on disk: a new process reads it back.
+	c2, err := rcache.New(rcache.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := ExecSpec(context.Background(), spec, WithCache(c2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Source != rcache.SourceDisk || string(mustEncode(t, again)) != string(want) {
+		t.Fatalf("rewritten entry: source %v, equal %v", again.Source, string(mustEncode(t, again)) == string(want))
+	}
+}
+
+func mustEncode(t *testing.T, o *Outcome) []byte {
+	t.Helper()
+	b, err := EncodeOutcome(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestExecSpecCachedAbort: an aborted run returns its partial Result with

@@ -10,6 +10,7 @@ import (
 	"fade/internal/monitor"
 	"fade/internal/obs"
 	"fade/internal/queue"
+	"fade/internal/runspec"
 	"fade/internal/sim"
 	"fade/internal/stats"
 	"fade/internal/trace"
@@ -40,41 +41,40 @@ type QueueStudy struct {
 	Metrics *obs.Snapshot
 }
 
-// runQueueStudy simulates bench under the named monitor with an ideal
-// 1-event/cycle drain and the given event-queue capacity (queue.Unbounded
-// for the infinite-queue analysis). The run aborts with an error wrapping
-// sim.ErrCanceled within one scheduler checkpoint interval of ctx being
-// canceled.
-func runQueueStudy(ctx context.Context, bench, monName string, coreKind cpu.Kind, queueCap int, seed, instrs uint64) (*QueueStudy, error) {
-	prof, ok := trace.Lookup(bench)
+// runQueueStudy simulates a KindStudy spec: its benchmark under the
+// named monitor with an ideal 1-event/cycle drain and an event queue of
+// EventQueueCap entries (queue.Unbounded for the infinite-queue analysis).
+// The run aborts with an error wrapping sim.ErrCanceled within one
+// scheduler checkpoint interval of ctx being canceled.
+func runQueueStudy(ctx context.Context, s runspec.Spec) (*QueueStudy, error) {
+	prof, ok := trace.Lookup(s.Benchmark)
 	if !ok {
-		return nil, fmt.Errorf("system: unknown benchmark %q", bench)
+		return nil, fmt.Errorf("system: unknown benchmark %q", s.Benchmark)
 	}
-	if err := validateQueueCap("event queue", queueCap); err != nil {
+	if err := validateQueueCap("event queue", s.EventQueueCap); err != nil {
 		return nil, err
 	}
 	threads := 1
 	if prof.Parallel {
 		threads = prof.Threads
 	}
-	mon, err := monitor.New(monName, threads)
+	mon, err := monitor.New(s.Monitor, threads)
 	if err != nil {
 		return nil, err
 	}
-	if instrs == 0 {
-		instrs = 400_000
-	}
-	maxCycles := instrs * 100
-
-	baseline, err := runBaseline(ctx, prof, Config{Core: coreKind, Seed: seed, Instrs: instrs, MaxCycles: maxCycles}, time.Time{})
+	// The study runs under the default cycle cap, and measures against
+	// the plain profile's baseline: MaxCycles, WarmupInstrs and Inject do
+	// not apply to it.
+	maxCycles := runspec.DefaultMaxCycles(s.Instrs)
+	baseline, err := runBaseline(ctx, prof, runspec.Spec{Core: s.Core, Seed: s.Seed, Instrs: s.Instrs}, time.Time{})
 	if err != nil {
 		return nil, err
 	}
 
-	src := trace.Open(prof, seed, instrs)
+	src := trace.Open(prof, s.Seed, s.Instrs)
 	defer src.Close()
-	evq := queue.NewBounded[isa.Event](queueCap)
-	app := cpu.NewAppCore(coreKind, prof, src, mon, evq)
+	evq := queue.NewBounded[isa.Event](s.EventQueueCap)
+	app := cpu.NewAppCore(coreKinds[s.Core], prof, src, mon, evq)
 
 	reg := obs.NewRegistry()
 	reg.Register(app)
@@ -97,13 +97,13 @@ func runQueueStudy(ctx context.Context, bench, monName string, coreKind cpu.Kind
 	}
 	out := sched.Run()
 	if !out.Completed {
-		return nil, fmt.Errorf("system: queue study for %s/%s aborted after %d cycles: %w", bench, monName, out.Cycles, out.Err)
+		return nil, fmt.Errorf("system: queue study for %s/%s aborted after %d cycles: %w", s.Benchmark, s.Monitor, out.Cycles, out.Err)
 	}
 	cycles := out.Cycles
 
 	qs := &QueueStudy{
-		Benchmark:       bench,
-		Monitor:         monName,
+		Benchmark:       s.Benchmark,
+		Monitor:         s.Monitor,
 		Cycles:          cycles,
 		BaselineCycles:  baseline.cycles,
 		Slowdown:        stats.Ratio(cycles, baseline.cycles),

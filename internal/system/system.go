@@ -14,115 +14,17 @@ import (
 	"fade/internal/monitor"
 	"fade/internal/obs"
 	"fade/internal/queue"
+	"fade/internal/runspec"
 	"fade/internal/sim"
 	"fade/internal/spans"
 	"fade/internal/stats"
 	"fade/internal/trace"
 )
 
-// Accel selects the acceleration mode.
-type Accel int
-
-const (
-	// Unaccelerated sends every monitored event to software through a
-	// single queue.
-	Unaccelerated Accel = iota
-	// FADEBlocking is baseline FADE (Section 4).
-	FADEBlocking
-	// FADENonBlocking is FADE with Non-Blocking Filtering (Section 5).
-	FADENonBlocking
-)
-
-func (a Accel) String() string {
-	switch a {
-	case FADEBlocking:
-		return "FADE-blocking"
-	case FADENonBlocking:
-		return "FADE"
-	default:
-		return "unaccelerated"
-	}
-}
-
-// Config describes one simulated system: the simulator's own form of a
-// runspec.Spec, built by ExecSpec and reported back as Result.Config.
-type Config struct {
-	Core     cpu.Kind
-	Topology Topology
-	Accel    Accel
-	Monitor  string
-
-	// EventQueueCap is the event queue capacity (Section 6: 32).
-	// queue.Unbounded models the infinite queue of Section 3.2.
-	EventQueueCap int
-	// UnfilteredCap is the unfiltered event queue capacity (16).
-	UnfilteredCap int
-	// MDCacheBytes overrides the metadata cache size (0 selects the
-	// paper's 4 KB). Used by the sensitivity/ablation experiments.
-	MDCacheBytes int
-	// BlockingSignalCycles overrides the blocking accelerator's
-	// completion-notification latency: 0 keeps the default, -1 selects
-	// zero latency (an idealized doorbell). Ablation experiments only.
-	BlockingSignalCycles int
-
-	Seed   uint64
-	Instrs uint64 // application instructions to simulate, per core
-	// MaxCycles caps the simulation (a safety net; 0 derives it from
-	// Instrs).
-	MaxCycles uint64
-	// WarmupInstrs excludes the first N application instructions from the
-	// slowdown measurement (SMARTS-style: caches, metadata, and queues
-	// warm up before the measured window). 0 measures everything; only
-	// single-app-core topologies honor it.
-	WarmupInstrs uint64
-
-	// Inject overrides the profile's bug injection (examples only).
-	Inject *trace.Inject
-
-	// TimelineEvery enables cycle-sampled telemetry: every N cycles the
-	// run's metrics registry is snapshotted into Result.Timeline. 0
-	// disables sampling (the default; the per-cycle cost is then a single
-	// nil check).
-	TimelineEvery uint64
-
-	// Faults, when non-nil and non-empty, injects the described faults
-	// (monitor stalls, queue pressure, event drops, metadata corruption)
-	// deterministically: the same (Config, Seed, Faults) triple reproduces
-	// the same perturbation schedule and byte-identical metrics. Each
-	// application core runs its own decorrelated injector. Injection
-	// counters appear under the fault.* metric name space.
-	Faults *fault.Plan
-	// Limits bounds the run: Limits.MaxCycles overrides MaxCycles, and
-	// Limits.WallClock arms a real-time watchdog covering the baselines
-	// too. See RunLimits.
-	Limits RunLimits
-	// CheckInvariants asserts the backpressure contract (queue capacities,
-	// event conservation, outstanding-event accounting, full-queue retire
-	// exclusion) after every cycle, aborting the run with
-	// sim.ErrInvariantViolated on the first breach. Checking is pure
-	// observation: it never changes a run's metrics, only whether a broken
-	// run is allowed to finish.
-	CheckInvariants bool
-	// FastForward arms the scheduler's event-driven skip-ahead
-	// (sim.Scheduler.FastForward): when every component reports quiescence,
-	// the clock jumps to the earliest next-interesting cycle instead of
-	// ticking through stall and idle spans one cycle at a time. The mode is
-	// an execution strategy, not a model change — a completed run produces
-	// byte-identical Result fields and component metrics with the flag on or
-	// off (the system differential tests assert this for every monitor,
-	// topology, and fault plan) — but runs dominated by credit-recovery,
-	// backpressure, or handler-crunching spans complete many times faster.
-	// Fast-forward accounting appears under the sim.ff.* metric name space
-	// (registered only when the flag is set, so default metric dumps keep
-	// their historical shape). CheckInvariants and fault injection pin the
-	// run back to cycle-exact execution automatically.
-	FastForward bool
-}
-
 // CoreResult is one application core's view of a run: its private
 // (application core, event queue, filtering unit, monitor thread) group
 // measured against its own unmonitored baseline. A single-core run has
-// exactly one; a CMP run has Topology.AppCores of them.
+// exactly one; a CMP run has Spec.AppCores of them.
 type CoreResult struct {
 	Core int    // core index
 	Seed uint64 // trace seed of this core's workload copy
@@ -153,7 +55,10 @@ type CoreResult struct {
 // representative.
 type Result struct {
 	Benchmark string
-	Config    Config
+	// Config is the run's normalized spec with WallClockMS cleared: exactly
+	// the fields its hash covers, so a cached result reports the same
+	// Config whatever wall-clock budget its submitter gave.
+	Config runspec.Spec
 
 	Cycles         uint64
 	BaselineCycles uint64
@@ -191,7 +96,7 @@ type Result struct {
 	// docs/METRICS.md). The typed fields above are conveniences derived
 	// from the same underlying counters.
 	Metrics *obs.Snapshot
-	// Timeline holds cycle-sampled snapshots when Config.TimelineEvery is
+	// Timeline holds cycle-sampled snapshots when Spec.TimelineEvery is
 	// set (nil otherwise).
 	Timeline []*obs.Snapshot
 }
@@ -222,72 +127,50 @@ func (g *coreGroup) drained() bool {
 	return g.app.Done() && g.evq.Empty() && !g.monCore.Busy() && (g.fu == nil || !g.fu.Busy())
 }
 
-// runSystem wires cfg's topology into core groups — one monitor per
-// application core — and drives them on the sim scheduler. Each core gets
-// a fresh instance of the built-in monitor cfg names, unless custom is set:
-// then the topology must have a single application core, which custom
-// monitors. An aborted run returns its partial Result alongside the error
-// (Result.Metrics snapshots whatever the run had counted, with the
-// run.aborted gauge set).
-func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Monitor) (*Result, error) {
-	prof, ok := trace.Lookup(bench)
-	if !ok {
-		return nil, fmt.Errorf("system: unknown benchmark %q", bench)
+// runSystem wires the topology of s, a normalized and validated KindRun
+// spec, into core groups — one monitor per application core — and drives
+// them on the sim scheduler. Each core gets a fresh instance of the
+// built-in monitor s names, unless custom is set: then the topology must
+// have a single application core, which custom monitors. An aborted run
+// returns its partial Result alongside the error (Result.Metrics snapshots
+// whatever the run had counted, with the run.aborted gauge set).
+func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Result, error) {
+	prof, err := profileOf(s)
+	if err != nil {
+		return nil, err
 	}
 	threads := 1
 	if prof.Parallel {
 		threads = prof.Threads
 	}
-	if cfg.Inject != nil {
-		p := *prof
-		p.Inject = *cfg.Inject
-		prof = &p
-	}
-	if cfg.EventQueueCap == 0 {
-		cfg.EventQueueCap = 32
-	}
-	if cfg.UnfilteredCap == 0 {
-		cfg.UnfilteredCap = 16
-	}
-	if cfg.Instrs == 0 {
-		cfg.Instrs = 400_000
-	}
-	if cfg.Limits.MaxCycles > 0 {
-		cfg.MaxCycles = cfg.Limits.MaxCycles
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = cfg.Instrs * 100
-	}
-	cfg.Topology = cfg.Topology.normalize()
-	topo := cfg.Topology
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
 	mons := []monitor.Monitor{custom}
 	if custom == nil {
-		mons = make([]monitor.Monitor, topo.AppCores)
+		mons = make([]monitor.Monitor, s.AppCores)
 		for i := range mons {
-			mon, err := monitor.New(cfg.Monitor, threads)
+			mon, err := monitor.New(s.Monitor, threads)
 			if err != nil {
 				return nil, err
 			}
 			mons[i] = mon
 		}
-	} else if topo.AppCores > 1 {
-		return nil, fmt.Errorf("system: a custom monitor supports single-app-core topologies only (one monitor instance cannot serve %d cores)", topo.AppCores)
+	} else if s.AppCores > 1 {
+		return nil, fmt.Errorf("system: a custom monitor supports single-app-core topologies only (one monitor instance cannot serve %d cores)", s.AppCores)
 	}
-	single := topo.AppCores == 1
-	deadline := cfg.Limits.deadline(time.Now())
+	single := s.AppCores == 1
+	var deadline time.Time
+	if s.WallClockMS > 0 {
+		deadline = time.Now().Add(time.Duration(s.WallClockMS) * time.Millisecond)
+	}
 
 	// One group per application core: a decorrelated copy of the workload,
 	// its own metadata domain, monitor instance, and fault injector,
 	// measured against its own unmonitored baseline.
-	groups := make([]*coreGroup, topo.AppCores)
+	groups := make([]*coreGroup, s.AppCores)
 	var maxBaseline uint64
 	for i := range groups {
-		ccfg := cfg
-		ccfg.Seed = coreSeed(cfg.Seed, i)
-		baseline, err := runBaseline(ctx, prof, ccfg, deadline)
+		cs := s
+		cs.Seed = coreSeed(s.Seed, i)
+		baseline, err := runBaseline(ctx, prof, cs, deadline)
 		if err != nil {
 			return nil, err
 		}
@@ -296,21 +179,23 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 		}
 		md := metadata.NewState()
 		mons[i].Init(md)
-		src := trace.Open(prof, ccfg.Seed, cfg.Instrs)
+		src := trace.Open(prof, cs.Seed, s.Instrs)
 		defer src.Close()
-		app, monCore, fu, evq, err := build(prof, cfg, src, mons[i], md)
+		app, monCore, fu, evq, err := build(prof, s, src, mons[i], md)
 		if err != nil {
 			return nil, err
 		}
-		eng := fault.NewEngine(cfg.Faults, fault.FoldSeed(cfg.Faults, cfg.Seed, i), cfg.EventQueueCap, cfg.UnfilteredCap)
-		if eng != nil && cfg.Faults.EventDrop != nil {
+		eng := fault.NewEngine(s.Faults, fault.FoldSeed(s.Faults, s.Seed, i), s.EventQueueCap, s.UnfilteredCap)
+		if eng != nil && s.Faults.EventDrop != nil {
 			evq.SetDropHook(eng.DropEvent)
 		}
-		groups[i] = &coreGroup{idx: i, seed: ccfg.Seed, baseline: baseline,
+		groups[i] = &coreGroup{idx: i, seed: cs.Seed, baseline: baseline,
 			app: app, monCore: monCore, fu: fu, evq: evq, md: md, eng: eng}
 	}
 
-	res := &Result{Benchmark: bench, Config: cfg, BaselineCycles: maxBaseline}
+	reported := s
+	reported.WallClockMS = 0
+	res := &Result{Benchmark: s.Benchmark, Config: reported, BaselineCycles: maxBaseline}
 
 	// Tracing arms only when the context carries a spans.Trace; an untraced
 	// run keeps nil hooks everywhere (docs/TRACING.md). Track allocation
@@ -369,8 +254,8 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 		reg.Register(tr.Collector())
 	}
 	var tl *obs.Timeline
-	if cfg.TimelineEvery > 0 {
-		tl = &obs.Timeline{Every: cfg.TimelineEvery}
+	if s.TimelineEvery > 0 {
+		tl = &obs.Timeline{Every: s.TimelineEvery}
 	}
 
 	// Clock wiring. Fault engines and their probes tick first, so each
@@ -405,9 +290,9 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 	observeN := func(appStalled, monBusy bool, n uint64) {
 		util.RecordN(utilBucket(appStalled, monBusy), n)
 	}
-	shared := wireSharedMonCores(clock, topo, groups)
+	shared := wireSharedMonCores(clock, s, groups)
 	for _, g := range groups {
-		arb := &sim.Arbiter{App: g.app, FU: nil, SMT: topo.SMT,
+		arb := &sim.Arbiter{App: g.app, FU: nil, SMT: s.SMT,
 			Observe: observe, ObserveN: observeN}
 		if g.fu != nil {
 			arb.FU = g.fu
@@ -429,7 +314,7 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 
 	sched := &sim.Scheduler{
 		Clock:      clock,
-		MaxCycles:  cfg.MaxCycles,
+		MaxCycles:  s.CycleCap(),
 		Trace:      tr,
 		TraceTrack: schedTrack,
 		Done: func(cycle uint64) bool {
@@ -452,7 +337,7 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 				g.evq.SampleOccupancy()
 			}
 		},
-		FastForward: cfg.FastForward,
+		FastForward: s.FastForward,
 		BulkSample: func(n uint64) {
 			// Queue occupancies are frozen across a quiescent span, so n
 			// per-cycle samples collapse to one constant-value bulk add.
@@ -463,7 +348,7 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 		Timeline: tl,
 		Registry: reg,
 	}
-	if cfg.FastForward {
+	if s.FastForward {
 		// Fast-forward accounting is observability of the simulator, not of
 		// the simulated hardware, and is registered only when the mode is
 		// requested so default metric dumps keep their historical shape.
@@ -487,14 +372,14 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 			}
 		}))
 	}
-	if single && cfg.WarmupInstrs > 0 {
-		sched.Warmed = func() bool { return groups[0].app.Instrs() >= cfg.WarmupInstrs }
+	if single && s.WarmupInstrs > 0 {
+		sched.Warmed = func() bool { return groups[0].app.Instrs() >= s.WarmupInstrs }
 	}
 	if ctx != nil && ctx != context.Background() {
 		sched.Ctx = ctx
 	}
 	sched.Deadline = deadline
-	if cfg.CheckInvariants {
+	if s.CheckInvariants {
 		sched.Check = newInvariantChecker(groups).check
 	}
 	out := sched.Run()
@@ -511,7 +396,7 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 			res.Timeline = tl.Points
 		}
 		return res, fmt.Errorf("system: %s/%s/%s aborted after %d cycles: %w",
-			bench, cfg.Monitor, cfg.Accel, out.Cycles, out.Err)
+			s.Benchmark, s.Monitor, accelLabels[s.Accel], out.Cycles, out.Err)
 	}
 	for _, g := range groups {
 		if g.fu != nil {
@@ -522,7 +407,7 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 	cycles := out.Cycles
 	res.Cycles = cycles
 	res.Slowdown = float64(cycles) / float64(maxBaseline)
-	if single && cfg.WarmupInstrs > 0 && out.WarmBoundary > 0 && groups[0].baseline.boundary > 0 &&
+	if single && s.WarmupInstrs > 0 && out.WarmBoundary > 0 && groups[0].baseline.boundary > 0 &&
 		cycles > out.WarmBoundary && maxBaseline > groups[0].baseline.boundary {
 		// Measured-window slowdown: exclude the warm-up region from both
 		// the monitored and baseline runs.
@@ -616,14 +501,15 @@ func runSystem(ctx context.Context, bench string, cfg Config, custom monitor.Mon
 // reports which groups' monitor threads are ticked by one (their arbiters
 // then observe the thread without ticking it). Groups whose monitor core is
 // private — and every SMT group — tick their thread in their own arbiter.
-func wireSharedMonCores(clock *sim.Clock, topo Topology, groups []*coreGroup) map[int]bool {
+func wireSharedMonCores(clock *sim.Clock, s runspec.Spec, groups []*coreGroup) map[int]bool {
 	shared := make(map[int]bool)
-	if topo.SMT {
+	if s.SMT {
 		return shared
 	}
-	byMon := make([][]*coreGroup, topo.MonCores)
+	// Monitor threads are assigned to monitor cores round-robin.
+	byMon := make([][]*coreGroup, s.MonCores)
 	for _, g := range groups {
-		m := topo.monCoreOf(g.idx)
+		m := g.idx % s.MonCores
 		byMon[m] = append(byMon[m], g)
 	}
 	for _, gs := range byMon {
@@ -726,28 +612,29 @@ func (v monBusyView) QuietTicks(float64) uint64 { return sim.QuietForever }
 func (v monBusyView) SkipTicks(uint64, float64) {}
 
 // build wires one core group's components.
-func build(prof *trace.Profile, cfg Config, src trace.Source, mon monitor.Monitor, md *metadata.State) (*cpu.AppCore, *cpu.MonitorCore, *core.FilteringUnit, *queue.Bounded[isa.Event], error) {
-	evq := queue.NewBounded[isa.Event](cfg.EventQueueCap)
-	app := cpu.NewAppCore(cfg.Core, prof, src, mon, evq)
+func build(prof *trace.Profile, s runspec.Spec, src trace.Source, mon monitor.Monitor, md *metadata.State) (*cpu.AppCore, *cpu.MonitorCore, *core.FilteringUnit, *queue.Bounded[isa.Event], error) {
+	kind := coreKinds[s.Core]
+	evq := queue.NewBounded[isa.Event](s.EventQueueCap)
+	app := cpu.NewAppCore(kind, prof, src, mon, evq)
 
-	if cfg.Accel == Unaccelerated {
-		monCore := cpu.NewMonitorCoreDirect(cfg.Core, mon, md, evq)
+	if s.Accel == runspec.AccelNone {
+		monCore := cpu.NewMonitorCoreDirect(kind, mon, md, evq)
 		return app, monCore, nil, evq, nil
 	}
 
 	mode := core.NonBlocking
-	if cfg.Accel == FADEBlocking {
+	if s.Accel == runspec.AccelBlocking {
 		mode = core.Blocking
 	}
-	ufq := queue.NewBounded[core.Unfiltered](cfg.UnfilteredCap)
+	ufq := queue.NewBounded[core.Unfiltered](s.UnfilteredCap)
 	coreCfg := core.DefaultConfig(mode)
-	if cfg.MDCacheBytes > 0 {
-		coreCfg.MDCache.SizeBytes = cfg.MDCacheBytes
+	if s.MDCacheBytes > 0 {
+		coreCfg.MDCache.SizeBytes = s.MDCacheBytes
 	}
 	switch {
-	case cfg.BlockingSignalCycles > 0:
-		coreCfg.BlockingSignalLatency = cfg.BlockingSignalCycles
-	case cfg.BlockingSignalCycles == -1:
+	case s.BlockingSignalCycles > 0:
+		coreCfg.BlockingSignalLatency = s.BlockingSignalCycles
+	case s.BlockingSignalCycles == -1:
 		coreCfg.BlockingSignalLatency = 0
 	}
 	fu := core.New(coreCfg, md, evq, ufq, nil)
@@ -757,6 +644,14 @@ func build(prof *trace.Profile, cfg Config, src trace.Source, mon monitor.Monito
 		return nil, nil, nil, nil, err
 	}
 	critRegs := mode == core.Blocking
-	monCore := cpu.NewMonitorCoreFADE(cfg.Core, mon, md, ufq, fu, critRegs)
+	monCore := cpu.NewMonitorCoreFADE(kind, mon, md, ufq, fu, critRegs)
 	return app, monCore, fu, evq, nil
+}
+
+// coreSeed derives application core i's trace seed from the spec seed.
+// Core 0 uses the seed unchanged, so a 1-core topology reproduces the
+// single-core instruction stream exactly; higher cores perturb it with a
+// splitmix-style odd constant so the multiprogrammed copies decorrelate.
+func coreSeed(seed uint64, i int) uint64 {
+	return seed + uint64(i)*0x9E3779B97F4A7C15
 }

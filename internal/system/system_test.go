@@ -5,32 +5,32 @@ import (
 	"strings"
 	"testing"
 
-	"fade/internal/cpu"
 	"fade/internal/queue"
+	"fade/internal/runspec"
 	"fade/internal/trace"
 )
 
-func smallCfg(mon string) Config {
-	cfg := defaultConfig(mon)
-	cfg.Instrs = 60_000
-	return cfg
+func smallSpec(mon string) runspec.Spec {
+	spec := defaultSpec(mon)
+	spec.Instrs = 60_000
+	return spec
 }
 
 func TestRunUnknownBenchmark(t *testing.T) {
-	if _, err := run("nope", smallCfg("MemLeak")); err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+	if _, err := run("nope", smallSpec("MemLeak")); err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestRunUnknownMonitor(t *testing.T) {
-	cfg := smallCfg("Nope")
-	if _, err := run("astar", cfg); err == nil {
+	spec := smallSpec("Nope")
+	if _, err := run("astar", spec); err == nil {
 		t.Fatal("unknown monitor accepted")
 	}
 }
 
 func TestRunResultConsistency(t *testing.T) {
-	r, err := run("astar", smallCfg("MemLeak"))
+	r, err := run("astar", smallSpec("MemLeak"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,11 @@ func TestRunResultConsistency(t *testing.T) {
 }
 
 func TestRunDeterminism(t *testing.T) {
-	a, err := run("gcc", smallCfg("MemCheck"))
+	a, err := run("gcc", smallSpec("MemCheck"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := run("gcc", smallCfg("MemCheck"))
+	b, err := run("gcc", smallSpec("MemCheck"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +74,9 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestUnacceleratedHasNoFilterStats(t *testing.T) {
-	cfg := smallCfg("AddrCheck")
-	cfg.Accel = Unaccelerated
-	r, err := run("astar", cfg)
+	spec := smallSpec("AddrCheck")
+	spec.Accel = runspec.AccelNone
+	r, err := run("astar", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +90,14 @@ func TestUnacceleratedHasNoFilterStats(t *testing.T) {
 
 func TestFADEReducesSlowdown(t *testing.T) {
 	for _, mon := range []string{"AddrCheck", "MemLeak", "MemCheck"} {
-		cfg := smallCfg(mon)
-		cfg.Accel = Unaccelerated
-		u, err := run("astar", cfg)
+		spec := smallSpec(mon)
+		spec.Accel = runspec.AccelNone
+		u, err := run("astar", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Accel = FADENonBlocking
-		f, err := run("astar", cfg)
+		spec.Accel = runspec.AccelFADE
+		f, err := run("astar", spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,14 +114,14 @@ func TestNonBlockingBeatsBlocking(t *testing.T) {
 	for _, c := range []struct{ mon, bench string }{
 		{"MemLeak", "astar"}, {"MemLeak", "gcc"},
 	} {
-		cfg := smallCfg(c.mon)
-		cfg.Accel = FADEBlocking
-		b, err := run(c.bench, cfg)
+		spec := smallSpec(c.mon)
+		spec.Accel = runspec.AccelBlocking
+		b, err := run(c.bench, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Accel = FADENonBlocking
-		n, err := run(c.bench, cfg)
+		spec.Accel = runspec.AccelFADE
+		n, err := run(c.bench, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,13 +141,13 @@ func TestTwoCoreNotSlowerThanSingle(t *testing.T) {
 		if mon == "AtomCheck" {
 			bench = "streamc"
 		}
-		cfg := smallCfg(mon)
-		s, err := run(bench, cfg)
+		spec := smallSpec(mon)
+		s, err := run(bench, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Topology = TwoCore
-		d, err := run(bench, cfg)
+		setCMP(&spec, 1)
+		d, err := run(bench, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,17 +159,17 @@ func TestTwoCoreNotSlowerThanSingle(t *testing.T) {
 
 func TestDetectionsSurviveAcceleration(t *testing.T) {
 	inject := &trace.Inject{LeakFrac: 0.4}
-	cfg := smallCfg("MemLeak")
-	cfg.Inject = inject
-	cfg.Instrs = 100_000
+	spec := smallSpec("MemLeak")
+	spec.Inject = inject
+	spec.Instrs = 100_000
 
-	cfg.Accel = Unaccelerated
-	sw, err := run("omnet", cfg)
+	spec.Accel = runspec.AccelNone
+	sw, err := run("omnet", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Accel = FADENonBlocking
-	hw, err := run("omnet", cfg)
+	spec.Accel = runspec.AccelFADE
+	hw, err := run("omnet", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestDetectionsSurviveAcceleration(t *testing.T) {
 }
 
 func TestQueueStudyBasics(t *testing.T) {
-	qs, err := runQueueStudy(context.Background(), "astar", "AddrCheck", cpu.OoO4, queue.Unbounded, 1, 50_000)
+	qs, err := study(context.Background(), "astar", "AddrCheck", queue.Unbounded, 1, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestQueueStudyBasics(t *testing.T) {
 func TestQueueStudyBzipOverflows(t *testing.T) {
 	// bzip's monitored IPC exceeds 1.0 under MemLeak: the infinite queue
 	// grows without bound (Section 3.2).
-	qs, err := runQueueStudy(context.Background(), "bzip", "MemLeak", cpu.OoO4, queue.Unbounded, 1, 150_000)
+	qs, err := study(context.Background(), "bzip", "MemLeak", queue.Unbounded, 1, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,11 +226,11 @@ func TestQueueStudyBzipOverflows(t *testing.T) {
 }
 
 func TestQueueStudyFiniteQueueSlower(t *testing.T) {
-	big, err := runQueueStudy(context.Background(), "gobmk", "MemLeak", cpu.OoO4, 32*1024, 1, 100_000)
+	big, err := study(context.Background(), "gobmk", "MemLeak", 32*1024, 1, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := runQueueStudy(context.Background(), "gobmk", "MemLeak", cpu.OoO4, 32, 1, 100_000)
+	small, err := study(context.Background(), "gobmk", "MemLeak", 32, 1, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,38 +240,41 @@ func TestQueueStudyFiniteQueueSlower(t *testing.T) {
 }
 
 func TestQueueStudyUnknownInputs(t *testing.T) {
-	if _, err := runQueueStudy(context.Background(), "nope", "MemLeak", cpu.OoO4, 32, 1, 1000); err == nil {
+	if _, err := study(context.Background(), "nope", "MemLeak", 32, 1, 1000); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
-	if _, err := runQueueStudy(context.Background(), "astar", "Nope", cpu.OoO4, 32, 1, 1000); err == nil {
+	if _, err := study(context.Background(), "astar", "Nope", 32, 1, 1000); err == nil {
 		t.Fatal("unknown monitor accepted")
 	}
 }
 
 func TestTopologyAndAccelStrings(t *testing.T) {
-	if SingleCoreSMT.String() == "" || TwoCore.String() == "" {
-		t.Fatal("topology names empty")
-	}
-	for _, a := range []Accel{Unaccelerated, FADEBlocking, FADENonBlocking} {
-		if a.String() == "" {
-			t.Fatal("accel name empty")
+	for _, accel := range []string{runspec.AccelNone, runspec.AccelBlocking, runspec.AccelFADE} {
+		spec := defaultSpec("MemLeak")
+		spec.Accel = accel
+		if topo, core, label := Labels(spec); topo == "" || core == "" || label == "" {
+			t.Fatalf("%s: empty label in (%q, %q, %q)", accel, topo, core, label)
 		}
 	}
 }
 
+// TestDefaultConfig: the spelled-out paper configuration is exactly what
+// Normalize derives from a spec naming only the monitor and seed, and it
+// reads as the paper's system.
 func TestDefaultConfig(t *testing.T) {
-	cfg := defaultConfig("MemLeak")
-	if cfg.EventQueueCap != 32 || cfg.UnfilteredCap != 16 {
-		t.Fatalf("queue capacities %d/%d", cfg.EventQueueCap, cfg.UnfilteredCap)
+	spec := defaultSpec("MemLeak")
+	if got := (runspec.Spec{Monitor: "MemLeak", Seed: 1}).Normalize(); got != spec {
+		t.Fatalf("normalized minimal spec = %+v, want %+v", got, spec)
 	}
-	if cfg.Core != cpu.OoO4 || cfg.Accel != FADENonBlocking || cfg.Topology != SingleCoreSMT {
-		t.Fatal("default config wrong")
+	topo, core, accel := Labels(spec)
+	if topo != "single-core" || core != "4-way OoO" || accel != "FADE" {
+		t.Fatalf("default spec labels = %q, %q, %q", topo, core, accel)
 	}
 }
 
 func TestParallelBenchmarkRuns(t *testing.T) {
-	cfg := smallCfg("AtomCheck")
-	r, err := run("water", cfg)
+	spec := smallSpec("AtomCheck")
+	r, err := run("water", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +284,13 @@ func TestParallelBenchmarkRuns(t *testing.T) {
 }
 
 func TestWarmupWindow(t *testing.T) {
-	cfg := smallCfg("MemLeak")
-	full, err := run("astar", cfg)
+	spec := smallSpec("MemLeak")
+	full, err := run("astar", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.WarmupInstrs = 20_000
-	warm, err := run("astar", cfg)
+	spec.WarmupInstrs = 20_000
+	warm, err := run("astar", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +306,9 @@ func TestWarmupWindow(t *testing.T) {
 }
 
 func TestWarmupBeyondRunIsIgnored(t *testing.T) {
-	cfg := smallCfg("AddrCheck")
-	cfg.WarmupInstrs = cfg.Instrs * 2 // never reached: falls back to full-run slowdown
-	r, err := run("astar", cfg)
+	spec := smallSpec("AddrCheck")
+	spec.WarmupInstrs = spec.Instrs * 2 // never reached: falls back to full-run slowdown
+	r, err := run("astar", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,9 +318,9 @@ func TestWarmupBeyondRunIsIgnored(t *testing.T) {
 }
 
 func TestUnboundedEventQueueNoBackpressure(t *testing.T) {
-	cfg := smallCfg("MemLeak")
-	cfg.EventQueueCap = queue.Unbounded
-	r, err := run("bzip", cfg) // bzip overflows any finite queue
+	spec := smallSpec("MemLeak")
+	spec.EventQueueCap = queue.Unbounded
+	r, err := run("bzip", spec) // bzip overflows any finite queue
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,14 +334,14 @@ func TestUnboundedEventQueueNoBackpressure(t *testing.T) {
 
 func TestMDCacheSizeMonotonic(t *testing.T) {
 	// A bigger MD cache never makes FADE slower on a miss-heavy workload.
-	cfg := smallCfg("MemCheck")
-	cfg.MDCacheBytes = 1 << 10
-	small, err := run("mcf", cfg)
+	spec := smallSpec("MemCheck")
+	spec.MDCacheBytes = 1 << 10
+	small, err := run("mcf", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.MDCacheBytes = 32 << 10
-	big, err := run("mcf", cfg)
+	spec.MDCacheBytes = 32 << 10
+	big, err := run("mcf", spec)
 	if err != nil {
 		t.Fatal(err)
 	}

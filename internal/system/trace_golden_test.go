@@ -8,15 +8,16 @@ import (
 	"testing"
 
 	"fade/internal/fault"
+	"fade/internal/runspec"
 	"fade/internal/spans"
 )
 
 // traceRun executes one traced run and returns its exports.
-func traceRun(t *testing.T, cfg Config) (chrome, jsonl []byte, tr *spans.Trace) {
+func traceRun(t *testing.T, spec runspec.Spec) (chrome, jsonl []byte, tr *spans.Trace) {
 	t.Helper()
 	tr = spans.New("golden", 0)
 	ctx := spans.NewContext(context.Background(), tr)
-	if _, err := runSystem(ctx, "astar", cfg, nil); err != nil {
+	if _, err := runCtx(ctx, "astar", spec); err != nil {
 		t.Fatal(err)
 	}
 	var cb, jb bytes.Buffer
@@ -40,9 +41,9 @@ func traceRun(t *testing.T, cfg Config) (chrome, jsonl []byte, tr *spans.Trace) 
 func TestGoldenTraces(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(*Config)
+		mutate func(*runspec.Spec)
 	}{
-		{"trace-smt-faults", func(c *Config) {
+		{"trace-smt-faults", func(c *runspec.Spec) {
 			c.Instrs = 12_000
 			c.Faults = &fault.Plan{
 				Seed:         7,
@@ -53,19 +54,19 @@ func TestGoldenTraces(t *testing.T) {
 				MDCorruption: &fault.Corrupt{MeanGap: 20_000},
 			}
 		}},
-		{"trace-cmp4-ff", func(c *Config) {
+		{"trace-cmp4-ff", func(c *runspec.Spec) {
 			c.Instrs = 4_000
-			c.Topology = cmpTopology(4)
+			setCMP(c, 4)
 			c.FastForward = true
 		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := defaultConfig("MemLeak")
-			tc.mutate(&cfg)
-			chrome, jsonl, tr := traceRun(t, cfg)
-			chrome2, jsonl2, _ := traceRun(t, cfg)
+			spec := defaultSpec("MemLeak")
+			tc.mutate(&spec)
+			chrome, jsonl, tr := traceRun(t, spec)
+			chrome2, jsonl2, _ := traceRun(t, spec)
 			if !bytes.Equal(chrome, chrome2) || !bytes.Equal(jsonl, jsonl2) {
 				t.Fatalf("same-seed reruns exported different traces")
 			}
@@ -115,12 +116,12 @@ func TestGoldenTraces(t *testing.T) {
 // are excluded.
 func TestTraceEpisodesFFInvariant(t *testing.T) {
 	episodes := func(ff bool) []spans.Span {
-		cfg := defaultConfig("MemLeak")
-		cfg.Instrs = 20_000
-		cfg.Topology = cmpTopology(2)
-		cfg.FastForward = ff
+		spec := defaultSpec("MemLeak")
+		spec.Instrs = 20_000
+		setCMP(&spec, 2)
+		spec.FastForward = ff
 		tr := spans.New("diff", 1<<16)
-		if _, err := runSystem(spans.NewContext(context.Background(), tr), "astar", cfg, nil); err != nil {
+		if _, err := runCtx(spans.NewContext(context.Background(), tr), "astar", spec); err != nil {
 			t.Fatal(err)
 		}
 		var out []spans.Span
@@ -151,9 +152,9 @@ func TestTraceEpisodesFFInvariant(t *testing.T) {
 // emit spans.* metrics (shape-stability, like sim.ff.*) — implicitly
 // covered by TestGoldenMetrics — and a traced run must register them.
 func TestTraceMetricsRegisteredOnlyWhenTracing(t *testing.T) {
-	cfg := defaultConfig("MemLeak")
-	cfg.Instrs = 20_000
-	r, err := run("astar", cfg)
+	spec := defaultSpec("MemLeak")
+	spec.Instrs = 20_000
+	r, err := run("astar", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestTraceMetricsRegisteredOnlyWhenTracing(t *testing.T) {
 		t.Fatal("untraced run exposed spans.* metrics")
 	}
 	tr := spans.New("t", 0)
-	r2, err := runSystem(spans.NewContext(context.Background(), tr), "astar", cfg, nil)
+	r2, err := runCtx(spans.NewContext(context.Background(), tr), "astar", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
