@@ -106,9 +106,10 @@ func runCells[R any](o Options, cells []Cell, fn func(context.Context, Cell) (R,
 // traceOrder is the order in which to start cells so that the cells
 // drawing the same instruction stream run back to back: cells grouped by
 // (benchmark, seed, instrs, inject), table order within a group. The trace
-// store then generates each stream once and holds only the traces running
-// cells read plus one idle one, however the table interleaves benchmarks
-// (fig9 is monitor-major).
+// store then generates each stream once and, since a stream is seldom
+// reopened after its group ends, holds only the traces running cells read
+// plus one idle one, however the table interleaves benchmarks (fig9 is
+// monitor-major).
 //
 // Groups start in the order of their last cell. A sweep keeps every
 // outcome until its table is built; in this order only cells before a

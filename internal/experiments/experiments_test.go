@@ -10,6 +10,7 @@ import (
 	"fade/internal/runspec"
 	"fade/internal/spans"
 	"fade/internal/system"
+	"fade/internal/trace"
 )
 
 // tiny returns options scaled down for test speed; the calibration tests in
@@ -284,6 +285,43 @@ func TestTraceOrderGroupsCells(t *testing.T) {
 	}
 	if got := fmt.Sprint(traceOrder(small)); got != "[4 0 2 5 1 3 6]" {
 		t.Errorf("traceOrder = %s, want [4 0 2 5 1 3 6]", got)
+	}
+}
+
+// TestFreshSeedSweepsFillEachStreamOnce: fig9 and fault-sweep at a seed
+// the process has not run read each of their streams from one fill, so
+// the trace store sees no refill and keeps its idle allowance; a sweep
+// that never reopens an evicted stream behaves as with an idle set of one.
+func TestFreshSeedSweepsFillEachStreamOnce(t *testing.T) {
+	for i, id := range []string{"fig9", "fault-sweep"} {
+		o := Options{Instrs: 5_000, Seed: 0xF5EED + uint64(i), Parallel: 1}
+		cells, err := CellsFor(id, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type key struct {
+			bench        string
+			seed, instrs uint64
+			inject       trace.Inject
+		}
+		keys := map[key]bool{}
+		for _, c := range cells {
+			k := key{bench: c.Spec.Benchmark, seed: c.Spec.Seed, instrs: c.Spec.Instrs}
+			if c.Spec.Inject != nil {
+				k.inject = *c.Spec.Inject
+			}
+			keys[k] = true
+		}
+		system.ResetBaselineCache()
+		before := trace.StoreStats()
+		if _, err := ByID(id, o); err != nil {
+			t.Fatal(err)
+		}
+		st := trace.StoreStats()
+		if fills := st.Fills - before.Fills; fills != uint64(len(keys)) || st.Refills != before.Refills || st.IdleAllowance != before.IdleAllowance {
+			t.Errorf("%s: %d fills for %d streams; refills %d -> %d, idle allowance %d -> %d",
+				id, fills, len(keys), before.Refills, st.Refills, before.IdleAllowance, st.IdleAllowance)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func snapOf(name string, v uint64) *Snapshot {
-	return &Snapshot{Values: []Value{{Name: name, Kind: KindCounter, Num: float64(v), Count: v}}}
+	return &Snapshot{Values: []Value{CounterValue(name, v)}}
 }
 
 func TestHubPublishReplaceEvict(t *testing.T) {

@@ -2,9 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"fade/internal/stats"
 )
@@ -153,4 +155,22 @@ func TestWriteTimelineShape(t *testing.T) {
 	var nilTL *Timeline
 	nilTL.MaybeSample(0, r)
 	(&Timeline{}).MaybeSample(0, r)
+}
+
+// TestValuePayload: a value is 32 bytes, one payload word that its kind
+// reads as an exact count or as a float.
+func TestValuePayload(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Errorf("Value is %d bytes, want 32", n)
+	}
+	c := CounterValue("c", 1<<60+3)
+	if c.Count() != 1<<60+3 || c.Num() != float64(uint64(1<<60+3)) || c.Format() != "1152921504606846979" {
+		t.Errorf("counter reads %d, %g, %s", c.Count(), c.Num(), c.Format())
+	}
+	for _, x := range []float64{0.5, -3, math.Copysign(0, -1), math.Inf(1), 1e300} {
+		g := GaugeValue("g", x)
+		if math.Float64bits(g.Num()) != math.Float64bits(x) || g.Count() != 0 {
+			t.Errorf("gauge %g reads %g, count %d", x, g.Num(), g.Count())
+		}
+	}
 }

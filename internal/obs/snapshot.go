@@ -2,28 +2,54 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 
 	"fade/internal/stats"
 )
 
-// Value is one exported metric sample.
+// Value is one exported metric sample. Kind says how to read its one
+// payload word: a counter's exact count, or a gauge's float64 bits.
+// Build values with CounterValue and GaugeValue.
 type Value struct {
 	Name string
 	Kind Kind
-	// Num holds the sample. Counters store an exact uint64 in Count and
-	// mirror it here for uniform consumption.
-	Num   float64
-	Count uint64
+	bits uint64
+}
+
+// CounterValue returns a counter sample of n.
+func CounterValue(name string, n uint64) Value {
+	return Value{Name: name, Kind: KindCounter, bits: n}
+}
+
+// GaugeValue returns a gauge sample of x.
+func GaugeValue(name string, x float64) Value {
+	return Value{Name: name, Kind: KindGauge, bits: math.Float64bits(x)}
+}
+
+// Num returns the sample as a float64, a counter's count converted.
+func (v Value) Num() float64 {
+	if v.Kind == KindCounter {
+		return float64(v.bits)
+	}
+	return math.Float64frombits(v.bits)
+}
+
+// Count returns a counter's exact count, and 0 for a gauge.
+func (v Value) Count() uint64 {
+	if v.Kind == KindCounter {
+		return v.bits
+	}
+	return 0
 }
 
 // Format renders the sample deterministically: counters as integers,
 // gauges in the shortest float representation.
 func (v Value) Format() string {
 	if v.Kind == KindCounter {
-		return strconv.FormatUint(v.Count, 10)
+		return strconv.FormatUint(v.bits, 10)
 	}
-	return strconv.FormatFloat(v.Num, 'g', -1, 64)
+	return strconv.FormatFloat(v.Num(), 'g', -1, 64)
 }
 
 // Snapshot is a flattened, name-sorted view of a registry at one point in
@@ -38,7 +64,7 @@ type Snapshot struct {
 func (s *Snapshot) Get(name string) (float64, bool) {
 	for _, v := range s.Values {
 		if v.Name == name {
-			return v.Num, true
+			return v.Num(), true
 		}
 	}
 	return 0, false
@@ -49,7 +75,7 @@ func (s *Snapshot) Get(name string) (float64, bool) {
 func (s *Snapshot) Counter(name string) uint64 {
 	for _, v := range s.Values {
 		if v.Name == name && v.Kind == KindCounter {
-			return v.Count
+			return v.bits
 		}
 	}
 	return 0
@@ -82,12 +108,12 @@ type collectSink struct {
 
 func (c *collectSink) Counter(name string, v uint64) {
 	MustValidName(name)
-	c.values[name] = Value{Name: name, Kind: KindCounter, Num: float64(v), Count: v}
+	c.values[name] = CounterValue(name, v)
 }
 
 func (c *collectSink) Gauge(name string, v float64) {
 	MustValidName(name)
-	c.values[name] = Value{Name: name, Kind: KindGauge, Num: v}
+	c.values[name] = GaugeValue(name, v)
 }
 
 func (c *collectSink) Histogram(name string, h *stats.Histogram) {

@@ -136,7 +136,7 @@ func snapshotOf(t *testing.T, q *Bounded[int], prefix string) map[string]float64
 	reg.Register(q.MetricsCollector(prefix))
 	got := map[string]float64{}
 	for _, v := range reg.Snapshot().Values {
-		got[v.Name] = v.Num
+		got[v.Name] = v.Num()
 	}
 	return got
 }

@@ -30,7 +30,6 @@ type Bounded[T any] struct {
 	fullStalls stats.Counter
 	drops      stats.Counter
 	maxSize    int
-	sampleEach bool
 }
 
 // NewBounded returns a queue holding at most capacity elements. Use

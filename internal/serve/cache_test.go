@@ -16,7 +16,7 @@ func cacheCounter(t *testing.T, srv *Server, name string) uint64 {
 	t.Helper()
 	for _, v := range srv.Scheduler().Registry().Snapshot().Values {
 		if v.Name == name {
-			return v.Count
+			return v.Count()
 		}
 	}
 	t.Fatalf("%s missing from scheduler registry", name)

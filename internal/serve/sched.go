@@ -256,8 +256,11 @@ func NewScheduler(opts Options) *Scheduler {
 		sink.Counter("serve.tracestore.hits", ts.Hits)
 		sink.Counter("serve.tracestore.bypasses", ts.Bypasses)
 		sink.Counter("serve.tracestore.evictions", ts.Evictions)
+		sink.Counter("serve.tracestore.refills", ts.Refills)
 		sink.Gauge("serve.tracestore.traces", float64(ts.Traces))
 		sink.Gauge("serve.tracestore.live_bytes", float64(ts.LiveBytes))
+		sink.Gauge("serve.tracestore.idle_allowance", float64(ts.IdleAllowance))
+		sink.Gauge("serve.tracestore.idle_bytes", float64(ts.IdleBytes))
 	}))
 	go s.dispatch()
 	return s

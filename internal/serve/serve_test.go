@@ -375,7 +375,7 @@ func TestLoadShedding(t *testing.T) {
 	var shed float64
 	for _, v := range srv.sched.reg.Snapshot().Values {
 		if v.Name == "serve.runs.shed" {
-			shed = v.Num
+			shed = v.Num()
 		}
 	}
 	if shed != 1 {
@@ -621,6 +621,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"fade_serve_http_latency_us_submit_count",
 		"fade_serve_tracestore_fills",
 		"fade_serve_tracestore_live_bytes",
+		"fade_serve_tracestore_refills",
+		"fade_serve_tracestore_idle_allowance",
+		"fade_serve_tracestore_idle_bytes",
 		`run="` + id + `"`,
 		`tenant="alice"`,
 		`bench="astar"`,

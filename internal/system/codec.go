@@ -20,28 +20,61 @@ const codecVersion = 2
 // the raw values instead.
 type snapWire struct {
 	Cycle  uint64      `json:"cycle"`
-	Values []obs.Value `json:"values"`
+	Values []valueWire `json:"values"`
 }
 
-func snapToWire(s *obs.Snapshot) *snapWire {
+// valueWire is the wire form of obs.Value: every value carries its name,
+// kind, float sample and exact count (0 for a gauge), a counter's count
+// twice.
+type valueWire struct {
+	Name  string
+	Kind  obs.Kind
+	Num   float64
+	Count uint64
+}
+
+// wireValues recycles the buffer EncodeOutcome converts values into, so
+// converting costs no allocation per outcome once the pool is warm. A
+// buffer is never nil, so a snapshot with no values still encodes as [].
+var wireValues = sync.Pool{New: func() any { return &[]valueWire{} }}
+
+// snapToWire converts s into the wire form, its values appended to buf.
+func snapToWire(s *obs.Snapshot, buf *[]valueWire) *snapWire {
 	if s == nil {
 		return nil
 	}
-	return &snapWire{Cycle: s.Cycle, Values: s.Values}
+	w := &snapWire{Cycle: s.Cycle}
+	if s.Values != nil {
+		start := len(*buf)
+		for _, v := range s.Values {
+			*buf = append(*buf, valueWire{Name: v.Name, Kind: v.Kind, Num: v.Num(), Count: v.Count()})
+		}
+		w.Values = (*buf)[start:]
+	}
+	return w
 }
 
-// snapFromWire copies the decoded values into an exactly sized slice:
-// encoding/json grows its slice by doubling, and the slack would stay
-// allocated for as long as the outcome is kept (every table a sweep
-// holds, every run record a server keeps).
-func snapFromWire(w *snapWire) *obs.Snapshot {
+// snapFromWire builds an exactly sized value slice: encoding/json grows its
+// slice by doubling, and the slack would stay allocated for as long as the
+// outcome is kept (every table a sweep holds, every run record a server
+// keeps). A value of a kind the codec never writes is an error.
+func snapFromWire(w *snapWire) (*obs.Snapshot, error) {
 	if w == nil {
-		return nil
+		return nil, nil
 	}
 	vals := make([]obs.Value, len(w.Values))
-	copy(vals, w.Values)
+	for i, v := range w.Values {
+		switch v.Kind {
+		case obs.KindCounter:
+			vals[i] = obs.CounterValue(v.Name, v.Count)
+		case obs.KindGauge:
+			vals[i] = obs.GaugeValue(v.Name, v.Num)
+		default:
+			return nil, fmt.Errorf("system: outcome decode: metric %q has kind %d", v.Name, v.Kind)
+		}
+	}
 	internNames(vals)
-	return &obs.Snapshot{Cycle: w.Cycle, Values: vals}
+	return &obs.Snapshot{Cycle: w.Cycle, Values: vals}, nil
 }
 
 // maxInternedNames bounds the metric-name intern table. The simulator's
@@ -98,20 +131,26 @@ type outcomeWire struct {
 // histograms via their canonical bucket form), so identical outcomes
 // encode to identical bytes.
 func EncodeOutcome(o *Outcome) ([]byte, error) {
+	buf := wireValues.Get().(*[]valueWire)
+	defer func() {
+		clear(*buf)
+		*buf = (*buf)[:0]
+		wireValues.Put(buf)
+	}()
 	w := outcomeWire{V: codecVersion, CoreModel: o.CoreModel, Baseline: o.Baseline}
 	if r := o.Result; r != nil {
 		flat := *r
 		flat.Metrics, flat.Timeline = nil, nil
-		rw := &runWire{Result: &flat, Metrics: snapToWire(r.Metrics)}
+		rw := &runWire{Result: &flat, Metrics: snapToWire(r.Metrics, buf)}
 		for _, s := range r.Timeline {
-			rw.Timeline = append(rw.Timeline, snapToWire(s))
+			rw.Timeline = append(rw.Timeline, snapToWire(s, buf))
 		}
 		w.Run = rw
 	}
 	if qs := o.Study; qs != nil {
 		flat := *qs
 		flat.Metrics = nil
-		w.Study = &studyWire{Study: &flat, Metrics: snapToWire(qs.Metrics)}
+		w.Study = &studyWire{Study: &flat, Metrics: snapToWire(qs.Metrics, buf)}
 	}
 	return json.Marshal(w)
 }
@@ -133,9 +172,16 @@ func DecodeOutcome(b []byte) (*Outcome, error) {
 			return nil, fmt.Errorf("system: outcome decode: run entry without result")
 		}
 		res := w.Run.Result
-		res.Metrics = snapFromWire(w.Run.Metrics)
+		var err error
+		if res.Metrics, err = snapFromWire(w.Run.Metrics); err != nil {
+			return nil, err
+		}
 		for _, s := range w.Run.Timeline {
-			res.Timeline = append(res.Timeline, snapFromWire(s))
+			snap, err := snapFromWire(s)
+			if err != nil {
+				return nil, err
+			}
+			res.Timeline = append(res.Timeline, snap)
 		}
 		o.Result = res
 	}
@@ -144,7 +190,10 @@ func DecodeOutcome(b []byte) (*Outcome, error) {
 			return nil, fmt.Errorf("system: outcome decode: study entry without study")
 		}
 		qs := w.Study.Study
-		qs.Metrics = snapFromWire(w.Study.Metrics)
+		var err error
+		if qs.Metrics, err = snapFromWire(w.Study.Metrics); err != nil {
+			return nil, err
+		}
 		o.Study = qs
 	}
 	return o, nil

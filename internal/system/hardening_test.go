@@ -119,7 +119,7 @@ func TestCancelReturnsPartialMetrics(t *testing.T) {
 	}
 	found := false
 	for _, v := range res.Metrics.Values {
-		if v.Name == "run.aborted" && v.Num == 1 {
+		if v.Name == "run.aborted" && v.Num() == 1 {
 			found = true
 		}
 	}
@@ -347,9 +347,9 @@ func TestDropProbeDetected(t *testing.T) {
 	for _, v := range r.Metrics.Values {
 		switch v.Name {
 		case "fault.events_dropped":
-			engineDrops = v.Num
+			engineDrops = v.Num()
 		case "queue.meq.drops":
-			queueDrops = v.Num
+			queueDrops = v.Num()
 		}
 	}
 	if engineDrops <= 0 {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"sync"
 
 	"fade/internal/isa"
@@ -32,11 +33,27 @@ const (
 	// maxStoredInstrs is the longest trace the store holds (about 9 MB
 	// packed). Longer and unbounded streams are generated on the fly.
 	maxStoredInstrs = 1 << 21
-	// idleTraces is how many traces no stream is reading the store keeps.
-	// Sweeps dispatch the cells sharing a trace back to back, so the next
-	// cell (or its baseline) finds the one it needs among the last
-	// released; live bytes stay within (open traces + idleTraces).
-	idleTraces = 1
+	// minIdle is the idle allowance a store starts with: how many traces
+	// no stream is reading it keeps. Sweeps dispatch the cells sharing a
+	// trace back to back, so the next cell (or its baseline) finds the one
+	// it needs among the last released.
+	minIdle = 1
+	// evictedKeys is how many evicted keys the store remembers, oldest
+	// dropped first. Opening one of them again is a refill, which raises
+	// the idle allowance by one, up to evictedKeys: a longer reuse
+	// distance than the store remembers is no evidence to keep more.
+	evictedKeys = 64
+	// idleCap bounds the allocated chunk bytes of the idle set; beyond
+	// it the oldest idle traces go whatever the allowance, down to the
+	// last one released. The traffic that refills reads about 13 streams
+	// of 20k instructions in turn (table2's cells leased in table order
+	// across fabric workers; fadeserve running every monitor and
+	// accelerator on one seed's streams in shuffled order), about 80 KB
+	// each once trimmed, 1.1 MB in all. 2 MiB holds that set with room
+	// for the previous seed's stragglers. A process that never reopens an
+	// evicted stream keeps one idle trace, so the cap only bounds what
+	// refills earned.
+	idleCap = 2 << 20
 )
 
 // StoreSnapshot is process telemetry about the trace store: how the
@@ -46,8 +63,13 @@ type StoreSnapshot struct {
 	Hits      uint64 // opens of a stream already in the store, complete or not
 	Bypasses  uint64 // opens streamed from a generator: unbounded or too long
 	Evictions uint64 // idle traces dropped
+	Refills   uint64 // fills of a stream the store had evicted
 	Traces    int    // traces held
-	LiveBytes int64  // packed bytes held
+	LiveBytes int64  // chunk bytes allocated for the traces held
+	// IdleAllowance is how many idle traces the store keeps: minIdle
+	// plus one per refill, at most evictedKeys.
+	IdleAllowance int
+	IdleBytes     int64 // chunk bytes allocated for the idle traces
 }
 
 // storeKey identifies a stream. Profile is compared by value, Inject
@@ -64,7 +86,8 @@ type storeKey struct {
 // stream is generated once however many cursors read it. Bytes below a
 // chunk's length are never written again. refs (guarded by the store's
 // mutex) counts the open streams on the entry; it is evicted only at
-// zero.
+// zero. bytes is the chunks' allocated size, which stays fixed once refs
+// is zero.
 type entry struct {
 	key storeKey
 	mu  sync.Mutex
@@ -79,11 +102,14 @@ type entry struct {
 type traceStore struct {
 	mu      sync.Mutex
 	entries map[storeKey]*entry
-	idle    []*entry // unread entries, least recently released first
+	idle    []*entry   // unread entries, least recently released first
+	evicted []storeKey // the last evictedKeys keys evicted, oldest first
 	stats   StoreSnapshot
 }
 
-func newStore() *traceStore { return &traceStore{entries: make(map[storeKey]*entry)} }
+func newStore() *traceStore {
+	return &traceStore{entries: make(map[storeKey]*entry), stats: StoreSnapshot{IdleAllowance: minIdle}}
+}
 
 // traces is the process-wide store behind Open.
 var traces = newStore()
@@ -131,6 +157,11 @@ func (s *traceStore) open(prof *Profile, seed, limit uint64) Stream {
 	e.mu.Lock()
 	s.entries[k] = e
 	s.stats.Fills++
+	if i := slices.Index(s.evicted, k); i >= 0 {
+		s.evicted = slices.Delete(s.evicted, i, i+1)
+		s.stats.Refills++
+		s.stats.IdleAllowance = min(s.stats.IdleAllowance+1, evictedKeys)
+	}
 	s.stats.Traces++
 	s.mu.Unlock()
 	e.gen = New(prof, seed, limit)
@@ -139,7 +170,9 @@ func (s *traceStore) open(prof *Profile, seed, limit uint64) Stream {
 }
 
 // release drops one stream's hold on e. An entry nobody reads joins the
-// idle set, whose oldest members are evicted beyond idleTraces.
+// idle set, whose oldest members are evicted beyond the idle allowance or
+// while they hold more than idleCap bytes. The last one released stays,
+// so idle bytes never exceed idleCap plus one trace.
 func (s *traceStore) release(e *entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,24 +180,28 @@ func (s *traceStore) release(e *entry) {
 		return
 	}
 	s.idle = append(s.idle, e)
-	for len(s.idle) > idleTraces {
+	s.stats.IdleBytes += e.bytes
+	for len(s.idle) > s.stats.IdleAllowance || len(s.idle) > 1 && s.stats.IdleBytes > idleCap {
 		old := s.idle[0]
 		s.idle = s.idle[1:]
 		delete(s.entries, old.key)
+		if len(s.evicted) == evictedKeys {
+			s.evicted = slices.Delete(s.evicted, 0, 1)
+		}
+		s.evicted = append(s.evicted, old.key)
 		s.stats.Evictions++
 		s.stats.Traces--
 		s.stats.LiveBytes -= old.bytes
+		s.stats.IdleBytes -= old.bytes
 		old.chunks, old.gen = nil, nil
 	}
 }
 
 // unidle removes e from the idle set; the caller holds s.mu.
 func (s *traceStore) unidle(e *entry) {
-	for i, x := range s.idle {
-		if x == e {
-			s.idle = append(s.idle[:i], s.idle[i+1:]...)
-			return
-		}
+	if i := slices.Index(s.idle, e); i >= 0 {
+		s.idle = slices.Delete(s.idle, i, i+1)
+		s.stats.IdleBytes -= e.bytes
 	}
 }
 
@@ -259,7 +296,9 @@ func (r *Replay) refill() bool {
 
 // generate extends e's stored stream by up to batchLen records, which the
 // cursor returns from its buffer; the caller holds e.mu and the cursor is
-// at the end of what is stored.
+// at the end of what is stored. When the generator ends, the last chunk
+// is trimmed to its length: a copy, so cursors still reading the old
+// array see the same bytes.
 func (r *Replay) generate(e *entry) {
 	if r.batch == nil {
 		r.batch = make([]isa.Instr, 0, batchLen)
@@ -274,6 +313,10 @@ func (r *Replay) generate(e *entry) {
 		in, ok := e.gen.Next()
 		if !ok {
 			e.gen = nil
+			if cur != nil && cap(cur) > len(cur) {
+				grew -= cap(cur) - len(cur)
+				cur = append(make([]byte, 0, len(cur)), cur...)
+			}
 			break
 		}
 		hot := e.gen.Hot()
@@ -283,10 +326,9 @@ func (r *Replay) generate(e *entry) {
 			}
 			cur = make([]byte, 0, chunkSize)
 			e.chunks = append(e.chunks, cur)
+			grew += chunkSize
 		}
-		n := len(cur)
 		cur = e.enc.append(cur, &in, hot)
-		grew += len(cur) - n
 		if hot {
 			r.hots[len(r.batch)/64] |= 1 << (len(r.batch) % 64)
 		}
@@ -297,10 +339,12 @@ func (r *Replay) generate(e *entry) {
 		r.ci, r.off, r.view = len(e.chunks)-1, len(cur), nil
 	}
 	r.dec = e.enc
-	e.bytes += int64(grew)
-	r.s.mu.Lock()
-	r.s.stats.LiveBytes += int64(grew)
-	r.s.mu.Unlock()
+	if grew != 0 {
+		e.bytes += int64(grew)
+		r.s.mu.Lock()
+		r.s.stats.LiveBytes += int64(grew)
+		r.s.mu.Unlock()
+	}
 }
 
 // Hot reports the generator's hot-phase bit as it stood after the record

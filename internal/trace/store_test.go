@@ -169,33 +169,23 @@ func TestOpenSingleFlight(t *testing.T) {
 
 // TestEvictionKeepsCursorsValid: an entry an open cursor reads is never
 // evicted, however many other traces come and go; idle entries beyond
-// idleTraces are evicted and their bytes leave LiveBytes; a closed cursor
+// minIdle are evicted and their bytes leave LiveBytes; a closed cursor
 // returns no more records.
 func TestEvictionKeepsCursorsValid(t *testing.T) {
 	s := newStore()
 	prof := mustLookup(t, "bzip")
 	held := s.open(prof, 1, 8_000)
 	want := New(prof, 1, 8_000)
-	read := func(n int) {
-		t.Helper()
-		for i := 0; i < n; i++ {
-			g, okG := held.Next()
-			w, okW := want.Next()
-			if okG != okW || g != w || held.Hot() != want.Hot() {
-				t.Fatalf("record %d differs", i)
-			}
-		}
-	}
-	read(4_000)
+	readSame(t, held, want, 4_000)
 	s.open(prof, 1, 8_000).Close() // a second reader leaves; held still holds it
 	for seed := uint64(2); seed < 6; seed++ {
 		s.open(prof, seed, 8_000).Close()
 	}
 	st := s.snapshot()
-	if st.Evictions != 3 || st.Traces != 1+idleTraces || s.entries[storeKey{prof: *prof, seed: 1, limit: 8_000}] == nil {
-		t.Fatalf("want 3 evictions and the held trace plus %d idle, got %+v", idleTraces, st)
+	if st.Evictions != 3 || st.Traces != 1+minIdle || s.entries[storeKey{prof: *prof, seed: 1, limit: 8_000}] == nil {
+		t.Fatalf("want 3 evictions and the held trace plus %d idle, got %+v", minIdle, st)
 	}
-	read(4_001) // to the end, and one past it
+	readSame(t, held, want, 4_001) // to the end, and one past it
 	if _, ok := held.Next(); ok {
 		t.Fatal("a drained stream yielded a record")
 	}
@@ -214,7 +204,7 @@ func TestEvictionKeepsCursorsValid(t *testing.T) {
 	}
 	st = s.snapshot()
 	one := s.entries[storeKey{prof: *prof, seed: 12, limit: 8_000}]
-	if st.Traces != idleTraces || one == nil || st.LiveBytes != one.bytes {
+	if st.Traces != minIdle || one == nil || st.LiveBytes != one.bytes {
 		t.Fatalf("released traces were not evicted: %+v", st)
 	}
 }
@@ -294,29 +284,178 @@ func TestInterleavedReadersShareOneGenerator(t *testing.T) {
 	const n = 100_000
 	a, b := s.open(prof, 4, n), s.open(prof, 4, n)
 	wa, wb := New(prof, 4, n), New(prof, 4, n)
-	step := func(src Stream, want *Generator, k int) bool {
-		for i := 0; i < k; i++ {
-			g, okG := src.Next()
-			w, okW := want.Next()
-			if okG != okW || g != w || src.Hot() != want.Hot() {
-				t.Fatalf("record differs: got %+v, want %+v", g, w)
-			}
-			if !okW {
-				return false
-			}
-		}
-		return true
-	}
 	for moreA, moreB := true, true; moreA || moreB; {
-		if moreA {
-			moreA = step(a, wa, 7_001)
-		}
-		if moreB {
-			moreB = step(b, wb, 3_001)
-		}
+		moreA = moreA && readSame(t, a, wa, 7_001)
+		moreB = moreB && readSame(t, b, wb, 3_001)
 	}
 	e := s.entries[storeKey{prof: *prof, seed: 4, limit: n}]
 	if st := s.snapshot(); st.Fills != 1 || st.Hits != 1 || e == nil || e.gen != nil {
 		t.Fatalf("want one fill, one hit and a complete trace, got %+v", st)
 	}
+}
+
+// readSame reads k records from src and from want side by side and fails
+// on the first difference in a record or its hot bit; it reports whether
+// the streams have more records.
+func readSame(t *testing.T, src Stream, want *Generator, k int) bool {
+	t.Helper()
+	for i := 0; i < k; i++ {
+		g, okG := src.Next()
+		w, okW := want.Next()
+		if okG != okW || g != w || src.Hot() != want.Hot() {
+			t.Fatalf("record differs: got %+v, want %+v", g, w)
+		}
+		if !okW {
+			return false
+		}
+	}
+	return true
+}
+
+// roundRobinKeys is n distinct streams limit instructions long: every
+// profile in turn, seeds counting up past the last.
+func roundRobinKeys(t *testing.T, n int, seed0, limit uint64) []storeKey {
+	t.Helper()
+	names := AllNames()
+	keys := make([]storeKey, n)
+	for i := range keys {
+		keys[i] = storeKey{prof: *mustLookup(t, names[i%len(names)]), seed: seed0 + uint64(i/len(names)), limit: limit}
+	}
+	return keys
+}
+
+// openKey opens k's stream in s.
+func openKey(s *traceStore, k storeKey) Stream { return s.open(&k.prof, k.seed, k.limit) }
+
+// TestRefillsRaiseIdleAllowance: a pass reads 13 streams round-robin
+// twice, as a sweep whose cells interleave benchmarks does. The first pass
+// generates each stream, then regenerates the ones evicted, and every
+// such refill raises the idle allowance; the second pass generates
+// nothing.
+func TestRefillsRaiseIdleAllowance(t *testing.T) {
+	s := newStore()
+	const n = 13
+	keys := roundRobinKeys(t, n, 1, 20_000)
+	pass := func() {
+		for round := 0; round < 2; round++ {
+			for _, k := range keys {
+				drain(openKey(s, k))
+				if st := s.snapshot(); st.IdleBytes > idleCap {
+					t.Fatalf("idle bytes over the cap: %+v", st)
+				}
+			}
+		}
+	}
+	pass()
+	first := s.snapshot()
+	if first.Refills != n-1 || first.Fills != 2*n-1 || first.IdleAllowance != n {
+		t.Fatalf("first pass: want %d fills, %d refills and allowance %d, got %+v", 2*n-1, n-1, n, first)
+	}
+	pass()
+	if st := s.snapshot(); st.Fills != first.Fills || st.Evictions != first.Evictions {
+		t.Fatalf("the second pass regenerated streams: %+v, then %+v", first, st)
+	}
+	k := keys[0]
+	sameStream(t, "kept", openKey(s, k), &k.prof, k.seed, k.limit)
+}
+
+// TestStoreFreshKeysKeepOneIdle: streams that are never reopened leave the
+// allowance at its start, and every fill but the last is evicted, as
+// with an idle set of one.
+func TestStoreFreshKeysKeepOneIdle(t *testing.T) {
+	s := newStore()
+	for _, k := range roundRobinKeys(t, 40, 100, 5_000) {
+		drain(openKey(s, k))
+		st := s.snapshot()
+		if st.IdleAllowance != minIdle || st.Refills != 0 || st.Evictions != st.Fills-1 || st.Traces != 1 {
+			t.Fatalf("fresh keys changed the idle policy: %+v", st)
+		}
+		if e := s.entries[k]; e == nil || st.IdleBytes != e.bytes || st.LiveBytes != e.bytes {
+			t.Fatalf("the idle set is not the last stream released: %+v", st)
+		}
+	}
+}
+
+// TestStoreIdleBytesUnderCap: refills raise the allowance, but idle bytes
+// never exceed idleCap plus one trace, and a trace larger than the cap is
+// still kept as the one idle trace.
+func TestStoreIdleBytesUnderCap(t *testing.T) {
+	s := newStore()
+	// About 400 KB a trace: six overflow the cap.
+	keys := roundRobinKeys(t, 6, 1, 100_000)
+	var largest int64
+	check := func() {
+		t.Helper()
+		st := s.snapshot()
+		for _, e := range s.idle {
+			largest = max(largest, e.bytes)
+		}
+		if st.IdleBytes > idleCap+largest {
+			t.Fatalf("idle bytes %d over the cap %d plus one trace (%d)", st.IdleBytes, idleCap, largest)
+		}
+		var idle int64
+		for _, e := range s.idle {
+			idle += e.bytes
+		}
+		if idle != st.IdleBytes || len(s.idle) > st.IdleAllowance {
+			t.Fatalf("idle set %d traces, %d bytes; stats %+v", len(s.idle), idle, st)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, k := range keys {
+			drain(openKey(s, k))
+			check()
+		}
+	}
+	st := s.snapshot()
+	if st.IdleAllowance <= len(keys)/2 || st.IdleBytes <= idleCap/2 {
+		t.Fatalf("refills did not grow the idle set: %+v", st)
+	}
+	big := mustLookup(t, "gcc")
+	drain(s.open(big, 9, 600_000))
+	check()
+	if e := s.entries[storeKey{prof: *big, seed: 9, limit: 600_000}]; e == nil || e.bytes <= idleCap || len(s.idle) != 1 {
+		t.Fatalf("a trace over the cap was not kept alone: %+v", s.snapshot())
+	}
+}
+
+// TestReplayAcrossTrim: the generator ends while two other cursors
+// still read views of the final chunk; trimming that chunk to its length
+// copies it, and every cursor still reproduces the generator.
+func TestReplayAcrossTrim(t *testing.T) {
+	s := newStore()
+	prof := mustLookup(t, "astar")
+	const seed, limit = 3, 40_000
+	lead, b, c := s.open(prof, seed, limit), s.open(prof, seed, limit), s.open(prof, seed, limit)
+	wl, wb, wc := New(prof, seed, limit), New(prof, seed, limit), New(prof, seed, limit)
+	readSame(t, lead, wl, limit-300)
+	readSame(t, b, wb, limit-2_000)
+	readSame(t, c, wc, limit-500)
+	e := s.entries[storeKey{prof: *prof, seed: seed, limit: limit}]
+	last := len(e.chunks) - 1
+	if last < 1 || cap(e.chunks[last]) != chunkSize {
+		t.Fatalf("want an untrimmed final chunk after the first, got %d chunks", len(e.chunks))
+	}
+	for _, r := range []*Replay{b.(*Replay), c.(*Replay)} {
+		if r.ci != last || len(r.view) == 0 {
+			t.Fatal("a lagging cursor does not hold a view of the final chunk")
+		}
+	}
+	untrimmed := &e.chunks[last][0]
+	readSame(t, lead, wl, limit) // to the end: the generator ends
+	if &e.chunks[last][0] == untrimmed {
+		t.Fatal("the final chunk was not copied: its 64 KiB array is still held")
+	}
+	var alloc int64
+	for _, ch := range e.chunks {
+		alloc += int64(cap(ch))
+	}
+	if e.gen != nil || cap(e.chunks[last]) != len(e.chunks[last]) || e.bytes != alloc || s.snapshot().LiveBytes != alloc {
+		t.Fatalf("the final chunk was not trimmed: %d of %d bytes, %d accounted", len(e.chunks[last]), cap(e.chunks[last]), e.bytes)
+	}
+	for moreB, moreC := true, true; moreB || moreC; {
+		moreB = moreB && readSame(t, b, wb, 700)
+		moreC = moreC && readSame(t, c, wc, 300)
+	}
+	sameStream(t, "after the trim", s.open(prof, seed, limit), prof, seed, limit)
 }
