@@ -11,16 +11,15 @@
 // result cache keyed by its canonical run spec, making sweeps resumable:
 // an interrupted run rerun with the same flags replays completed cells
 // from disk and simulates only the remainder, producing byte-identical
-// tables. -shard i/n primes the cache with one hash-partitioned shard of
-// the cells (no tables), so n machines sharing a cache directory can
-// split a sweep.
+// tables.
 //
-// With -coordinator ADDR the sweep runs distributed: fadebench listens on
-// ADDR as a fabric coordinator (see docs/SERVING.md), fadeworker
-// processes lease cells over HTTP, and cells no worker finishes — worker
-// crashes, partitions, exhausted retries, or no workers at all — are
-// executed locally, so the sweep always completes and the assembled
-// tables are byte-identical to a local run.
+// With -coordinator ADDR the sweep runs distributed, which is how several
+// machines split one sweep: fadebench listens on ADDR as a fabric
+// coordinator (see docs/SERVING.md), fadeworker processes lease cells over
+// HTTP, and cells no worker finishes — worker crashes, partitions,
+// exhausted retries, or no workers at all — are executed locally, so the
+// sweep always completes and the assembled tables are byte-identical to a
+// local run.
 //
 // Usage:
 //
@@ -29,8 +28,8 @@
 //	fadebench -exp all -parallel 8 -json > tables.jsonl
 //	fadebench -exp fig4b -metrics out.prom -timeline out.jsonl
 //	fadebench -exp all -cache-dir /var/tmp/fade-cache
-//	fadebench -exp all -cache-dir shared/ -shard 0/4
 //	fadebench -exp all -cache-dir shared/ -coordinator :9090
+//	fadeworker -coordinator http://coord-host:9090 -cache-dir worker-cache/
 package main
 
 import (
@@ -45,7 +44,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -95,7 +93,6 @@ func run() int {
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 		cacheDir  = flag.String("cache-dir", "", "content-addressed result cache directory; reruns replay completed cells instead of simulating")
 		cacheMem  = flag.Int("cache-mem", 0, "in-memory result cache entries (0 = default; effective with -cache-dir)")
-		shardSpec = flag.String("shard", "", "prime shard i of n (format i/n) of every experiment's cells into -cache-dir, building no tables")
 
 		coordAddr    = flag.String("coordinator", "", "run the sweep distributed: listen on ADDR as a fabric coordinator for fadeworker processes, executing unclaimed cells locally")
 		leaseTTL     = flag.Duration("lease-ttl", 30*time.Second, "fabric lease time-to-live; heartbeats renew it (with -coordinator)")
@@ -113,34 +110,15 @@ func run() int {
 		}
 		cache = c
 	}
-	if *coordAddr != "" {
-		if *shardSpec != "" {
-			fmt.Fprintln(os.Stderr, "fadebench: -coordinator and -shard are mutually exclusive (the fabric already partitions the sweep)")
-			return 1
-		}
-		if cache == nil {
-			// Results must land somewhere the assembly pass can read; an
-			// in-memory cache serves when no -cache-dir is shared.
-			c, err := fade.OpenResultCache("", *cacheMem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "fadebench: -coordinator: %v\n", err)
-				return 1
-			}
-			cache = c
-		}
-	}
-	shard, shardCount := 0, 0
-	if *shardSpec != "" {
-		var err error
-		shard, shardCount, err = parseShard(*shardSpec)
+	if *coordAddr != "" && cache == nil {
+		// Results must land somewhere the assembly pass can read; an
+		// in-memory cache serves when no -cache-dir is shared.
+		c, err := fade.OpenResultCache("", *cacheMem)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fadebench: -shard: %v\n", err)
+			fmt.Fprintf(os.Stderr, "fadebench: -coordinator: %v\n", err)
 			return 1
 		}
-		if cache == nil {
-			fmt.Fprintln(os.Stderr, "fadebench: -shard requires -cache-dir (the primed results must land somewhere shared)")
-			return 1
-		}
+		cache = c
 	}
 
 	if *cpuProf != "" {
@@ -200,10 +178,6 @@ func run() int {
 	ids := []string{*exp}
 	if *exp == "all" {
 		ids = fade.ExperimentIDs()
-	}
-
-	if shardCount > 0 {
-		return prime(ctx, ids, o, shard, shardCount, cache)
 	}
 
 	var tlFile *os.File
@@ -337,17 +311,15 @@ func distribute(ctx context.Context, addr string, ids []string, o fade.Experimen
 	if err != nil {
 		return err
 	}
-	total, missing := 0, 0
 	for _, id := range ids {
 		cells, err := experiments.CellsFor(id, o)
 		if err != nil {
 			return err
 		}
-		total += len(cells)
-		missing += len(experiments.Missing(cells, o.Cache))
 		coord.Add(cells)
 	}
 	coord.Seal()
+	st := coord.Stats()
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -357,10 +329,10 @@ func distribute(ctx context.Context, addr string, ids []string, o fade.Experimen
 	go srv.Serve(ln)
 	defer srv.Close()
 	fmt.Fprintf(os.Stderr, "fadebench: coordinator on %s: %d cells, %d to simulate (point workers at it with: fadeworker -coordinator http://%s)\n",
-		ln.Addr(), total, missing, ln.Addr())
+		ln.Addr(), st.Total, st.Total-int(st.Precached), ln.Addr())
 
 	err = coord.Drive(ctx, grace, o.Parallel)
-	st := coord.Stats()
+	st = coord.Stats()
 	fmt.Fprintf(os.Stderr, "fadebench: fabric: %d/%d cells done (%d workers, %d leases granted, %d expired, %d retries, %d run locally)\n",
 		st.Done, st.Total, st.WorkersRegistered, st.LeasesGranted, st.LeasesExpired, st.Retries, st.LocalCells)
 	if err == nil && st.Workers > 0 {
@@ -374,47 +346,6 @@ func distribute(ctx context.Context, addr string, ids []string, o fade.Experimen
 		}
 	}
 	return err
-}
-
-// prime is -shard mode: execute this shard's cells of every selected
-// experiment into the shared cache, building no tables.
-func prime(ctx context.Context, ids []string, o fade.ExperimentOptions, shard, count int, cache *fade.ResultCache) int {
-	start := time.Now()
-	failed := false
-	for _, id := range ids {
-		fmt.Fprintf(os.Stderr, "fadebench: priming %s shard %d/%d...\n", id, shard, count)
-		ran, total, err := fade.PrimeExperiment(id, o, shard, count)
-		if err != nil {
-			failed = true
-			fmt.Fprintf(os.Stderr, "fadebench: %s: %v\n", id, err)
-			if errors.Is(err, fade.ErrCanceled) || ctx.Err() != nil {
-				logCacheStats(cache)
-				return 2
-			}
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "fadebench: %s shard %d/%d done (%d of %d cells)\n", id, shard, count, ran, total)
-	}
-	fmt.Fprintf(os.Stderr, "fadebench: total wall time %s\n", time.Since(start).Round(time.Millisecond))
-	logCacheStats(cache)
-	if failed {
-		return 1
-	}
-	return 0
-}
-
-// parseShard parses "i/n" with 0 <= i < n.
-func parseShard(s string) (shard, count int, err error) {
-	i, n, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("want i/n, got %q", s)
-	}
-	shard, err1 := strconv.Atoi(i)
-	count, err2 := strconv.Atoi(n)
-	if err1 != nil || err2 != nil || count < 1 || shard < 0 || shard >= count {
-		return 0, 0, fmt.Errorf("want i/n with 0 <= i < n, got %q", s)
-	}
-	return shard, count, nil
 }
 
 func logCacheStats(cache *fade.ResultCache) {

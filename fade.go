@@ -384,17 +384,6 @@ func ExperimentCells(id string, o ExperimentOptions) ([]ExperimentCell, error) {
 	return experiments.CellsFor(id, o)
 }
 
-// PrimeExperiment executes the experiment's cells whose spec hash falls
-// in shard (of count hash-partitioned shards), populating o.Cache but
-// building no table. Shards are disjoint and cover the cell set, so
-// count workers priming one shard each simulate every cell exactly
-// once; a subsequent RunExperiment over the shared cache is a pure
-// read. It returns how many cells this shard ran out of the
-// experiment's total.
-func PrimeExperiment(id string, o ExperimentOptions, shard, count int) (ran, total int, err error) {
-	return experiments.Prime(id, o, shard, count)
-}
-
 // Observability: every simulation run carries a metrics registry whose
 // end-of-run snapshot (and optional cycle-sampled timeline) is exported
 // through these types. docs/METRICS.md documents the metric name space.

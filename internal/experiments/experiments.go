@@ -79,7 +79,7 @@ func (o Options) withDefaults() Options {
 
 // Cell is one independent simulation of an experiment: a canonical run
 // spec plus the label its telemetry is attached under. Cells are the unit
-// of caching and sharding — Spec.Hash() is the cell's content address.
+// of caching and distribution — Spec.Hash() is the cell's content address.
 type Cell struct {
 	Label string       `json:"label"`
 	Spec  runspec.Spec `json:"spec"`
@@ -970,57 +970,13 @@ func IDs() []string {
 
 // CellsFor enumerates an experiment's simulation cells — label plus
 // canonical spec — without executing anything. It is the introspection
-// half of the cache workflow: callers can hash, shard, or pre-execute the
-// cells and then run the experiment against a warm cache.
+// half of the cache workflow: callers can hash or distribute the cells
+// (the fabric leases them to workers) and then run the experiment against
+// a warm cache.
 func CellsFor(id string, o Options) ([]Cell, error) {
 	e, ok := lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 	}
 	return e.cells(o.withDefaults())
-}
-
-// Missing filters cells down to those whose results are not yet in the
-// cache. A nil cache leaves every cell missing. The distributed fabric
-// uses it to skip already-primed work before leasing cells out; the
-// cache reads count as hits, mirroring what table assembly will see.
-func Missing(cells []Cell, cache *rcache.Cache) []Cell {
-	if cache == nil {
-		return cells
-	}
-	var out []Cell
-	for _, c := range cells {
-		if _, _, ok := cache.Get(c.Spec.Hash()); !ok {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Prime executes the shard-owned subset of an experiment's cells into the
-// cache without building the table: every cell whose Spec.Shard(count) ==
-// shard is run through o.Cache (which should be non-nil for the work to
-// persist). It returns how many cells this shard owns and the
-// experiment's total. N workers priming shards 0..N-1 of the same
-// experiment cover every cell exactly once between them; a subsequent
-// unsharded run against the shared cache directory then assembles tables
-// without simulating.
-func Prime(id string, o Options, shard, count int) (ran, total int, err error) {
-	cells, err := CellsFor(id, o)
-	if err != nil {
-		return 0, 0, err
-	}
-	total = len(cells)
-	var mine []Cell
-	for _, c := range cells {
-		if c.Spec.Shard(count) == shard {
-			mine = append(mine, c)
-		}
-	}
-	o = o.withDefaults()
-	_, err = runCells(o, mine, func(ctx context.Context, c Cell) (struct{}, error) {
-		_, err := system.ExecSpec(ctx, c.Spec, system.WithCache(o.Cache))
-		return struct{}{}, err
-	})
-	return len(mine), total, err
 }

@@ -4,7 +4,7 @@
 // byte-identically to a local run via the content-addressed result cache.
 //
 // The unit of distribution is the cell's canonical runspec hash — the
-// same identity the cache and the -shard flag use — so every exchange is
+// same identity the result cache uses — so every exchange is
 // idempotent: a worker that executes a cell twice, a completion that
 // arrives after its lease expired, or a retried upload all converge on
 // the same cache entry. Robustness comes from the lease state machine

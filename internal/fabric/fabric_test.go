@@ -373,6 +373,77 @@ func TestWorkerOverHTTP(t *testing.T) {
 	}
 }
 
+// TestDistributedAssemblySimulatesNothing: once two workers with the
+// default executor have run a sweep's cells, assembling the table from
+// the coordinator's cache is a pure read (no cache miss) and equals a
+// local run.
+func TestDistributedAssemblySimulatesNothing(t *testing.T) {
+	const expID = "fig3c"
+	opts := experiments.Options{Instrs: 25_000, Seed: 1}
+	local, err := experiments.ByID(expID, opts)
+	if err != nil {
+		t.Fatalf("local run: %v", err)
+	}
+
+	cells, err := experiments.CellsFor(expID, opts)
+	if err != nil {
+		t.Fatalf("CellsFor: %v", err)
+	}
+	cache := rcache.NewMem(256)
+	coord, err := NewCoordinator(Options{Cache: cache})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	coord.Add(cells)
+	coord.Seal()
+	ts := httptest.NewServer(coord.Handler())
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	driveDone := make(chan error, 1)
+	go func() { driveDone <- coord.Drive(ctx, time.Minute, 1) }()
+	var wg sync.WaitGroup
+	workerErrs := make([]error, 2)
+	for i := range workerErrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			workerErrs[i] = RunWorker(ctx, WorkerOptions{
+				Coordinator: client.New(client.Options{BaseURL: ts.URL}),
+				ID:          fmt.Sprintf("w-%d", i),
+				Cache:       rcache.NewMem(64),
+				PollMax:     50 * time.Millisecond,
+			})
+		}()
+	}
+	if err := <-driveDone; err != nil {
+		t.Fatalf("Drive: %v", err)
+	}
+	wg.Wait()
+	for i, err := range workerErrs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if st := coord.Stats(); st.Done != len(cells) || st.CompleteOK != uint64(len(cells)) || st.LocalCells != 0 {
+		t.Fatalf("stats = %+v, want all %d cells completed by workers", st, len(cells))
+	}
+
+	misses := cache.Stats().Misses
+	opts.Cache = cache
+	dist, err := experiments.ByID(expID, opts)
+	if err != nil {
+		t.Fatalf("assembling distributed table: %v", err)
+	}
+	if got := cache.Stats().Misses; got != misses {
+		t.Fatalf("assembly simulated %d cells, want 0", got-misses)
+	}
+	if dist.String() != local.String() {
+		t.Fatalf("distributed table differs from the local run\nlocal:\n%s\ndistributed:\n%s", local, dist)
+	}
+}
+
 // TestStatusEndpoint: the status document round-trips the stats snapshot.
 func TestStatusEndpoint(t *testing.T) {
 	coord, err := NewCoordinator(Options{Cache: rcache.NewMem(8)})

@@ -2,7 +2,6 @@ package par
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -12,24 +11,17 @@ import (
 )
 
 // Pool is a bounded worker pool. Submit work with Go; Wait blocks until all
-// submitted work has finished and returns the collected errors.
+// submitted work has finished. The pool does not recover panics: its
+// callers do (RunCellsOrdered per cell, fadeserve's scheduler per run),
+// where the failure can be attributed.
 type Pool struct {
 	sem chan struct{}
 	wg  sync.WaitGroup
-
-	mu   sync.Mutex
-	errs []error
-
-	failFast bool
-	stop     chan struct{}
-	stopOnce sync.Once
 }
 
-// PanicError is the error a Pool records when a submitted task panics: the
-// worker recovers the panic, captures its value and stack, and surfaces it
-// through Wait like any other task failure. One panicking cell therefore
-// fails its experiment instead of killing the whole process, and the pool
-// drains normally — no semaphore slot or WaitGroup count is leaked.
+// PanicError is the error RunCells reports for a cell that panicked: the
+// panic value and the panicking goroutine's stack. One panicking cell
+// therefore fails its experiment instead of killing the whole process.
 type PanicError struct {
 	// Value is the recovered panic value.
 	Value any
@@ -41,61 +33,28 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("par: task panicked: %v\n%s", e.Value, e.Stack)
 }
 
-// Option configures a Pool.
-type Option func(*Pool)
-
-// FailFast makes the pool skip tasks submitted (or not yet started) after
-// the first error. Already-running tasks are not interrupted.
-func FailFast() Option { return func(p *Pool) { p.failFast = true } }
-
 // NewPool returns a pool running at most workers tasks concurrently.
 // workers <= 0 selects runtime.GOMAXPROCS(0).
-func NewPool(workers int, opts ...Option) *Pool {
+func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{
-		sem:  make(chan struct{}, workers),
-		stop: make(chan struct{}),
-	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
+	return &Pool{sem: make(chan struct{}, workers)}
 }
 
 // Go submits fn to the pool. It blocks only while all workers are busy
 // (bounding both concurrency and the goroutine count); the task itself runs
-// asynchronously. A panicking task is recovered and recorded as a
-// *PanicError rather than crashing the process. A nil-safe no-op after
-// cancellation in fail-fast mode.
-func (p *Pool) Go(fn func() error) {
-	select {
-	case <-p.stop:
-		return
-	case p.sem <- struct{}{}:
-	}
-	p.launch(fn)
-}
-
-// TryGo submits fn only if a worker slot is immediately free, never
-// blocking the caller; it reports whether the task was accepted. Together
-// with Width and InFlight it lets a long-running scheduler (the fadeserve
-// admission path) dispatch onto the pool without stalling and surface the
-// pool's occupancy as backpressure instead.
-func (p *Pool) TryGo(fn func() error) bool {
-	select {
-	case <-p.stop:
-		return false
-	default:
-	}
-	select {
-	case p.sem <- struct{}{}:
-	default:
-		return false
-	}
-	p.launch(fn)
-	return true
+// asynchronously.
+func (p *Pool) Go(fn func()) {
+	p.sem <- struct{}{}
+	p.wg.Add(1)
+	go func() {
+		defer func() {
+			<-p.sem
+			p.wg.Done()
+		}()
+		fn()
+	}()
 }
 
 // Width returns the pool's worker-slot count.
@@ -106,55 +65,9 @@ func (p *Pool) Width() int { return cap(p.sem) }
 // point-in-time read: concurrent submissions and completions move it.
 func (p *Pool) InFlight() int { return len(p.sem) }
 
-// launch runs fn on a new goroutine; the caller has already acquired a
-// semaphore slot.
-func (p *Pool) launch(fn func() error) {
-	p.wg.Add(1)
-	go func() {
-		defer func() {
-			<-p.sem
-			p.wg.Done()
-		}()
-		if p.failFast {
-			select {
-			case <-p.stop:
-				return
-			default:
-			}
-		}
-		if err := p.run(fn); err != nil {
-			p.mu.Lock()
-			p.errs = append(p.errs, err)
-			p.mu.Unlock()
-			if p.failFast {
-				p.stopOnce.Do(func() { close(p.stop) })
-			}
-		}
-	}()
-}
-
-// run executes fn, converting a panic into a *PanicError. The recover sits
-// in its own frame so the deferred semaphore/WaitGroup release in Go always
-// runs — a panicking task cannot deadlock Wait.
-func (p *Pool) run(fn func() error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			buf := make([]byte, 64<<10)
-			err = &PanicError{Value: r, Stack: buf[:runtime.Stack(buf, false)]}
-		}
-	}()
-	return fn()
-}
-
-// Wait blocks until every submitted task has completed and returns the
-// collected errors joined (nil when all tasks succeeded). The pool may be
-// reused after Wait unless it was cancelled by fail-fast.
-func (p *Pool) Wait() error {
-	p.wg.Wait()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return errors.Join(p.errs...)
-}
+// Wait blocks until every submitted task has completed. The pool may be
+// reused afterwards.
+func (p *Pool) Wait() { p.wg.Wait() }
 
 // RunCells runs fn over every cell on a pool of the given width (<= 0
 // selects GOMAXPROCS) and returns the results in input order, regardless of
@@ -164,9 +77,9 @@ func (p *Pool) Wait() error {
 //
 // On failure RunCells returns the error of the lowest-indexed failing cell —
 // wrapped with the cell's index — so error reporting is as deterministic as
-// the results. A panicking cell is recovered by the pool and reported the
-// same way (as a *PanicError carrying the cell identity), never crashing the
-// process or deadlocking the drain.
+// the results. A panicking cell is recovered and reported the same way (as
+// a *PanicError carrying the cell identity), never crashing the process or
+// deadlocking the drain.
 func RunCells[C, R any](ctx context.Context, workers int, cells []C, fn func(context.Context, C) (R, error)) ([]R, error) {
 	return RunCellsOrdered(ctx, workers, cells, nil, fn)
 }
@@ -195,21 +108,17 @@ func RunCellsOrdered[C, R any](ctx context.Context, workers int, cells []C, orde
 		if order != nil {
 			i = order[k]
 		}
-		p.Go(func() (err error) {
-			// Recover here, not just in the pool, so the error names the
-			// failing cell; the pool's own recover remains the backstop for
-			// tasks submitted directly through Go.
+		p.Go(func() {
 			defer func() {
 				if r := recover(); r != nil {
 					buf := make([]byte, 64<<10)
 					pe := &PanicError{Value: r, Stack: buf[:runtime.Stack(buf, false)]}
 					errs[i] = fmt.Errorf("cell %d: %w", i, pe)
-					err = errs[i]
 				}
 			}()
 			if err := ctx.Err(); err != nil {
 				errs[i] = fmt.Errorf("cell %d: %w", i, err)
-				return errs[i]
+				return
 			}
 			if tr != nil {
 				start := time.Now()
@@ -221,13 +130,12 @@ func RunCellsOrdered[C, R any](ctx context.Context, workers int, cells []C, orde
 			r, err := fn(ctx, cells[i])
 			if err != nil {
 				errs[i] = fmt.Errorf("cell %d: %w", i, err)
-				return errs[i]
+				return
 			}
 			results[i] = r
-			return nil
 		})
 	}
-	p.wg.Wait() // errors are surfaced per-cell below, in input order
+	p.Wait() // errors are surfaced per-cell below, in input order
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

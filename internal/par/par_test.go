@@ -16,14 +16,9 @@ func TestPoolRunsEverything(t *testing.T) {
 	var n atomic.Int64
 	p := NewPool(4)
 	for i := 0; i < 100; i++ {
-		p.Go(func() error {
-			n.Add(1)
-			return nil
-		})
+		p.Go(func() { n.Add(1) })
 	}
-	if err := p.Wait(); err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	p.Wait()
 	if n.Load() != 100 {
 		t.Fatalf("ran %d tasks, want 100", n.Load())
 	}
@@ -34,7 +29,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	var cur, peak atomic.Int64
 	p := NewPool(workers)
 	for i := 0; i < 50; i++ {
-		p.Go(func() error {
+		p.Go(func() {
 			c := cur.Add(1)
 			for {
 				old := peak.Load()
@@ -44,74 +39,11 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 			cur.Add(-1)
-			return nil
 		})
 	}
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	p.Wait()
 	if got := peak.Load(); got > workers {
 		t.Fatalf("observed %d concurrent tasks, want <= %d", got, workers)
-	}
-}
-
-func TestPoolCollectsErrors(t *testing.T) {
-	p := NewPool(2)
-	for i := 0; i < 5; i++ {
-		i := i
-		p.Go(func() error {
-			if i%2 == 0 {
-				return fmt.Errorf("task %d failed", i)
-			}
-			return nil
-		})
-	}
-	err := p.Wait()
-	if err == nil {
-		t.Fatal("Wait returned nil, want joined errors")
-	}
-	for _, want := range []string{"task 0", "task 2", "task 4"} {
-		if !contains(err.Error(), want) {
-			t.Fatalf("error %q missing %q", err, want)
-		}
-	}
-}
-
-func TestPoolFailFastSkipsRemaining(t *testing.T) {
-	var ran atomic.Int64
-	boom := errors.New("boom")
-	p := NewPool(1, FailFast())
-	p.Go(func() error { return boom })
-	if err := p.Wait(); !errors.Is(err, boom) {
-		t.Fatalf("Wait = %v, want %v", err, boom)
-	}
-	// Submissions after cancellation are dropped.
-	for i := 0; i < 10; i++ {
-		p.Go(func() error {
-			ran.Add(1)
-			return nil
-		})
-	}
-	p.wg.Wait()
-	if ran.Load() != 0 {
-		t.Fatalf("%d tasks ran after fail-fast cancellation", ran.Load())
-	}
-}
-
-// TestPoolRecoversPanic: a task submitted directly through Go that panics is
-// recorded as a *PanicError and the pool still drains (Wait returns).
-func TestPoolRecoversPanic(t *testing.T) {
-	p := NewPool(2)
-	for i := 0; i < 4; i++ {
-		p.Go(func() error { panic("kaboom") })
-	}
-	err := p.Wait()
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("Wait = %v, want *PanicError", err)
-	}
-	if pe.Value != "kaboom" || len(pe.Stack) == 0 {
-		t.Fatalf("PanicError = {%v, %d stack bytes}, want value and stack", pe.Value, len(pe.Stack))
 	}
 }
 
@@ -261,40 +193,20 @@ func TestPoolIntrospection(t *testing.T) {
 	}
 	block := make(chan struct{})
 	started := make(chan struct{}, 2)
-	task := func() error { started <- struct{}{}; <-block; return nil }
-	if !p.TryGo(task) || !p.TryGo(task) {
-		t.Fatal("TryGo rejected with free slots")
-	}
+	task := func() { started <- struct{}{}; <-block }
+	p.Go(task)
+	p.Go(task)
 	<-started
 	<-started
 	if p.InFlight() != 2 {
 		t.Fatalf("busy InFlight = %d, want 2", p.InFlight())
 	}
-	if p.TryGo(func() error { return nil }) {
-		t.Fatal("TryGo accepted with all slots busy")
-	}
 	close(block)
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	p.Wait()
 	if p.InFlight() != 0 {
 		t.Fatalf("drained InFlight = %d, want 0", p.InFlight())
 	}
-	// After a drain the pool remains usable through both submit paths.
-	if !p.TryGo(func() error { return nil }) {
-		t.Fatal("TryGo rejected after drain")
-	}
-	p.Go(func() error { return nil })
-	if err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTryGoAfterFailFastStop(t *testing.T) {
-	p := NewPool(1, FailFast())
-	p.Go(func() error { return errors.New("boom") })
-	_ = p.Wait()
-	if p.TryGo(func() error { return nil }) {
-		t.Fatal("TryGo accepted after fail-fast cancellation")
-	}
+	// After a drain the pool remains usable.
+	p.Go(func() {})
+	p.Wait()
 }

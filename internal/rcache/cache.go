@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -125,7 +126,8 @@ func NewMem(entries int) *Cache {
 // Do returns the cached value for key, computing and caching it on a miss.
 // Concurrent callers with the same key share one computation (the Source
 // for waiters mirrors the winner's). A computation error is returned but
-// not cached: the flight is dropped so a later caller retries.
+// not cached: the flight is dropped so a later caller retries. A panicking
+// computation fails its flight the same way before the panic propagates.
 func (c *Cache) Do(ctx context.Context, key Key, compute func(context.Context) ([]byte, error)) ([]byte, Source, error) {
 	for {
 		c.mu.Lock()
@@ -153,8 +155,21 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func(context.Context) (
 		f := &flight{done: make(chan struct{})}
 		c.flights[key] = f
 		c.mu.Unlock()
+		return c.lead(ctx, key, f, compute)
+	}
+}
 
-		f.val, f.src, f.err = c.fill(ctx, key, compute)
+// errComputePanicked is what a flight's waiters see when its compute
+// panicked; like any failure it sends them round to retry.
+var errComputePanicked = errors.New("rcache: compute panicked")
+
+// lead runs flight f as its winner and then settles it: f leaves the
+// flight table, a success enters memory, and f.done is closed. Settling is
+// deferred so that a panicking compute still releases the waiters (with
+// errComputePanicked) before its panic reaches the caller.
+func (c *Cache) lead(ctx context.Context, key Key, f *flight, compute func(context.Context) ([]byte, error)) ([]byte, Source, error) {
+	f.err = errComputePanicked
+	defer func() {
 		c.mu.Lock()
 		// Reset may have swapped the flights map; only remove our own.
 		if cur, ok := c.flights[key]; ok && cur == f {
@@ -165,8 +180,9 @@ func (c *Cache) Do(ctx context.Context, key Key, compute func(context.Context) (
 		}
 		c.mu.Unlock()
 		close(f.done)
-		return f.val, f.src, f.err
-	}
+	}()
+	f.val, f.src, f.err = c.fill(ctx, key, compute)
+	return f.val, f.src, f.err
 }
 
 // fill resolves a miss: disk first, then compute (persisting the result).

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fade/internal/obs"
 )
@@ -98,6 +99,67 @@ func TestErrorsNotCached(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("len = %d, want 1 (only the success cached)", c.Len())
 	}
+}
+
+// TestPanickingComputeReleasesFlight: a compute that panics must not leave
+// its flight behind. A caller already waiting on it and a later caller of
+// the same key both go on to compute instead of blocking forever.
+func TestPanickingComputeReleasesFlight(t *testing.T) {
+	c := NewMem(8)
+	k := key("p")
+	release := make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do(context.Background(), k, func(context.Context) ([]byte, error) {
+			<-release
+			panic("compute exploded")
+		})
+	}()
+	ok := func(context.Context) ([]byte, error) { return []byte("v"), nil }
+	waiter := make(chan error, 1)
+	go func() {
+		// Issued once the panicking flight is registered, so it waits on it.
+		for {
+			c.mu.Lock()
+			_, inFlight := c.flights[k]
+			c.mu.Unlock()
+			if inFlight {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		_, _, err := c.Do(context.Background(), k, ok)
+		waiter <- err
+	}()
+	for c.Stats().SingleFlightWait == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if v := <-panicked; v != "compute exploded" {
+		t.Fatalf("recovered %v, want the compute's panic", v)
+	}
+	within := func(what string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s still blocked on the panicked flight after 2s", what)
+		}
+	}
+	within("waiter", waiter)
+	later := make(chan error, 1)
+	go func() {
+		v, _, err := c.Do(context.Background(), k, ok)
+		if err == nil && string(v) != "v" {
+			err = fmt.Errorf("value %q, want v", v)
+		}
+		later <- err
+	}()
+	within("later Do", later)
 }
 
 func TestLRUEviction(t *testing.T) {

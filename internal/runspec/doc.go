@@ -10,9 +10,9 @@
 // constructs or consumes a Spec instead. Because simulations are
 // byte-deterministic functions of their Spec (PR 1), Spec.Hash is a
 // content address: internal/rcache keys completed results by it, which is
-// what makes sweeps resumable (fadebench -cache-dir), shardable
-// (fadebench -shard i/n), and instantly replayable (fadeserve's
-// "cached": true).
+// what makes sweeps resumable (fadebench -cache-dir), distributable
+// (fadebench -coordinator with fadeworker processes), and instantly
+// replayable (fadeserve's "cached": true).
 //
 // The hash covers exactly the fields that can change a run's result or
 // its metrics dump, after normalization (zero values are folded onto

@@ -2,7 +2,6 @@ package runspec
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -291,16 +290,4 @@ func (s Spec) Hash() [32]byte {
 func (s Spec) HashString() string {
 	h := s.Hash()
 	return hex.EncodeToString(h[:])
-}
-
-// Shard maps the spec onto one of count shards by its content hash,
-// returning the owning shard index in [0, count). Hash-partitioning is
-// stable across processes, so N fadebench invocations with -shard i/N
-// cover every cell exactly once between them.
-func (s Spec) Shard(count int) int {
-	if count <= 1 {
-		return 0
-	}
-	h := s.Hash()
-	return int(binary.BigEndian.Uint64(h[:8]) % uint64(count))
 }

@@ -235,32 +235,3 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
-
-func TestShardPartition(t *testing.T) {
-	const shards = 3
-	counts := make([]int, shards)
-	for _, c := range goldenMatrix() {
-		i := c.spec.Shard(shards)
-		if i < 0 || i >= shards {
-			t.Fatalf("%s: shard index %d out of range", c.name, i)
-		}
-		counts[i]++
-		// Stability: sharding is a pure function of the hash.
-		if c.spec.Shard(shards) != i {
-			t.Fatalf("%s: shard not stable", c.name)
-		}
-	}
-	if c := (Spec{Benchmark: "x"}).Shard(0); c != 0 {
-		t.Fatalf("Shard(0) = %d, want 0", c)
-	}
-	if c := (Spec{Benchmark: "x"}).Shard(1); c != 0 {
-		t.Fatalf("Shard(1) = %d, want 0", c)
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	if total != len(goldenMatrix()) {
-		t.Fatalf("sharding lost cells: %d != %d", total, len(goldenMatrix()))
-	}
-}

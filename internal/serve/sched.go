@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -391,10 +392,7 @@ func (s *Scheduler) dispatch() {
 		s.mu.Lock()
 		r.poppedAt = s.opts.Now()
 		s.mu.Unlock()
-		s.pool.Go(func() error {
-			s.execute(r)
-			return nil
-		})
+		s.pool.Go(func() { s.execute(r) })
 	}
 }
 
@@ -413,6 +411,15 @@ func (s *Scheduler) execute(r *Run) {
 	submittedAt, poppedAt, startedAt := r.submittedAt, r.poppedAt, r.startedAt
 	s.mu.Unlock()
 	defer cancel()
+	// A panicking run fails like any other error: finish settles its
+	// followers and drops its single-flight claim, so it is not left
+	// running forever with duplicate submissions coalescing onto it.
+	defer func() {
+		if p := recover(); p != nil {
+			s.logRun(r, "run panicked", "stack", string(debug.Stack()))
+			s.finish(r, nil, fmt.Errorf("run panicked: %v", p), false)
+		}
+	}()
 
 	// The serving path's wall-clock spans: queue wait (submission to
 	// dequeue), scheduling (dequeue to worker-slot acquisition), then the

@@ -2,12 +2,17 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"fade/internal/rcache"
+	"fade/internal/runspec"
+	"fade/internal/system"
 )
 
 // TestSubmitCoalesces checks the serve-layer single-flight: two
@@ -148,5 +153,70 @@ func TestRetryAfterComputed(t *testing.T) {
 		if got := w.Header().Get("Retry-After"); got != exp {
 			t.Fatalf("reject #%d Retry-After = %q, want %q", i+1, got, exp)
 		}
+	}
+}
+
+// TestPanickingRunFails checks that a run whose execution panics fails
+// instead of staying running: its wait=true returns the failed record
+// with the panic message, its coalesced follower is promoted into a run
+// of its own on the freed worker slot, and a later resubmission executes
+// rather than coalescing onto the dead run.
+func TestPanickingRunFails(t *testing.T) {
+	var calls atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	runner := func(ctx context.Context, s runspec.Spec, opts ...system.Option) (*system.Outcome, error) {
+		if calls.Add(1) == 1 {
+			close(started)
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			panic("runner exploded")
+		}
+		return instantRunner(ctx, s, opts...)
+	}
+	srv := New(Options{Workers: 1, Cache: rcache.NewMem(16), Runner: runner})
+	defer srv.Close()
+	h := srv.Handler()
+	submitWait := func() chan *httptest.ResponseRecorder {
+		ch := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			ch <- do(t, h, "POST", "/v1/runs?wait=true", `{"benchmark":"astar","monitor":"MemLeak"}`, nil)
+		}()
+		return ch
+	}
+	settled := func(what string, ch chan *httptest.ResponseRecorder) RunInfo {
+		t.Helper()
+		select {
+		case w := <-ch:
+			return decodeInfo(t, w)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: wait=true still blocked after 5s", what)
+			return RunInfo{}
+		}
+	}
+
+	primary := submitWait()
+	<-started
+	follower := submitWait()
+	eventually(t, "follower to coalesce", func() bool {
+		return srv.sched.met.runsCoalesced.Value() == 1
+	})
+	close(release)
+
+	if pi := settled("panicked run", primary); pi.State != StateFailed || !strings.Contains(pi.Error, "runner exploded") {
+		t.Fatalf("panicked run = %q (error %q), want failed with the panic message", pi.State, pi.Error)
+	}
+	if fi := settled("follower", follower); fi.State != StateDone || fi.Cached {
+		t.Fatalf("follower = %q (cached %v), want done by its own execution", fi.State, fi.Cached)
+	}
+	if ri := settled("resubmission", submitWait()); ri.State != StateDone {
+		t.Fatalf("resubmission state = %q (error %q), want done", ri.State, ri.Error)
+	}
+	if got := srv.sched.met.runsCoalesced.Value(); got != 1 {
+		t.Fatalf("serve.runs.coalesced = %d, want 1 (only the follower)", got)
+	}
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("runner ran %d times, want 3 (panicked run, follower, resubmission)", got)
 	}
 }
