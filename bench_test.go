@@ -249,11 +249,13 @@ func BenchmarkTraceReplay(b *testing.B) {
 			break
 		}
 	}
+	src.Close()
 	src = trace.Open(prof, 1, n)
 	defer func() { src.Close() }()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := src.Next(); !ok {
+			src.Close()
 			src = trace.Open(prof, 1, n)
 		}
 	}

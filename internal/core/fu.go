@@ -234,7 +234,7 @@ func (fu *FilteringUnit) Complete(seq uint64) {
 
 // Tick advances the accelerator by one cycle.
 func (fu *FilteringUnit) Tick(cycle uint64) {
-	fu.ufq.SampleOccupancy()
+	fu.ufq.SampleOccupancyN(1)
 	switch {
 	case fu.suu.Busy():
 		// The SUU occupies the accelerator; filtering is stopped while
@@ -251,10 +251,10 @@ func (fu *FilteringUnit) Tick(cycle uint64) {
 }
 
 // quietForever mirrors sim.QuietForever structurally (the core package
-// implements sim's quiescence contracts without importing the kernel).
+// implements sim.Sleeper without importing the kernel).
 const quietForever = ^uint64(0)
 
-// QuietTicks implements sim.UnitSleeper. The accelerator is quiescent
+// QuietTicks implements sim.Sleeper. The accelerator is quiescent
 // while it counts down a metadata-read stall, while it is blocked waiting
 // for a software handler to complete (the wake is the monitor core's
 // Complete call — an external act), and while it is idle on an empty event
@@ -275,7 +275,7 @@ func (fu *FilteringUnit) QuietTicks() uint64 {
 	}
 }
 
-// SkipTicks implements sim.UnitSleeper. Every tick — quiet or not —
+// SkipTicks implements sim.Sleeper. Every tick — quiet or not —
 // samples the unfiltered queue's occupancy, so the bulk path replays those
 // samples (the occupancy is frozen across a quiescent span) alongside the
 // stall/blocked/idle accounting.
@@ -581,9 +581,6 @@ func (fu *FilteringUnit) FlushBurst() {
 func (fu *FilteringUnit) Busy() bool {
 	return fu.cur != nil || fu.suu.Busy() || fu.stall > 0 || fu.waiting
 }
-
-// SUUnit exposes the stack-update unit for reporting.
-func (fu *FilteringUnit) SUUnit() *SUU { return fu.suu }
 
 // CollectMetrics exposes the accelerator's counters under the "fu." name
 // space (see docs/METRICS.md). It implements obs.Collector; the per-event

@@ -6,6 +6,7 @@ import (
 	"fade/internal/monitor"
 	"fade/internal/obs"
 	"fade/internal/queue"
+	"fade/internal/sim"
 	"fade/internal/trace"
 )
 
@@ -92,10 +93,6 @@ func (c *AppCore) MetricsCollector(prefix string) obs.Collector {
 	})
 }
 
-// Tick implements sim.Component for contexts where the core owns its cycle
-// outright (unmonitored baselines, the rate-model cross-validation).
-func (c *AppCore) Tick(cycle uint64) { c.TickShare(1.0) }
-
 // TickShare advances the core by one cycle with the given share of the
 // core's resources (1.0 when it owns the core, 0.5 under SMT sharing).
 func (c *AppCore) TickShare(share float64) {
@@ -138,12 +135,7 @@ func (c *AppCore) TickShare(share float64) {
 	}
 }
 
-// quietForever mirrors sim.QuietForever / sim.NeverWake without importing
-// the kernel package: the cpu package implements sim's quiescence contracts
-// structurally, exactly like sim.Component.
-const quietForever = ^uint64(0)
-
-// QuietTicks implements sim.ThreadSleeper. The core is quiescent in three
+// QuietTicks implements sim.AppThread. The core is quiescent in three
 // states, all of which its TickShare handles before any instruction
 // retires:
 //
@@ -158,11 +150,11 @@ const quietForever = ^uint64(0)
 //     wake tick that resumes retirement.
 func (c *AppCore) QuietTicks(share float64) uint64 {
 	if c.Done() {
-		return quietForever
+		return sim.QuietForever
 	}
 	if c.hasPending {
 		if c.evq.Full() {
-			return quietForever
+			return sim.QuietForever
 		}
 		return 0 // the parked event drains next tick
 	}
@@ -172,7 +164,7 @@ func (c *AppCore) QuietTicks(share float64) uint64 {
 		// (stalled and drained cores are handled above), but claim only
 		// what is provable: with no banked deficit nothing is quiet.
 		if c.credit <= 0 {
-			return quietForever
+			return sim.QuietForever
 		}
 		return 0
 	}
@@ -185,7 +177,7 @@ func (c *AppCore) QuietTicks(share float64) uint64 {
 	return n
 }
 
-// SkipTicks implements sim.ThreadSleeper, bulk-applying n quiescent ticks.
+// SkipTicks implements sim.AppThread, bulk-applying n quiescent ticks.
 // The credit pool is replayed addition-by-addition: repeated float adds are
 // not equivalent to one fused add, and slowdown measurements hang off every
 // retirement cycle downstream of this pool.
@@ -204,20 +196,6 @@ func (c *AppCore) SkipTicks(n uint64, share float64) {
 		c.credit += inc
 	}
 }
-
-// NextWake implements sim.Sleeper for contexts where the core is
-// registered on the clock directly (unmonitored baselines): full share,
-// no arbitration.
-func (c *AppCore) NextWake(now uint64) uint64 {
-	q := c.QuietTicks(1)
-	if q == quietForever || now+q < now {
-		return quietForever // sim.NeverWake
-	}
-	return now + q
-}
-
-// FastForward implements sim.Sleeper (full-share bulk advance).
-func (c *AppCore) FastForward(now, n uint64) { c.SkipTicks(n, 1) }
 
 // instrCost returns the instruction's cost in issue-width-normalized units
 // (the credit pool is in slots, so a plain instruction costs 1 slot and

@@ -129,7 +129,7 @@ func TestAppCoreBackpressure(t *testing.T) {
 	var cycles uint64
 	for !app.Done() && cycles < 2_000_000 {
 		app.TickShare(1.0)
-		evq.SampleOccupancy()
+		evq.SampleOccupancyN(1)
 		if cycles%2 == 0 {
 			evq.Pop() // slow consumer: half an event per cycle
 		}

@@ -7,6 +7,7 @@ import (
 	"fade/internal/monitor"
 	"fade/internal/obs"
 	"fade/internal/queue"
+	"fade/internal/sim"
 )
 
 // MonitorCore models the hardware thread (or core) running the monitoring
@@ -89,9 +90,6 @@ func (c *MonitorCore) Reports() []monitor.Report {
 	return r
 }
 
-// ReportCount returns the number of detections so far.
-func (c *MonitorCore) ReportCount() int { return len(c.reports) }
-
 // ClassInstr returns the handler instructions executed per class, the raw
 // material of the Fig. 4(a) execution-time breakdown.
 func (c *MonitorCore) ClassInstr() map[monitor.Class]float64 { return c.classInstr }
@@ -154,7 +152,7 @@ func (c *MonitorCore) TickShare(share float64) {
 	c.start(ev, false, share, monitor.HandleCtx{CritRegs: true})
 }
 
-// QuietTicks implements sim.ThreadSleeper. An idle thread (no in-flight
+// QuietTicks implements sim.MonThread. An idle thread (no in-flight
 // handler, empty queue) is quiet until a producer enqueues work; a thread
 // crunching a long handler is quiet until the tick on which the remaining
 // work reaches zero — that tick completes the handler (and, in FADE
@@ -163,7 +161,7 @@ func (c *MonitorCore) QuietTicks(share float64) uint64 {
 	if c.inFlight {
 		dec := c.kind.HandlerIPC() * share
 		if dec <= 0 {
-			return quietForever // no progress at zero share
+			return sim.QuietForever // no progress at zero share
 		}
 		n := uint64(0)
 		for left := c.busyLeft - dec; left > 0; left -= dec {
@@ -173,15 +171,15 @@ func (c *MonitorCore) QuietTicks(share float64) uint64 {
 	}
 	if c.ufq != nil {
 		if c.ufq.Empty() {
-			return quietForever
+			return sim.QuietForever
 		}
 	} else if c.evq.Empty() {
-		return quietForever
+		return sim.QuietForever
 	}
 	return 0 // an event is waiting: next tick dispatches it
 }
 
-// SkipTicks implements sim.ThreadSleeper. In-flight handler progress is
+// SkipTicks implements sim.MonThread. In-flight handler progress is
 // replayed subtraction-by-subtraction for bit-exact remaining work; idle
 // ticks are pure stall accounting.
 func (c *MonitorCore) SkipTicks(n uint64, share float64) {

@@ -65,11 +65,9 @@ func mdcacheSweep() (points []string, mutators []func(*runspec.Spec)) {
 	return points, mutators
 }
 
-// AblationMDCache sweeps the metadata cache size and reports slowdown
+// expAblationMDCache sweeps the metadata cache size and reports slowdown
 // against silicon cost — the cost-performance trade the paper's excluded
 // sensitivity analysis settles at 4 KB.
-func AblationMDCache(o Options) (*Table, error) { return run(expAblationMDCache, o) }
-
 var expAblationMDCache = experiment{
 	id: "ablation-mdcache",
 	cells: func(o Options) ([]Cell, error) {
@@ -108,9 +106,7 @@ func evqSweep() (points []string, mutators []func(*runspec.Spec)) {
 	return points, mutators
 }
 
-// AblationEventQueue sweeps the event queue depth on the full FADE system.
-func AblationEventQueue(o Options) (*Table, error) { return run(expAblationEvq, o) }
-
+// expAblationEvq sweeps the event queue depth on the full FADE system.
 var expAblationEvq = experiment{
 	id: "ablation-evq",
 	cells: func(o Options) ([]Cell, error) {
@@ -144,9 +140,7 @@ func ufqSweep() (points []string, mutators []func(*runspec.Spec)) {
 	return points, mutators
 }
 
-// AblationUnfilteredQueue sweeps the unfiltered event queue depth.
-func AblationUnfilteredQueue(o Options) (*Table, error) { return run(expAblationUfq, o) }
-
+// expAblationUfq sweeps the unfiltered event queue depth.
 var expAblationUfq = experiment{
 	id: "ablation-ufq",
 	cells: func(o Options) ([]Cell, error) {
@@ -190,10 +184,8 @@ func signalSweep() (points []string, mutators []func(*runspec.Spec)) {
 	return points, mutators
 }
 
-// AblationSignalLatency quantifies what the Non-Blocking design saves as a
+// expAblationSignal quantifies what the Non-Blocking design saves as a
 // function of the blocking design's completion-notification latency.
-func AblationSignalLatency(o Options) (*Table, error) { return run(expAblationSignal, o) }
-
 var expAblationSignal = experiment{
 	id: "ablation-signal",
 	cells: func(o Options) ([]Cell, error) {
@@ -221,14 +213,12 @@ var expAblationSignal = experiment{
 	},
 }
 
-// AblationCoreModel cross-validates the two application-core timing models:
+// expAblationCoreModel cross-validates the two application-core timing models:
 // the calibrated rate-based model (used by every experiment above) and the
 // dependency-driven detailed model (real ROB, register dependencies, cache
 // latencies). Agreement on the workload extremes — which benchmarks are
 // memory-bound, which are fast — grounds the rate model's per-profile
 // calibration in instruction-level behaviour.
-func AblationCoreModel(o Options) (*Table, error) { return run(expAblationCoreModel, o) }
-
 var expAblationCoreModel = experiment{
 	id: "ablation-coremodel",
 	cells: func(o Options) ([]Cell, error) {

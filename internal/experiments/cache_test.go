@@ -14,7 +14,7 @@ func TestCacheResume(t *testing.T) {
 	dir := t.TempDir()
 	o := tiny()
 
-	plain, err := Fig2bc(o)
+	plain, err := ByID("fig2bc", o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestCacheResume(t *testing.T) {
 	}
 	oc := o
 	oc.Cache = cold
-	ct, err := Fig2bc(oc)
+	ct, err := ByID("fig2bc", oc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCacheResume(t *testing.T) {
 	}
 	ow := o
 	ow.Cache = warm
-	wt, err := Fig2bc(ow)
+	wt, err := ByID("fig2bc", ow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +67,17 @@ func TestCacheResume(t *testing.T) {
 // metrics attached) through the cache, including the Cells telemetry.
 func TestCachedFullSystemExperiment(t *testing.T) {
 	o := tiny()
-	plain, err := Fig11c(o)
+	plain, err := ByID("fig11c", o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := rcache.NewMem(256)
 	oc := o
 	oc.Cache = c
-	if _, err := Fig11c(oc); err != nil { // cold fill
+	if _, err := ByID("fig11c", oc); err != nil { // cold fill
 		t.Fatal(err)
 	}
-	warmTbl, err := Fig11c(oc) // all hits
+	warmTbl, err := ByID("fig11c", oc) // all hits
 	if err != nil {
 		t.Fatal(err)
 	}

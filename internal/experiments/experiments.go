@@ -350,11 +350,9 @@ func Monitors() []string { return monitor.Names() }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
-// Fig2a reproduces Fig. 2(a): application IPC split into monitored and
+// expFig2a reproduces Fig. 2(a): application IPC split into monitored and
 // unmonitored instructions per cycle, averaged across each monitor's
 // benchmarks, on the aggressive 4-way OoO core.
-func Fig2a(o Options) (*Table, error) { return run(expFig2a, o) }
-
 var expFig2a = experiment{
 	id: "fig2a",
 	cells: func(o Options) ([]Cell, error) {
@@ -384,10 +382,8 @@ var expFig2a = experiment{
 	},
 }
 
-// Fig2bc reproduces Fig. 2(b,c): per-benchmark monitored IPC for AddrCheck
+// expFig2bc reproduces Fig. 2(b,c): per-benchmark monitored IPC for AddrCheck
 // (memory tracking) and MemLeak (propagation tracking).
-func Fig2bc(o Options) (*Table, error) { return run(expFig2bc, o) }
-
 var expFig2bc = experiment{
 	id: "fig2bc",
 	cells: func(o Options) ([]Cell, error) {
@@ -421,11 +417,9 @@ var expFig2bc = experiment{
 // occupancyProbes are the x-axis points of Fig. 3(a,b).
 var occupancyProbes = []int{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768}
 
-// Fig3ab reproduces Fig. 3(a,b): the cumulative distribution of an infinite
+// expFig3ab reproduces Fig. 3(a,b): the cumulative distribution of an infinite
 // event queue's occupancy under a 1-event/cycle drain, for AddrCheck and
 // MemLeak.
-func Fig3ab(o Options) (*Table, error) { return run(expFig3ab, o) }
-
 var expFig3ab = experiment{
 	id: "fig3ab",
 	cells: func(o Options) ([]Cell, error) {
@@ -458,10 +452,8 @@ func probeHeader() []string {
 	return h
 }
 
-// Fig3c reproduces Fig. 3(c): MemLeak slowdown versus event-queue size
+// expFig3c reproduces Fig. 3(c): MemLeak slowdown versus event-queue size
 // (32 entries vs 32K entries), with the 1-event/cycle drain.
-func Fig3c(o Options) (*Table, error) { return run(expFig3c, o) }
-
 var expFig3c = experiment{
 	id: "fig3c",
 	cells: func(o Options) ([]Cell, error) {
@@ -496,11 +488,9 @@ var expFig3c = experiment{
 	},
 }
 
-// Fig4a reproduces Fig. 4(a): the unaccelerated monitors' execution-time
+// expFig4a reproduces Fig. 4(a): the unaccelerated monitors' execution-time
 // breakdown into clean-check, redundant-update, stack-update, and complex
 // handler work.
-func Fig4a(o Options) (*Table, error) { return run(expFig4a, o) }
-
 var expFig4a = experiment{
 	id: "fig4a",
 	cells: func(o Options) ([]Cell, error) {
@@ -546,10 +536,8 @@ var expFig4a = experiment{
 // distanceProbes are the x-axis points of Fig. 4(b).
 var distanceProbes = []int{0, 1, 2, 4, 8, 16, 32, 64, 128}
 
-// Fig4b reproduces Fig. 4(b): the CDF of distances (in events) between
+// expFig4b reproduces Fig. 4(b): the CDF of distances (in events) between
 // consecutive unfiltered events under MemLeak.
-func Fig4b(o Options) (*Table, error) { return run(expFig4b, o) }
-
 var expFig4b = experiment{
 	id: "fig4b",
 	cells: func(o Options) ([]Cell, error) {
@@ -585,11 +573,9 @@ func distHeader() []string {
 	return h
 }
 
-// Fig4c reproduces Fig. 4(c): the average unfiltered burst size per monitor
+// expFig4c reproduces Fig. 4(c): the average unfiltered burst size per monitor
 // and benchmark (a burst = unfiltered events separated by <=16 filterable
 // events).
-func Fig4c(o Options) (*Table, error) { return run(expFig4c, o) }
-
 var expFig4c = experiment{
 	id: "fig4c",
 	cells: func(o Options) ([]Cell, error) {
@@ -618,9 +604,7 @@ var expFig4c = experiment{
 	},
 }
 
-// Table2 reproduces Table 2: FADE's filtering efficiency per monitor.
-func Table2(o Options) (*Table, error) { return run(expTable2, o) }
-
+// expTable2 reproduces Table 2: FADE's filtering efficiency per monitor.
 var expTable2 = experiment{
 	id: "table2",
 	cells: func(o Options) ([]Cell, error) {
@@ -673,11 +657,9 @@ func (o Options) pairGrid(mons []string, pin func(*runspec.Spec),
 	return cells
 }
 
-// Fig9 reproduces Fig. 9: per-benchmark slowdown of the unaccelerated and
+// expFig9 reproduces Fig. 9: per-benchmark slowdown of the unaccelerated and
 // FADE systems (both single-core dual-threaded, 4-way OoO), for AddrCheck,
 // MemLeak, and AtomCheck, plus suite averages for every monitor.
-func Fig9(o Options) (*Table, error) { return run(expFig9, o) }
-
 var expFig9 = experiment{
 	id: "fig9",
 	cells: func(o Options) ([]Cell, error) {
@@ -725,10 +707,8 @@ var coreModels = []struct{ name, label string }{
 	{runspec.Core4Way, "4-way OoO"},
 }
 
-// Fig10 reproduces Fig. 10: average slowdown per monitor for the three core
+// expFig10 reproduces Fig. 10: average slowdown per monitor for the three core
 // types, unaccelerated and FADE-enabled (single-core dual-threaded).
-func Fig10(o Options) (*Table, error) { return run(expFig10, o) }
-
 var expFig10 = experiment{
 	id: "fig10",
 	cells: func(o Options) ([]Cell, error) {
@@ -783,9 +763,7 @@ var expFig10 = experiment{
 	},
 }
 
-// Fig11a reproduces Fig. 11(a): single-core versus two-core FADE systems.
-func Fig11a(o Options) (*Table, error) { return run(expFig11a, o) }
-
+// expFig11a reproduces Fig. 11(a): single-core versus two-core FADE systems.
 var expFig11a = experiment{
 	id: "fig11a",
 	cells: func(o Options) ([]Cell, error) {
@@ -815,9 +793,7 @@ var expFig11a = experiment{
 	},
 }
 
-// Fig11b reproduces Fig. 11(b): the two-core system's utilization breakdown.
-func Fig11b(o Options) (*Table, error) { return run(expFig11b, o) }
-
+// expFig11b reproduces Fig. 11(b): the two-core system's utilization breakdown.
 var expFig11b = experiment{
 	id: "fig11b",
 	cells: func(o Options) ([]Cell, error) {
@@ -846,9 +822,7 @@ var expFig11b = experiment{
 	},
 }
 
-// Fig11c reproduces Fig. 11(c): blocking versus non-blocking FADE.
-func Fig11c(o Options) (*Table, error) { return run(expFig11c, o) }
-
+// expFig11c reproduces Fig. 11(c): blocking versus non-blocking FADE.
 var expFig11c = experiment{
 	id: "fig11c",
 	cells: func(o Options) ([]Cell, error) {
@@ -879,9 +853,7 @@ var expFig11c = experiment{
 	},
 }
 
-// Synth reproduces the Section 7.6 area/power estimates.
-func Synth(o Options) (*Table, error) { return run(expSynth, o) }
-
+// expSynth reproduces the Section 7.6 area/power estimates.
 var expSynth = experiment{
 	id:    "synth",
 	cells: func(o Options) ([]Cell, error) { return nil, nil },

@@ -65,42 +65,42 @@ func expectTable(t *testing.T, tbl *Table, err error, minRows int) {
 }
 
 func TestFig2a(t *testing.T) {
-	tbl, err := Fig2a(tiny())
+	tbl, err := ByID("fig2a", tiny())
 	expectTable(t, tbl, err, 5)
 }
 
 func TestFig2bc(t *testing.T) {
-	tbl, err := Fig2bc(tiny())
+	tbl, err := ByID("fig2bc", tiny())
 	expectTable(t, tbl, err, 9) // 8 benchmarks + mean
 }
 
 func TestFig3ab(t *testing.T) {
-	tbl, err := Fig3ab(tiny())
+	tbl, err := ByID("fig3ab", tiny())
 	expectTable(t, tbl, err, 16) // 2 monitors x 8 benchmarks
 }
 
 func TestFig3c(t *testing.T) {
-	tbl, err := Fig3c(tiny())
+	tbl, err := ByID("fig3c", tiny())
 	expectTable(t, tbl, err, 9)
 }
 
 func TestFig4a(t *testing.T) {
-	tbl, err := Fig4a(tiny())
+	tbl, err := ByID("fig4a", tiny())
 	expectTable(t, tbl, err, 5)
 }
 
 func TestFig4b(t *testing.T) {
-	tbl, err := Fig4b(tiny())
+	tbl, err := ByID("fig4b", tiny())
 	expectTable(t, tbl, err, 8)
 }
 
 func TestFig4c(t *testing.T) {
-	tbl, err := Fig4c(tiny())
+	tbl, err := ByID("fig4c", tiny())
 	expectTable(t, tbl, err, 5)
 }
 
 func TestTable2(t *testing.T) {
-	tbl, err := Table2(tiny())
+	tbl, err := ByID("table2", tiny())
 	expectTable(t, tbl, err, 5)
 	// Every monitor's measured ratio should parse as a percentage > 50%.
 	for _, row := range tbl.Rows {
@@ -111,7 +111,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFig9(t *testing.T) {
-	tbl, err := Fig9(tiny())
+	tbl, err := ByID("fig9", tiny())
 	// 8+8+5 detailed rows + 5 means + overall.
 	expectTable(t, tbl, err, 25)
 	last := tbl.Rows[len(tbl.Rows)-1]
@@ -121,22 +121,22 @@ func TestFig9(t *testing.T) {
 }
 
 func TestFig11a(t *testing.T) {
-	tbl, err := Fig11a(tiny())
+	tbl, err := ByID("fig11a", tiny())
 	expectTable(t, tbl, err, 5)
 }
 
 func TestFig11b(t *testing.T) {
-	tbl, err := Fig11b(tiny())
+	tbl, err := ByID("fig11b", tiny())
 	expectTable(t, tbl, err, 5)
 }
 
 func TestFig11c(t *testing.T) {
-	tbl, err := Fig11c(tiny())
+	tbl, err := ByID("fig11c", tiny())
 	expectTable(t, tbl, err, 5)
 }
 
 func TestSynthTable(t *testing.T) {
-	tbl, err := Synth(Options{})
+	tbl, err := ByID("synth", Options{})
 	expectTable(t, tbl, err, 10)
 }
 
@@ -146,7 +146,7 @@ func TestFig10(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig10 is the heaviest experiment")
 	}
-	tbl, err := Fig10(Options{Instrs: 12_000, Seed: 1})
+	tbl, err := ByID("fig10", Options{Instrs: 12_000, Seed: 1})
 	expectTable(t, tbl, err, 5)
 }
 
@@ -154,11 +154,10 @@ func TestAblationExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweeps are slow")
 	}
-	for _, fn := range []func(Options) (*Table, error){
-		AblationMDCache, AblationEventQueue, AblationUnfilteredQueue, AblationSignalLatency,
-		AblationCoreModel,
+	for _, id := range []string{
+		"ablation-mdcache", "ablation-evq", "ablation-ufq", "ablation-signal", "ablation-coremodel",
 	} {
-		tbl, err := fn(Options{Instrs: 15_000, Seed: 1})
+		tbl, err := ByID(id, Options{Instrs: 15_000, Seed: 1})
 		expectTable(t, tbl, err, 2)
 	}
 }
@@ -170,7 +169,7 @@ func TestMulticoreScaling(t *testing.T) {
 		t.Skip("multicore sweep is heavy")
 	}
 	o := Options{Instrs: 12_000, Seed: 1}
-	tbl, err := MulticoreScaling(o)
+	tbl, err := ByID("multicore-scaling", o)
 	expectTable(t, tbl, err, 15) // 5 monitors x 3 modes
 	s := o.spec(BenchesFor("MemLeak")[0], "MemLeak")
 	setTopology(&s, 1, 1)
@@ -208,28 +207,25 @@ func TestOptionsDefaults(t *testing.T) {
 // (Parallel=8) must render byte-identical tables — per-cell RNGs derive only
 // from (seed, benchmark, config) and rows are assembled in cell order.
 func TestParallelMatchesSequential(t *testing.T) {
-	for _, fn := range []struct {
-		name string
-		run  func(Options) (*Table, error)
-	}{
-		{"fig2bc", Fig2bc}, // queue-study path
-		{"fig11c", Fig11c}, // full-system path, two runs per cell
+	for _, id := range []string{
+		"fig2bc", // queue-study path
+		"fig11c", // full-system path, two runs per cell
 	} {
 		seq := tiny()
 		seq.Parallel = 1
-		st, err := fn.run(seq)
+		st, err := ByID(id, seq)
 		if err != nil {
-			t.Fatalf("%s sequential: %v", fn.name, err)
+			t.Fatalf("%s sequential: %v", id, err)
 		}
 		wide := tiny()
 		wide.Parallel = 8
-		wt, err := fn.run(wide)
+		wt, err := ByID(id, wide)
 		if err != nil {
-			t.Fatalf("%s parallel: %v", fn.name, err)
+			t.Fatalf("%s parallel: %v", id, err)
 		}
 		if st.String() != wt.String() {
 			t.Errorf("%s: parallel output differs from sequential:\n--- sequential\n%s\n--- parallel\n%s",
-				fn.name, st.String(), wt.String())
+				id, st.String(), wt.String())
 		}
 	}
 }

@@ -16,12 +16,10 @@ import (
 	"fade/internal/system"
 )
 
-// FaultSweep sweeps monitor-stall severity ("none" through "severe") across
+// expFaultSweep sweeps monitor-stall severity ("none" through "severe") across
 // all five monitors on the default single-core FADE system, reporting the
 // suite-average slowdown per severity and the degradation factor of the
 // severest level over the fault-free run.
-func FaultSweep(o Options) (*Table, error) { return run(expFaultSweep, o) }
-
 var expFaultSweep = experiment{
 	id: "fault-sweep",
 	cells: func(o Options) ([]Cell, error) {

@@ -25,13 +25,11 @@ var multicoreAccels = []struct{ name, label string }{
 	{runspec.AccelFADE, "FADE"},
 }
 
-// MulticoreScaling sweeps 1/2/4/8 application cores for every monitor and
+// expMulticore sweeps 1/2/4/8 application cores for every monitor and
 // acceleration mode on the CMP topology (N app cores, N dedicated monitor
 // cores). Each cell's aggregate slowdown normalizes the CMP's completion
 // time to its slowest per-core baseline; the 1-core cell is exactly the
 // two-core system of Fig. 11(a).
-func MulticoreScaling(o Options) (*Table, error) { return run(expMulticore, o) }
-
 var expMulticore = experiment{
 	id: "multicore-scaling",
 	cells: func(o Options) ([]Cell, error) {

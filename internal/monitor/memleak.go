@@ -329,17 +329,6 @@ func (m *MemLeak) Finalize(st *metadata.State) []Report {
 	return out
 }
 
-// Leaks returns the number of leak reports raised so far (for examples).
-func (m *MemLeak) Leaks() int {
-	n := 0
-	for _, ctx := range m.contexts {
-		if ctx.reported {
-			n++
-		}
-	}
-	return n
-}
-
 func isStackAddr(addr uint32) bool {
 	return addr >= trace.StackTop-8*trace.StackStride
 }

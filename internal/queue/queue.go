@@ -145,17 +145,11 @@ func (q *Bounded[T]) At(i int) T {
 	return q.buf[(q.head+i)%len(q.buf)]
 }
 
-// SampleOccupancy records the current occupancy into the histogram. Systems
-// call this once per cycle so the histogram is a per-cycle occupancy
-// distribution, directly comparable to Fig. 3(a,b).
-func (q *Bounded[T]) SampleOccupancy() {
-	q.occupancy.Add(q.size)
-}
-
-// SampleOccupancyN records the current occupancy n times in one step — the
-// bulk counterpart of SampleOccupancy for spans of quiescent cycles skipped
-// by the fast-forward kernel, during which the occupancy is frozen. Exactly
-// equivalent to n SampleOccupancy calls.
+// SampleOccupancyN records the current occupancy n times into the
+// histogram. Systems call it with n = 1 on every executed cycle, so the
+// histogram is a per-cycle occupancy distribution directly comparable to
+// Fig. 3(a,b), and with the span length for the quiescent cycles the
+// fast-forward kernel skips, during which the occupancy is frozen.
 func (q *Bounded[T]) SampleOccupancyN(n uint64) {
 	q.occupancy.AddN(q.size, n)
 }

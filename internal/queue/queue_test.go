@@ -147,7 +147,7 @@ func TestOccupancyStatsAcrossGrowth(t *testing.T) {
 	const n = 200 // forces two doublings of the 64-slot initial ring
 	for i := 0; i < n; i++ {
 		q.Push(i)
-		q.SampleOccupancy()
+		q.SampleOccupancyN(1)
 	}
 	h := q.Occupancy()
 	if h.Total() != n {
@@ -196,10 +196,10 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 
 func TestOccupancySampling(t *testing.T) {
 	q := NewBounded[int](8)
-	q.SampleOccupancy() // 0
+	q.SampleOccupancyN(1) // 0
 	q.Push(1)
 	q.Push(2)
-	q.SampleOccupancy() // 2
+	q.SampleOccupancyN(1) // 2
 	h := q.Occupancy()
 	if h.Total() != 2 {
 		t.Fatalf("samples = %d", h.Total())

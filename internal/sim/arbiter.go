@@ -2,6 +2,13 @@ package sim
 
 // AppThread is the application-side view the arbiter needs: the thread
 // retiring the instruction stream.
+//
+// QuietTicks and SkipTicks are the Sleeper contract for a share-ticked
+// thread, so the arbiter (and, for shared monitor cores, the system layer)
+// can sleep it through spans of bulk-replayable TickShare calls. Both
+// assume the share and every input (queue occupancies, producer/consumer
+// state) stay frozen across the span; the scheduler guarantees that by
+// only jumping when all components are quiescent.
 type AppThread interface {
 	// TickShare advances the thread one cycle at the given resource share.
 	TickShare(share float64)
@@ -9,42 +16,28 @@ type AppThread interface {
 	Done() bool
 	// Stalled reports that the thread is blocked on backpressure.
 	Stalled() bool
-}
-
-// MonThread is the monitor-side view the arbiter needs: the thread running
-// software handlers.
-type MonThread interface {
-	// TickShare advances the thread one cycle at the given resource share.
-	TickShare(share float64)
-	// Busy reports an in-flight handler or waiting events.
-	Busy() bool
-}
-
-// ThreadSleeper is the quiescence contract for share-ticked threads
-// (application and monitor threads). A thread implements it so the arbiter
-// — and, for shared monitor cores, the system layer — can sleep it through
-// spans of bulk-replayable TickShare calls. Both methods assume the share
-// and every input (queue occupancies, producer/consumer state) stay frozen
-// across the span; the scheduler guarantees that by only jumping when all
-// components are quiescent.
-type ThreadSleeper interface {
 	// QuietTicks reports how many consecutive upcoming TickShare(share)
 	// calls are quiescent: 0 means the very next tick does real work,
 	// QuietForever means the thread only changes state when another
 	// component acts.
 	QuietTicks(share float64) uint64
 	// SkipTicks applies the bulk effect of n quiescent TickShare(share)
-	// calls; n must not exceed QuietTicks(share). Accumulator fields that
-	// are not integer-valued (credit pools, remaining-work counters) must
-	// be replayed addition-by-addition so the result is bit-exact.
+	// calls; n must not exceed QuietTicks(share).
 	SkipTicks(n uint64, share float64)
 }
 
-// UnitSleeper is the quiescence contract for full-rate units ticked inside
-// an arbiter (the filtering unit): QuietTicks/SkipTicks without a share.
-type UnitSleeper interface {
-	QuietTicks() uint64
-	SkipTicks(n uint64)
+// MonThread is the monitor-side view the arbiter needs: the thread running
+// software handlers. QuietTicks and SkipTicks follow AppThread's contract.
+type MonThread interface {
+	// TickShare advances the thread one cycle at the given resource share.
+	TickShare(share float64)
+	// Busy reports an in-flight handler or waiting events.
+	Busy() bool
+	// QuietTicks reports how many upcoming TickShare(share) calls are
+	// quiescent.
+	QuietTicks(share float64) uint64
+	// SkipTicks applies n quiescent TickShare(share) calls.
+	SkipTicks(n uint64, share float64)
 }
 
 // SMTShares computes the per-cycle resource split of a fine-grained
@@ -81,30 +74,20 @@ type Arbiter struct {
 	// unmonitored baseline).
 	Mon MonThread
 	// FU is the group's filtering unit; nil when unaccelerated.
-	FU Component
+	FU Sleeper
 	// SMT selects the shared-core resource split; it requires Mon.
 	SMT bool
 	// Observe, when non-nil, receives the top-of-cycle thread states after
 	// the group ticks, on cycles where the application has not finished —
-	// the raw material of the Fig. 11(b) utilization breakdown.
-	Observe func(appStalled, monBusy bool)
-	// ObserveN is the bulk counterpart of Observe for fast-forwarded
-	// spans, during which the observed states are frozen: ObserveN(a, m,
-	// n) must equal n Observe(a, m) calls. Skip-ahead through this group
-	// requires it whenever Observe is set.
-	ObserveN func(appStalled, monBusy bool, n uint64)
+	// the raw material of the Fig. 11(b) utilization breakdown. n is the
+	// number of cycles the states held: 1 on an executed cycle, the span
+	// length on a fast-forwarded one, during which they are frozen.
+	Observe func(appStalled, monBusy bool, n uint64)
 }
 
 // Tick implements Component.
 func (a *Arbiter) Tick(cycle uint64) {
-	appStalled := a.App.Stalled()
-	monBusy := a.Mon != nil && a.Mon.Busy()
-	appShare, monShare := 1.0, 1.0
-	if a.SMT {
-		// The accelerator is a dedicated block; only the monitor *thread*
-		// competes with the application for core resources under SMT.
-		appShare, monShare = SMTShares(a.App.Done(), appStalled, monBusy)
-	}
+	appStalled, monBusy, appShare, monShare := a.shares()
 	if a.Mon != nil {
 		a.Mon.TickShare(monShare)
 	}
@@ -113,74 +96,51 @@ func (a *Arbiter) Tick(cycle uint64) {
 	}
 	a.App.TickShare(appShare)
 	if a.Observe != nil && !a.App.Done() {
-		a.Observe(appStalled, monBusy)
+		a.Observe(appStalled, monBusy, 1)
 	}
 }
 
-// shares reproduces Tick's top-of-cycle state capture and SMT split.
+// shares captures the group's top-of-cycle thread states and SMT split.
 func (a *Arbiter) shares() (appStalled, monBusy bool, appShare, monShare float64) {
 	appStalled = a.App.Stalled()
 	monBusy = a.Mon != nil && a.Mon.Busy()
 	appShare, monShare = 1.0, 1.0
 	if a.SMT {
+		// The accelerator is a dedicated block; only the monitor *thread*
+		// competes with the application for core resources under SMT.
 		appShare, monShare = SMTShares(a.App.Done(), appStalled, monBusy)
 	}
 	return
 }
 
-// NextWake implements Sleeper: the group is quiescent for the shortest of
-// its members' quiet spans. The thread states — and therefore the SMT
+// QuietTicks implements Sleeper: the group is quiescent for the shortest
+// of its members' quiet spans. The thread states — and therefore the SMT
 // shares — are frozen across any span the scheduler skips, so the shares
 // captured here hold for every skipped tick.
-func (a *Arbiter) NextWake(now uint64) uint64 {
+func (a *Arbiter) QuietTicks() uint64 {
 	_, _, appShare, monShare := a.shares()
-	if a.Observe != nil && a.ObserveN == nil && !a.App.Done() {
-		return now // per-cycle observation without a bulk counterpart
+	quiet := a.App.QuietTicks(appShare)
+	if a.Mon != nil && quiet > 0 {
+		quiet = min(quiet, a.Mon.QuietTicks(monShare))
 	}
-	quiet := uint64(QuietForever)
-	app, ok := a.App.(ThreadSleeper)
-	if !ok {
-		return now
+	if a.FU != nil && quiet > 0 {
+		quiet = min(quiet, a.FU.QuietTicks())
 	}
-	if q := app.QuietTicks(appShare); q < quiet {
-		quiet = q
-	}
-	if a.Mon != nil {
-		mon, ok := a.Mon.(ThreadSleeper)
-		if !ok {
-			return now
-		}
-		if q := mon.QuietTicks(monShare); q < quiet {
-			quiet = q
-		}
-	}
-	if a.FU != nil {
-		fu, ok := a.FU.(UnitSleeper)
-		if !ok {
-			return now
-		}
-		if q := fu.QuietTicks(); q < quiet {
-			quiet = q
-		}
-	}
-	if quiet == QuietForever || now+quiet < now {
-		return NeverWake
-	}
-	return now + quiet
+	return quiet
 }
 
-// FastForward implements Sleeper, bulk-applying n skipped group ticks in
+// SkipTicks implements Sleeper, bulk-applying n skipped group ticks in
 // Tick's member order (monitor, filtering unit, application, observation).
-func (a *Arbiter) FastForward(now, n uint64) {
+func (a *Arbiter) SkipTicks(n uint64) {
 	appStalled, monBusy, appShare, monShare := a.shares()
 	if a.Mon != nil {
-		a.Mon.(ThreadSleeper).SkipTicks(n, monShare)
+		a.Mon.SkipTicks(n, monShare)
 	}
 	if a.FU != nil {
-		a.FU.(UnitSleeper).SkipTicks(n)
+		a.FU.SkipTicks(n)
 	}
-	a.App.(ThreadSleeper).SkipTicks(n, appShare)
+	a.App.SkipTicks(n, appShare)
 	if a.Observe != nil && !a.App.Done() {
-		a.ObserveN(appStalled, monBusy, n)
+		a.Observe(appStalled, monBusy, n)
 	}
 }

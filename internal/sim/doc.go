@@ -7,4 +7,15 @@
 // Determinism is the load-bearing property: every source of randomness is
 // seeded through RNG, so identical (benchmark, config, seed) triples
 // reproduce identical cycle counts, metric snapshots, and tables.
+//
+// Fast-forward rests on one quiescence contract, stated relative to each
+// component's own state: a Sleeper reports QuietTicks, how many of its
+// upcoming ticks are bulk-replayable, and SkipTicks(n) applies n of them.
+// AppThread and MonThread require the same pair at a resource share, so an
+// Arbiter is itself a Sleeper. The Scheduler resolves the registered
+// components once, when a run is armed (a component that is not a Sleeper
+// pins the run cycle-exact), and each iteration jumps over the shortest
+// quiet span, clamped to the cycle cap and the next timeline sample. Its
+// Sample hook and the Arbiter's Observe hook take a cycle count: 1 on an
+// executed cycle, the span length inside a jump.
 package sim

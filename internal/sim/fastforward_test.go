@@ -10,7 +10,8 @@ import (
 
 // pulse is a synthetic Sleeper that does real work on every cycle divisible
 // by its period and is quiescent in between: interior ticks only advance the
-// linearly-accountable idle counter, exactly as the contract requires.
+// linearly-accountable idle counter, exactly as the contract requires. It is
+// registered at cycle 0, so ticks is the current cycle.
 type pulse struct {
 	period uint64
 	work   uint64
@@ -27,14 +28,14 @@ func (p *pulse) Tick(cycle uint64) {
 	}
 }
 
-func (p *pulse) NextWake(now uint64) uint64 {
-	if now%p.period == 0 {
-		return now
+func (p *pulse) QuietTicks() uint64 {
+	if p.ticks%p.period == 0 {
+		return 0
 	}
-	return now - now%p.period + p.period
+	return p.period - p.ticks%p.period
 }
 
-func (p *pulse) FastForward(now, n uint64) {
+func (p *pulse) SkipTicks(n uint64) {
 	p.ticks += n
 	p.idle += n
 }
@@ -97,16 +98,15 @@ type earlyWaker struct {
 	rng *RNG
 }
 
-func (e *earlyWaker) NextWake(now uint64) uint64 {
-	wake := e.pulse.NextWake(now)
-	if wake <= now {
-		return wake
+func (e *earlyWaker) QuietTicks() uint64 {
+	q := e.pulse.QuietTicks()
+	if q == 0 {
+		return 0
 	}
-	span := wake - now
-	return now + e.rng.Uint64()%(span+1)
+	return e.rng.Uint64() % (q + 1)
 }
 
-// TestFastForwardPropertyEarlyWakesHarmless: random too-early NextWake
+// TestFastForwardPropertyEarlyWakesHarmless: random too-short QuietTicks
 // hints must never change terminal component state, across many seeds.
 func TestFastForwardPropertyEarlyWakesHarmless(t *testing.T) {
 	const targetWork = 1_000
@@ -224,14 +224,6 @@ func TestFastForwardPinnedReasons(t *testing.T) {
 			t.Fatalf("FF = %+v, want pinned \"check\" with no jumps", s.FF)
 		}
 	})
-	t.Run("sample-without-bulk", func(t *testing.T) {
-		s := base()
-		s.Sample = func(uint64) {}
-		s.Run()
-		if s.FF.Pinned != "sample" || s.FF.Jumps != 0 {
-			t.Fatalf("FF = %+v, want pinned \"sample\" with no jumps", s.FF)
-		}
-	})
 	t.Run("non-sleeper-component", func(t *testing.T) {
 		s := base()
 		s.Clock.Register(ComponentFunc(func(uint64) {}))
@@ -240,11 +232,10 @@ func TestFastForwardPinnedReasons(t *testing.T) {
 			t.Fatalf("FF = %+v, want pinned \"component\" with no jumps", s.FF)
 		}
 	})
-	t.Run("sample-with-bulk-jumps", func(t *testing.T) {
+	t.Run("sample-jumps", func(t *testing.T) {
 		s := base()
 		samples := uint64(0)
-		s.Sample = func(uint64) { samples++ }
-		s.BulkSample = func(n uint64) { samples += n }
+		s.Sample = func(n uint64) { samples += n }
 		s.Run()
 		if s.FF.Pinned != "" || s.FF.Jumps == 0 {
 			t.Fatalf("FF = %+v, want armed skip-ahead", s.FF)

@@ -11,46 +11,44 @@ type Component interface {
 	Tick(cycle uint64)
 }
 
-// NeverWake is the NextWake return value of a component with no
-// self-scheduled work: it changes state only in response to another
-// component's exact tick, so it can sleep until one occurs. Because the
-// scheduler only skips ahead when every component is quiescent, no such
-// tick can happen inside a skipped span.
-const NeverWake = ^uint64(0)
-
-// QuietForever is the QuietTicks return value of a thread or unit that is
-// indefinitely quiescent (the span-valued analogue of NeverWake).
+// QuietForever is the QuietTicks return value of a component, thread or
+// unit with no self-scheduled work: it changes state only in response to
+// another component's exact tick, so it can sleep until one occurs.
+// Because the scheduler only skips ahead when every component is
+// quiescent, no such tick can happen inside a skipped span.
 const QuietForever = ^uint64(0)
 
-// Sleeper is the optional Component extension consulted by the scheduler's
+// Sleeper is the Component extension consulted by the scheduler's
 // event-driven fast-forward mode. A component implements it to report
-// quiescence: spans of upcoming cycles whose ticks are bulk-replayable —
-// they mutate nothing except linearly-accountable counters (idle/stall
-// cycles, frozen-occupancy samples) and can therefore be applied in one
-// step with bit-exact results.
+// quiescence: a span of upcoming ticks that are bulk-replayable — they
+// mutate nothing except linearly-accountable counters (idle/stall cycles,
+// frozen-occupancy samples) and can therefore be applied in one step with
+// bit-exact results. The contract is relative to the component's own
+// state; no implementation needs the cycle number.
 //
 // The contract, assuming every other component is also quiescent over the
 // same span (the scheduler guarantees this before jumping):
 //
-//   - NextWake(now) returns the earliest cycle >= now at which the
-//     component's Tick must execute exactly. Returning now means "tick me
-//     this cycle" (not quiescent); returning W > now promises that the
-//     ticks at cycles now..W-1 are bulk-replayable; NeverWake means the
-//     component changes state only when some other component acts.
-//   - FastForward(now, n) applies the bulk effect of the n ticks at cycles
-//     now..now+n-1. The scheduler only calls it with n <= NextWake(now)-now
-//     (clamped by its own duties: cycle cap, timeline samples).
+//   - QuietTicks reports how many consecutive upcoming ticks are
+//     bulk-replayable: 0 means "tick me this cycle", QuietForever means
+//     the component changes state only when some other component acts.
+//   - SkipTicks(n) applies the bulk effect of the next n ticks. The
+//     scheduler only calls it with n <= QuietTicks() (clamped by its own
+//     duties: cycle cap, timeline samples). Accumulators that are not
+//     integer-valued (credit pools, remaining-work counters) must be
+//     replayed addition-by-addition so the result is bit-exact.
 //
-// A too-early wake (underestimating the quiescent span) costs performance
-// but never correctness: the scheduler simply ticks exactly through cycles
-// the component could have slept. A too-late wake is a contract violation —
-// the differential and property tests in this repository exist to catch it.
+// Underestimating the quiescent span costs performance but never
+// correctness: the scheduler simply ticks exactly through cycles the
+// component could have slept. Overestimating it is a contract violation —
+// the differential and property tests in this repository exist to catch
+// it.
 type Sleeper interface {
 	Component
-	// NextWake reports the earliest cycle >= now needing an exact Tick.
-	NextWake(now uint64) uint64
-	// FastForward bulk-applies the n skipped ticks at cycles now..now+n-1.
-	FastForward(now, n uint64)
+	// QuietTicks reports how many upcoming ticks are bulk-replayable.
+	QuietTicks() uint64
+	// SkipTicks bulk-applies the next n ticks, n <= QuietTicks().
+	SkipTicks(n uint64)
 }
 
 // ComponentFunc adapts a plain function to the Component interface.
@@ -105,12 +103,12 @@ func (c *Clock) sleepers() ([]Sleeper, bool) {
 
 // fastForward bulk-applies n skipped cycles to every component (which must
 // all be Sleepers, pre-validated by sleepers) and advances the clock. The
-// per-component FastForward calls run in registration order, mirroring
-// Step, though order cannot matter: a skipped span has, by construction, no
+// per-component SkipTicks calls run in registration order, mirroring Step,
+// though order cannot matter: a skipped span has, by construction, no
 // cross-component interaction.
 func (c *Clock) fastForward(sleepers []Sleeper, n uint64) {
 	for _, sl := range sleepers {
-		sl.FastForward(c.cycle, n)
+		sl.SkipTicks(n)
 	}
 	c.cycle += n
 }

@@ -34,8 +34,7 @@ type FFStats struct {
 	Enabled bool
 	// Pinned is the empty string while skip-ahead is armed, or the reason
 	// the whole run fell back to cycle-exact execution: "check" (per-cycle
-	// invariant hook armed), "sample" (a per-cycle Sample hook without a
-	// BulkSample counterpart), or "component" (a registered component does
+	// invariant hook armed) or "component" (a registered component does
 	// not implement Sleeper — fault engines and probes deliberately do
 	// not, so fault injection pins cycle-exact mode).
 	Pinned string
@@ -107,9 +106,12 @@ type Scheduler struct {
 	// Warmed optionally marks the end of the warm-up region; nil disables
 	// boundary tracking.
 	Warmed func() bool
-	// Sample optionally samples component state (queue occupancies) each
-	// cycle before components tick.
-	Sample func(cycle uint64)
+	// Sample optionally samples component state (queue occupancies) before
+	// components tick: Sample(1) on every executed cycle, and Sample(n) for
+	// the n interior cycles of a fast-forward jump, during which the
+	// sampled state is frozen. Sample(n) must therefore equal n Sample(1)
+	// calls under frozen state (constant-value histogram bulk adds qualify).
+	Sample func(n uint64)
 	// Check, when non-nil, validates system invariants after every cycle's
 	// components have ticked. A non-nil return aborts the run with that
 	// error (conventionally an *InvariantError).
@@ -126,27 +128,21 @@ type Scheduler struct {
 	CheckEvery uint64
 	// FastForward arms event-driven skip-ahead: each iteration the
 	// scheduler asks every component (which must implement Sleeper) for
-	// its next-interesting cycle, and when all are quiescent it jumps the
-	// clock to the earliest wake in one step, bulk-applying the skipped
-	// ticks. Done (and Warmed, once it has held) must be functions of
-	// component state, not of the raw cycle number: state is frozen across
-	// a quiescent span, so a state-based predicate provably cannot flip
-	// inside one, while a cycle-valued predicate would be evaluated only at
-	// wake cycles. Every scheduler in this repository terminates on
+	// its quiet span, and when all are quiescent it jumps the clock over
+	// the shortest span in one step, bulk-applying the skipped ticks. Done
+	// (and Warmed, once it has held) must be functions of component state,
+	// not of the raw cycle number: state is frozen across a quiescent
+	// span, so a state-based predicate provably cannot flip inside one,
+	// while a cycle-valued predicate would be evaluated only at wake
+	// cycles. Every scheduler in this repository terminates on
 	// drained-component state; bound a run by cycle count with MaxCycles,
-	// which jumps clamp to exactly. The mode is pinned back to cycle-exact execution for the
-	// whole run when any component is not a Sleeper, when Check is armed,
-	// or when Sample is armed without BulkSample; it is held per-iteration
-	// while the warm-up predicate is armed and unmet, and jumps are
-	// clamped so MaxCycles and timeline sample points are still visited
-	// exactly. A completed run is byte-identical with the flag on or off.
+	// which jumps clamp to exactly. The mode is pinned back to cycle-exact
+	// execution for the whole run when any component is not a Sleeper or
+	// when Check is armed; it is held per-iteration while the warm-up
+	// predicate is armed and unmet, and jumps are clamped so MaxCycles and
+	// timeline sample points are still visited exactly. A completed run is
+	// byte-identical with the flag on or off.
 	FastForward bool
-	// BulkSample is the bulk counterpart of Sample: BulkSample(n) must be
-	// exactly equivalent to n Sample calls under frozen component state
-	// (occupancies do not change inside a quiescent span, so constant-
-	// value histogram bulk adds qualify). Required for skip-ahead when
-	// Sample is set.
-	BulkSample func(n uint64)
 	// FF accumulates fast-forward accounting for the run.
 	FF FFStats
 	// Timeline, when non-nil together with Registry, captures a registry
@@ -208,7 +204,7 @@ func (s *Scheduler) Run() Outcome {
 			s.Trace.CycleInstant(s.TraceTrack, spans.NameWarmBoundary, cycles, spans.None, spans.None)
 		}
 		if s.Sample != nil {
-			s.Sample(cycles)
+			s.Sample(1)
 		}
 		s.Timeline.MaybeSample(cycles, s.Registry)
 		if sleepers != nil {
@@ -269,10 +265,6 @@ func (s *Scheduler) armFastForward() []Sleeper {
 		s.FF.Pinned = "check"
 		return nil
 	}
-	if s.Sample != nil && s.BulkSample == nil {
-		s.FF.Pinned = "sample"
-		return nil
-	}
 	sleepers, ok := s.Clock.sleepers()
 	if !ok {
 		// Some component cannot promise quiescence (fault engines and
@@ -284,55 +276,54 @@ func (s *Scheduler) armFastForward() []Sleeper {
 	return sleepers
 }
 
-// tryJump asks every component for its next-interesting cycle and, when
-// all are quiescent past the next cycle, bulk-applies the skipped span and
-// jumps the clock. It reports whether a jump was taken; the caller then
-// re-enters the loop at the wake cycle. Jumps are clamped so the cycle cap
-// and the next timeline sample point are still reached exactly — bulk
-// accounting is linear, so the state at the clamp cycle is bit-identical
-// to having ticked there.
+// tryJump asks every component for its quiet span and, when all are
+// quiescent past the next cycle, bulk-applies the shortest span and jumps
+// the clock. It reports whether a jump was taken; the caller then re-enters
+// the loop at the wake cycle. The jump is clamped here, and only here, so
+// the cycle cap and the next timeline sample point are still reached
+// exactly — bulk accounting is linear, so the state at the clamp cycle is
+// bit-identical to having ticked there.
 func (s *Scheduler) tryJump(sleepers []Sleeper, now uint64) bool {
-	wake := uint64(NeverWake)
+	n := uint64(QuietForever)
 	waker := -1
 	for i, sl := range sleepers {
-		w := sl.NextWake(now)
-		if w <= now+1 {
+		q := sl.QuietTicks()
+		if q <= 1 {
 			// Work this cycle or the next: an exact step costs the same.
 			s.FF.WakeStops++
 			return false
 		}
-		if w < wake {
-			wake = w
+		if q < n {
+			n = q
 			waker = i
 		}
 	}
 	reason := "wake"
-	if wake > s.MaxCycles {
-		wake = s.MaxCycles
+	if n > s.MaxCycles-now {
+		n = s.MaxCycles - now
 		reason = "cap"
 	}
 	if s.Timeline != nil && s.Timeline.Every > 0 {
-		if next := now - now%s.Timeline.Every + s.Timeline.Every; wake > next {
-			wake = next
+		if next := s.Timeline.Every - now%s.Timeline.Every; n > next {
+			n = next
 			reason = "timeline"
 		}
 	}
-	n := wake - now
 	if n < 2 {
 		s.FF.WakeStops++
 		return false
 	}
 	// The current iteration already ran Sample/Timeline for cycle now;
-	// the skipped interior cycles now+1..wake-1 get their samples in bulk
+	// the skipped interior cycles now+1..now+n-1 get their samples in bulk
 	// (occupancies are frozen across a quiescent span), and the wake
 	// cycle samples normally on the next iteration.
 	if s.Sample != nil {
-		s.BulkSample(n - 1)
+		s.Sample(n - 1)
 	}
 	s.Clock.fastForward(sleepers, n)
 	s.FF.Jumps++
 	s.FF.SkippedCycles += n
-	s.Trace.CycleSpan(s.TraceTrack, spans.NameFFJump, now, wake,
+	s.Trace.CycleSpan(s.TraceTrack, spans.NameFFJump, now, now+n,
 		spans.Str("reason", reason), spans.Num("sleeper", uint64(waker)))
 	return true
 }

@@ -259,16 +259,19 @@ func TestSchedulerSampleOrder(t *testing.T) {
 	}
 }
 
-// fakeThread implements both AppThread and MonThread with scripted state.
+// fakeThread implements both AppThread and MonThread with scripted state;
+// it is never quiet.
 type fakeThread struct {
 	done, stalled, busy bool
 	shares              []float64
 }
 
-func (f *fakeThread) TickShare(s float64) { f.shares = append(f.shares, s) }
-func (f *fakeThread) Done() bool          { return f.done }
-func (f *fakeThread) Stalled() bool       { return f.stalled }
-func (f *fakeThread) Busy() bool          { return f.busy }
+func (f *fakeThread) TickShare(s float64)       { f.shares = append(f.shares, s) }
+func (f *fakeThread) Done() bool                { return f.done }
+func (f *fakeThread) Stalled() bool             { return f.stalled }
+func (f *fakeThread) Busy() bool                { return f.busy }
+func (f *fakeThread) QuietTicks(float64) uint64 { return 0 }
+func (f *fakeThread) SkipTicks(uint64, float64) {}
 
 // TestSMTShares pins the exact share pairs the system loop historically
 // produced for every thread-state combination.
@@ -300,7 +303,7 @@ func TestArbiterSMTTickOrderAndShares(t *testing.T) {
 	var order []string
 	a := &Arbiter{
 		App: observeApp{app, &order}, Mon: observeMon{mon, &order},
-		FU:  ComponentFunc(func(uint64) { order = append(order, "fu") }),
+		FU:  fakeUnit{&order},
 		SMT: true,
 	}
 	a.Tick(0)
@@ -330,7 +333,7 @@ func TestArbiterObserveSkipsFinishedApp(t *testing.T) {
 	mon := &fakeThread{busy: true}
 	called := false
 	a := &Arbiter{App: app, Mon: mon, SMT: true,
-		Observe: func(bool, bool) { called = true }}
+		Observe: func(bool, bool, uint64) { called = true }}
 	a.Tick(0)
 	if called {
 		t.Fatal("Observe ran for a finished application thread")
@@ -359,3 +362,10 @@ func (o observeMon) TickShare(s float64) {
 	*o.order = append(*o.order, "mon")
 	o.fakeThread.TickShare(s)
 }
+
+// fakeUnit is a filtering unit that records its ticks and is never quiet.
+type fakeUnit struct{ order *[]string }
+
+func (u fakeUnit) Tick(uint64)        { *u.order = append(*u.order, "fu") }
+func (u fakeUnit) QuietTicks() uint64 { return 0 }
+func (u fakeUnit) SkipTicks(uint64)   {}

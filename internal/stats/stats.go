@@ -295,15 +295,9 @@ func NewUtilization(names ...string) *Utilization {
 	return &Utilization{names: names, counts: make([]uint64, len(names))}
 }
 
-// Record attributes one cycle to state index i.
-func (u *Utilization) Record(i int) {
-	u.counts[i]++
-	u.total++
-}
-
-// RecordN attributes n cycles to state index i in one step — the bulk
-// counterpart of Record used when the fast-forward kernel skips a span of
-// cycles whose state classification is frozen.
+// RecordN attributes n cycles to state index i: 1 for an executed cycle,
+// or a span whose state classification is frozen (the fast-forward
+// kernel's skipped cycles).
 func (u *Utilization) RecordN(i int, n uint64) {
 	u.counts[i] += n
 	u.total += n

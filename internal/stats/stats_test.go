@@ -155,10 +155,9 @@ func TestHistogramCDFProperty(t *testing.T) {
 
 func TestUtilization(t *testing.T) {
 	u := NewUtilization("a", "b", "c")
-	u.Record(0)
-	u.Record(0)
-	u.Record(1)
-	u.Record(2)
+	u.RecordN(0, 2)
+	u.RecordN(1, 1)
+	u.RecordN(2, 1)
 	if u.Total() != 4 {
 		t.Fatalf("total = %d", u.Total())
 	}

@@ -121,7 +121,7 @@ func simulateBaseline(ctx context.Context, prof *trace.Profile, s runspec.Spec, 
 	defer src.Close()
 	app := cpu.NewAppCore(coreKinds[s.Core], prof, src, nil, nil)
 	clock := sim.NewClock()
-	clock.Register(app)
+	clock.Register(&sim.Arbiter{App: app})
 	sched := &sim.Scheduler{Clock: clock, MaxCycles: s.CycleCap(),
 		Done: func(uint64) bool { return app.Done() }, Deadline: deadline,
 		FastForward: s.FastForward}

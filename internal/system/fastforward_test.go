@@ -42,6 +42,9 @@ func TestFastForwardDifferential(t *testing.T) {
 		{"single-smt", func(*runspec.Spec) {}},
 		{"two-core", func(s *runspec.Spec) { setCMP(s, 1) }},
 		{"cmp4", func(s *runspec.Spec) { setCMP(s, 4) }},
+		// Two application cores per monitor core: the sharedMonCore's
+		// quiescence check and round-robin replay.
+		{"shared-4on2", func(s *runspec.Spec) { s.AppCores, s.MonCores, s.SMT = 4, 2, false }},
 	}
 	plans := []struct {
 		name string
@@ -83,6 +86,11 @@ func TestFastForwardDifferential(t *testing.T) {
 						t.Fatalf("results diverged: exact {cyc %d slow %.4f hnd %d ins %d rep %d}, ff {cyc %d slow %.4f hnd %d ins %d rep %d}",
 							exact.Cycles, exact.Slowdown, exact.HandlersRun, exact.Instrs, len(exact.Reports),
 							fast.Cycles, fast.Slowdown, fast.HandlersRun, fast.Instrs, len(fast.Reports))
+					}
+					if pc.plan == nil && fast.Metrics.Counter("sim.ff.jumps") == 0 {
+						// Every fault-free topology has quiet spans; a run
+						// that never jumps proves nothing about the bulk path.
+						t.Fatal("fault-free fast-forward run took no jumps")
 					}
 					if pc.plan != nil {
 						// Fault engines are deliberately not Sleepers: an

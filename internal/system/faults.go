@@ -35,6 +35,12 @@ func (s stallGate) TickShare(share float64) {
 
 func (s stallGate) Busy() bool { return s.mc.Busy() }
 
+// QuietTicks and SkipTicks implement sim.MonThread conservatively: the gate
+// is never quiet, so nothing is ever skipped through it. Fault runs execute
+// every cycle anyway, because the engine is not a sim.Sleeper.
+func (s stallGate) QuietTicks(float64) uint64 { return 0 }
+func (s stallGate) SkipTicks(uint64, float64) {}
+
 // faultProbe applies one group's per-cycle fault decisions. It ticks
 // immediately after its engine, before any consumer or producer, so a
 // cycle's throttles are in place before anyone tests queue fullness.

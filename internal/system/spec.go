@@ -106,7 +106,7 @@ func runCoreModelStudy(ctx context.Context, s runspec.Spec) (*CoreModelIPC, erro
 	defer src.Close()
 	app := cpu.NewAppCore(cpu.OoO4, prof, src, nil, nil)
 	clock := sim.NewClock()
-	clock.Register(app)
+	clock.Register(&sim.Arbiter{App: app})
 	sched := &sim.Scheduler{Clock: clock, MaxCycles: s.Instrs * 200,
 		Done: func(uint64) bool { return app.Done() }}
 	if ctx != nil && ctx != context.Background() {

@@ -87,10 +87,10 @@ func runQueueStudy(ctx context.Context, s runspec.Spec) (*QueueStudy, error) {
 	// Consumer before producer: the ideal accelerator drains one event per
 	// cycle ahead of the core's enqueues.
 	clock.Register(sim.ComponentFunc(func(uint64) { evq.Pop() }))
-	clock.Register(app)
+	clock.Register(&sim.Arbiter{App: app})
 	sched := &sim.Scheduler{Clock: clock, MaxCycles: maxCycles,
 		Done:   func(uint64) bool { return app.Done() && evq.Empty() },
-		Sample: func(uint64) { evq.SampleOccupancy() },
+		Sample: evq.SampleOccupancyN,
 	}
 	if ctx != nil && ctx != context.Background() {
 		sched.Ctx = ctx

@@ -284,16 +284,12 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 			return 3
 		}
 	}
-	observe := func(appStalled, monBusy bool) {
-		util.Record(utilBucket(appStalled, monBusy))
-	}
-	observeN := func(appStalled, monBusy bool, n uint64) {
+	observe := func(appStalled, monBusy bool, n uint64) {
 		util.RecordN(utilBucket(appStalled, monBusy), n)
 	}
 	shared := wireSharedMonCores(clock, s, groups)
 	for _, g := range groups {
-		arb := &sim.Arbiter{App: g.app, FU: nil, SMT: s.SMT,
-			Observe: observe, ObserveN: observeN}
+		arb := &sim.Arbiter{App: g.app, SMT: s.SMT, Observe: observe}
 		if g.fu != nil {
 			arb.FU = g.fu
 		}
@@ -332,21 +328,14 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 			}
 			return all
 		},
-		Sample: func(uint64) {
-			for _, g := range groups {
-				g.evq.SampleOccupancy()
-			}
-		},
-		FastForward: s.FastForward,
-		BulkSample: func(n uint64) {
-			// Queue occupancies are frozen across a quiescent span, so n
-			// per-cycle samples collapse to one constant-value bulk add.
+		Sample: func(n uint64) {
 			for _, g := range groups {
 				g.evq.SampleOccupancyN(n)
 			}
 		},
-		Timeline: tl,
-		Registry: reg,
+		FastForward: s.FastForward,
+		Timeline:    tl,
+		Registry:    reg,
 	}
 	if s.FastForward {
 		// Fast-forward accounting is observability of the simulator, not of
@@ -363,6 +352,9 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 			s.Counter("sim.ff.skipped_cycles", ff.SkippedCycles)
 			s.Counter("sim.ff.stop.awake", ff.WakeStops)
 			s.Counter("sim.ff.stop.warmup", ff.WarmupStops)
+			// The scheduler never pins for "sample" (its Sample hook takes
+			// a cycle count); the gauge stays, at 0, so dumps keep their
+			// shape.
 			for _, reason := range []string{"check", "sample", "component"} {
 				v := 0.0
 				if ff.Pinned == reason {
@@ -518,7 +510,7 @@ func wireSharedMonCores(clock *sim.Clock, s runspec.Spec, groups []*coreGroup) m
 		}
 		mc := &sharedMonCore{}
 		for _, g := range gs {
-			var th monThread = g.monCore
+			var th sim.MonThread = g.monCore
 			if g.eng != nil {
 				th = stallGate{mc: g.monCore, eng: g.eng}
 			}
@@ -530,21 +522,13 @@ func wireSharedMonCores(clock *sim.Clock, s runspec.Spec, groups []*coreGroup) m
 	return shared
 }
 
-// monThread is the view a shared monitor core needs of each thread it
-// schedules; it matches sim.MonThread, so a fault-injected thread can be
-// wrapped in a stallGate here exactly as in a private arbiter.
-type monThread interface {
-	TickShare(share float64)
-	Busy() bool
-}
-
 // sharedMonCore fine-grained-multithreads one dedicated monitor core among
 // the monitor threads of several application cores: each cycle the core
 // runs the next busy thread in round-robin order. Idle cycles are charged
 // to the thread at the rotation head so per-thread cycle accounting stays
 // exhaustive.
 type sharedMonCore struct {
-	threads []monThread
+	threads []sim.MonThread
 	next    int
 }
 
@@ -563,27 +547,28 @@ func (s *sharedMonCore) Tick(uint64) {
 	s.next = (s.next + 1) % n
 }
 
-// NextWake implements sim.Sleeper. The shared core sleeps only when every
+// QuietTicks implements sim.Sleeper. The shared core sleeps only when every
 // thread is idle (any busy thread may complete a handler or dispatch an
 // event on its very next turn, and the rotation makes per-thread crunch
-// spans non-uniform, so busy cores run cycle-exactly).
-func (s *sharedMonCore) NextWake(now uint64) uint64 {
+// spans non-uniform, so busy cores run cycle-exactly); an idle thread's
+// ticks do not depend on whose turn it is, so the core is then quiet for
+// the shortest of their full-share spans.
+func (s *sharedMonCore) QuietTicks() uint64 {
+	quiet := uint64(sim.QuietForever)
 	for _, th := range s.threads {
 		if th.Busy() {
-			return now
+			return 0
 		}
-		if _, ok := th.(sim.ThreadSleeper); !ok {
-			return now
-		}
+		quiet = min(quiet, th.QuietTicks(1))
 	}
-	return sim.NeverWake
+	return quiet
 }
 
-// FastForward implements sim.Sleeper, replaying n all-idle ticks: Tick
+// SkipTicks implements sim.Sleeper, replaying n all-idle ticks: Tick
 // charges each idle cycle to the thread at the rotation head and advances
 // the rotation, so the bulk path deals each thread its round-robin share of
 // the span and leaves the rotation where n exact ticks would have.
-func (s *sharedMonCore) FastForward(now, n uint64) {
+func (s *sharedMonCore) SkipTicks(n uint64) {
 	t := uint64(len(s.threads))
 	base, extra := n/t, n%t
 	for k := uint64(0); k < t; k++ {
@@ -592,7 +577,7 @@ func (s *sharedMonCore) FastForward(now, n uint64) {
 			cnt++
 		}
 		if cnt > 0 {
-			s.threads[(uint64(s.next)+k)%t].(sim.ThreadSleeper).SkipTicks(cnt, 1)
+			s.threads[(uint64(s.next)+k)%t].SkipTicks(cnt, 1)
 		}
 	}
 	s.next = int((uint64(s.next) + n) % t)
@@ -605,7 +590,7 @@ type monBusyView struct{ mc *cpu.MonitorCore }
 func (v monBusyView) TickShare(float64) {}
 func (v monBusyView) Busy() bool        { return v.mc.Busy() }
 
-// QuietTicks and SkipTicks implement sim.ThreadSleeper trivially: the view
+// QuietTicks and SkipTicks implement sim.MonThread trivially: the view
 // never ticks the thread (the sharedMonCore owning it reports its wake), so
 // it is quiet forever and skipping is a no-op.
 func (v monBusyView) QuietTicks(float64) uint64 { return sim.QuietForever }

@@ -95,13 +95,13 @@ func (p *traceProbe) Tick(cycle uint64) {
 	}
 }
 
-// NextWake implements sim.Sleeper: the probe never needs an exact tick of
+// QuietTicks implements sim.Sleeper: the probe never needs an exact tick of
 // its own (see the type comment for why skipping it is sound).
-func (p *traceProbe) NextWake(uint64) uint64 { return sim.NeverWake }
+func (p *traceProbe) QuietTicks() uint64 { return sim.QuietForever }
 
-// FastForward implements sim.Sleeper: state is frozen across a skipped
-// span, so there is nothing to observe or replay.
-func (p *traceProbe) FastForward(uint64, uint64) {}
+// SkipTicks implements sim.Sleeper: state is frozen across a skipped span,
+// so there is nothing to observe or replay.
+func (p *traceProbe) SkipTicks(uint64) {}
 
 // flush closes every episode still open when the run stopped at end —
 // including aborted runs, whose partial traces are still exported.

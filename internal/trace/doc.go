@@ -29,8 +29,8 @@
 // produced. Unbounded streams and streams over 2^21 instructions come
 // from a Generator directly.
 //
-// A cursor holds its trace until it is closed or read to the end; an
-// open cursor's trace is never evicted. Released traces join an idle set
+// A cursor holds its trace until it is closed, even once read to the
+// end; an open cursor's trace is never evicted. Released traces join an idle set
 // that starts at one trace, and older ones are evicted. The store
 // remembers the last 64 keys it evicted: opening one of them again is a
 // refill, and each refill raises the idle allowance by one. Sweeps

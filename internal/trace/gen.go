@@ -736,19 +736,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-// DebugRegPtr reports the generator's ground-truth pointer tag for a
-// register of thread t. Test-only introspection: differential tests use it
-// to verify that monitor metadata tracks the generator's value tags.
-func (g *Generator) DebugRegPtr(t int, r isa.Reg) bool {
-	if t < 0 || t >= len(g.ctxs) || r >= isa.NumRegs {
-		return false
-	}
-	return g.ctxs[t].regs[r].ptr
-}
-
-// DebugMemPtr reports the generator's ground-truth pointer tag for the
-// word at addr (test-only introspection).
-func (g *Generator) DebugMemPtr(addr uint32) bool {
-	return g.w.memTag[addr>>2].ptr
-}

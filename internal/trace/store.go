@@ -20,8 +20,8 @@ import (
 type Stream interface {
 	Source
 	Hot() bool
-	// Close ends the stream and releases its hold on the store. A stream
-	// read to its end has already released it; Close is idempotent.
+	// Close ends the stream and releases its hold on the store. Close is
+	// idempotent.
 	Close()
 }
 
@@ -218,8 +218,9 @@ const batchLen = 256
 // Replay is a cursor over one stream in the store. It decodes the stored
 // prefix; past it, it generates a batch under the entry's lock, returns
 // it from its own buffer and stores it for the other cursors. Until it is
-// closed (or reads to the end) it holds the trace, so eviction never
-// invalidates it.
+// closed it holds the trace, even once read to the end, so eviction never
+// invalidates it and a drained stream's trace stays stored while its
+// reader finishes.
 type Replay struct {
 	s *traceStore
 	e *entry // nil once released
@@ -260,7 +261,6 @@ func (r *Replay) Next() (isa.Instr, bool) {
 			return in, true
 		}
 		if !r.refill() {
-			r.Close()
 			return isa.Instr{}, false
 		}
 	}

@@ -9,7 +9,8 @@ import (
 
 // sameStream drains got against a fresh generator for the same stream and
 // fails on the first difference in any field or in the hot bit, which is
-// compared before the first Next, after every Next and after the end.
+// compared before the first Next, after every Next and after the end. It
+// closes got.
 func sameStream(t *testing.T, name string, got Stream, prof *Profile, seed, limit uint64) {
 	t.Helper()
 	want := New(prof, seed, limit)
@@ -38,6 +39,7 @@ func sameStream(t *testing.T, name string, got Stream, prof *Profile, seed, limi
 	if got.Hot() != want.Hot() {
 		t.Fatalf("%s: hot bit after the end changed", name)
 	}
+	got.Close()
 }
 
 // TestReplayMatchesGenerator is the store's exactness proof: every
@@ -189,6 +191,7 @@ func TestEvictionKeepsCursorsValid(t *testing.T) {
 	if _, ok := held.Next(); ok {
 		t.Fatal("a drained stream yielded a record")
 	}
+	held.Close()
 
 	again := s.open(prof, 1, 8_000)
 	if s.snapshot().Fills != st.Fills {
@@ -207,6 +210,28 @@ func TestEvictionKeepsCursorsValid(t *testing.T) {
 	if st.Traces != minIdle || one == nil || st.LiveBytes != one.bytes {
 		t.Fatalf("released traces were not evicted: %+v", st)
 	}
+}
+
+// TestDrainedCursorHoldsTrace: a cursor read to its end still holds its
+// trace until it is closed, as a simulation that has read its whole stream
+// still runs until its monitor drains. Releasing another trace meanwhile
+// must not evict it, and reopening it must not regenerate it.
+func TestDrainedCursorHoldsTrace(t *testing.T) {
+	s := newStore()
+	prof := mustLookup(t, "astar")
+	running := s.open(prof, 1, 8_000)
+	for {
+		if _, ok := running.Next(); !ok {
+			break
+		}
+	}
+	drain(s.open(mustLookup(t, "libq"), 1, 8_000)) // a straggler leaves
+	again := s.open(prof, 1, 8_000)
+	if st := s.snapshot(); st.Evictions != 0 || st.Refills != 0 || st.Fills != 2 || st.Hits != 1 {
+		t.Fatalf("the drained cursor's trace was evicted while it was open: %+v", st)
+	}
+	again.Close()
+	running.Close()
 }
 
 // TestReplayCompactness pins the packed size the store's memory bound
@@ -266,10 +291,11 @@ func TestFillPanicLeavesNoEntry(t *testing.T) {
 	}
 }
 
-// drain reads src to its end.
+// drain reads src to its end and closes it.
 func drain(src Stream) {
 	for {
 		if _, ok := src.Next(); !ok {
+			src.Close()
 			return
 		}
 	}
