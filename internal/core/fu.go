@@ -582,18 +582,12 @@ func (fu *FilteringUnit) Busy() bool {
 	return fu.cur != nil || fu.suu.Busy() || fu.stall > 0 || fu.waiting
 }
 
-// CollectMetrics exposes the accelerator's counters under the "fu." name
-// space (see docs/METRICS.md). It implements obs.Collector; the per-event
-// hot path above keeps incrementing plain Stats fields and this pull
-// happens only at snapshot points.
-func (fu *FilteringUnit) CollectMetrics(s obs.Sink) {
-	fu.MetricsCollector("fu", "fsq", "queue.ufq").CollectMetrics(s)
-}
-
 // MetricsCollector returns a collector emitting the accelerator's counters
 // under the given prefixes for the unit itself, its filter store queue, and
 // its unfiltered event queue ("fu"/"fsq"/"queue.ufq" for a single-core
-// system; "fu.3"/"fsq.3"/"queue.ufq.3" for core 3 of a CMP).
+// system; "fu.3"/"fsq.3"/"queue.ufq.3" for core 3 of a CMP). The per-event
+// hot path keeps incrementing plain Stats fields; this pull happens only
+// at snapshot points.
 func (fu *FilteringUnit) MetricsCollector(prefix, fsqPrefix, ufqPrefix string) obs.Collector {
 	return obs.CollectorFunc(func(s obs.Sink) {
 		st := &fu.st

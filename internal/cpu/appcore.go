@@ -74,12 +74,6 @@ func (c *AppCore) PendingEvent() bool { return c.hasPending }
 // Hierarchy exposes the core's caches for reporting.
 func (c *AppCore) Hierarchy() *mem.Hierarchy { return c.hier }
 
-// CollectMetrics exposes the application core's counters under the "app."
-// name space (see docs/METRICS.md). It implements obs.Collector.
-func (c *AppCore) CollectMetrics(s obs.Sink) {
-	c.MetricsCollector("app").CollectMetrics(s)
-}
-
 // MetricsCollector returns a collector emitting the core's counters under
 // the given prefix ("app" for a single-core system, "app.3" for core 3 of a
 // CMP; see docs/METRICS.md for the per-core grammar).

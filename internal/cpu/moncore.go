@@ -94,12 +94,6 @@ func (c *MonitorCore) Reports() []monitor.Report {
 // material of the Fig. 4(a) execution-time breakdown.
 func (c *MonitorCore) ClassInstr() map[monitor.Class]float64 { return c.classInstr }
 
-// CollectMetrics exposes the monitor thread's counters under the "moncore."
-// name space (see docs/METRICS.md). It implements obs.Collector.
-func (c *MonitorCore) CollectMetrics(s obs.Sink) {
-	c.MetricsCollector("moncore").CollectMetrics(s)
-}
-
 // MetricsCollector returns a collector emitting the thread's counters under
 // the given prefix ("moncore" for a single-core system, "moncore.3" for the
 // monitor thread serving core 3 of a CMP).

@@ -10,15 +10,6 @@ import (
 	"fade/internal/spans"
 )
 
-// Pool is a bounded worker pool. Submit work with Go; Wait blocks until all
-// submitted work has finished. The pool does not recover panics: its
-// callers do (RunCellsOrdered per cell, fadeserve's scheduler per run),
-// where the failure can be attributed.
-type Pool struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-}
-
 // PanicError is the error RunCells reports for a cell that panicked: the
 // panic value and the panicking goroutine's stack. One panicking cell
 // therefore fails its experiment instead of killing the whole process.
@@ -32,42 +23,6 @@ type PanicError struct {
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("par: task panicked: %v\n%s", e.Value, e.Stack)
 }
-
-// NewPool returns a pool running at most workers tasks concurrently.
-// workers <= 0 selects runtime.GOMAXPROCS(0).
-func NewPool(workers int) *Pool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{sem: make(chan struct{}, workers)}
-}
-
-// Go submits fn to the pool. It blocks only while all workers are busy
-// (bounding both concurrency and the goroutine count); the task itself runs
-// asynchronously.
-func (p *Pool) Go(fn func()) {
-	p.sem <- struct{}{}
-	p.wg.Add(1)
-	go func() {
-		defer func() {
-			<-p.sem
-			p.wg.Done()
-		}()
-		fn()
-	}()
-}
-
-// Width returns the pool's worker-slot count.
-func (p *Pool) Width() int { return cap(p.sem) }
-
-// InFlight returns the number of tasks currently holding a worker slot —
-// the pool's instantaneous occupancy, suitable for a gauge. It is a
-// point-in-time read: concurrent submissions and completions move it.
-func (p *Pool) InFlight() int { return len(p.sem) }
-
-// Wait blocks until every submitted task has completed. The pool may be
-// reused afterwards.
-func (p *Pool) Wait() { p.wg.Wait() }
 
 // RunCells runs fn over every cell on a pool of the given width (<= 0
 // selects GOMAXPROCS) and returns the results in input order, regardless of
@@ -102,13 +57,25 @@ func RunCellsOrdered[C, R any](ctx context.Context, workers int, cells []C, orde
 	// wall-domain par.cell span, making pool occupancy visible in the
 	// exported trace. tr == nil (the common case) costs one context lookup.
 	tr := spans.FromContext(ctx)
-	p := NewPool(workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	// sem bounds the cells running at once, and with them the goroutine
+	// count: the loop blocks while every slot is taken.
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
 	for k := range cells {
 		i := k
 		if order != nil {
 			i = order[k]
 		}
-		p.Go(func() {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() {
+				<-sem
+				wg.Done()
+			}()
 			defer func() {
 				if r := recover(); r != nil {
 					buf := make([]byte, 64<<10)
@@ -133,9 +100,9 @@ func RunCellsOrdered[C, R any](ctx context.Context, workers int, cells []C, orde
 				return
 			}
 			results[i] = r
-		})
+		}()
 	}
-	p.Wait() // errors are surfaced per-cell below, in input order
+	wg.Wait() // errors are surfaced per-cell below, in input order
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

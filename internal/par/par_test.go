@@ -14,43 +14,55 @@ import (
 
 func TestPoolRunsEverything(t *testing.T) {
 	var n atomic.Int64
-	p := NewPool(4)
-	for i := 0; i < 100; i++ {
-		p.Go(func() { n.Add(1) })
+	if _, err := RunCells(context.Background(), 4, make([]int, 100), func(context.Context, int) (int, error) {
+		n.Add(1)
+		return 0, nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	p.Wait()
 	if n.Load() != 100 {
-		t.Fatalf("ran %d tasks, want 100", n.Load())
+		t.Fatalf("ran %d cells, want 100", n.Load())
 	}
+}
+
+// peakCells runs cells cells at the given width and returns the most that
+// ran at once. The first full row of cells waits (up to a second) until
+// it is running together, so a pool of the expected width is seen full.
+func peakCells(t *testing.T, workers, full, cells int) int64 {
+	t.Helper()
+	var cur, peak atomic.Int64
+	_, err := RunCells(context.Background(), workers, make([]int, cells), func(context.Context, int) (int, error) {
+		c := cur.Add(1)
+		for {
+			old := peak.Load()
+			if c <= old || peak.CompareAndSwap(old, c) {
+				break
+			}
+		}
+		for deadline := time.Now().Add(time.Second); peak.Load() < int64(full) && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		time.Sleep(time.Millisecond)
+		cur.Add(-1)
+		return 0, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return peak.Load()
 }
 
 func TestPoolBoundsConcurrency(t *testing.T) {
 	const workers = 3
-	var cur, peak atomic.Int64
-	p := NewPool(workers)
-	for i := 0; i < 50; i++ {
-		p.Go(func() {
-			c := cur.Add(1)
-			for {
-				old := peak.Load()
-				if c <= old || peak.CompareAndSwap(old, c) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-		})
-	}
-	p.Wait()
-	if got := peak.Load(); got > workers {
-		t.Fatalf("observed %d concurrent tasks, want <= %d", got, workers)
+	if got := peakCells(t, workers, workers, 50); got != workers {
+		t.Fatalf("observed %d concurrent cells, want %d", got, workers)
 	}
 }
 
 func TestPoolDefaultWidth(t *testing.T) {
-	p := NewPool(0)
-	if got, want := cap(p.sem), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("default width %d, want GOMAXPROCS %d", got, want)
+	want := runtime.GOMAXPROCS(0)
+	if got := peakCells(t, 0, want, 4*want); got != int64(want) {
+		t.Fatalf("default width ran %d cells at once, want GOMAXPROCS %d", got, want)
 	}
 }
 
@@ -181,32 +193,4 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
-}
-
-func TestPoolIntrospection(t *testing.T) {
-	p := NewPool(2)
-	if p.Width() != 2 {
-		t.Fatalf("Width = %d, want 2", p.Width())
-	}
-	if p.InFlight() != 0 {
-		t.Fatalf("idle InFlight = %d, want 0", p.InFlight())
-	}
-	block := make(chan struct{})
-	started := make(chan struct{}, 2)
-	task := func() { started <- struct{}{}; <-block }
-	p.Go(task)
-	p.Go(task)
-	<-started
-	<-started
-	if p.InFlight() != 2 {
-		t.Fatalf("busy InFlight = %d, want 2", p.InFlight())
-	}
-	close(block)
-	p.Wait()
-	if p.InFlight() != 0 {
-		t.Fatalf("drained InFlight = %d, want 0", p.InFlight())
-	}
-	// After a drain the pool remains usable.
-	p.Go(func() {})
-	p.Wait()
 }

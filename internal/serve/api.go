@@ -57,7 +57,7 @@ type APIError struct {
 const (
 	// StateQueued — admitted, waiting for a worker.
 	StateQueued = "queued"
-	// StateRunning — executing on a pool worker.
+	// StateRunning — executing on a worker.
 	StateRunning = "running"
 	// StateDone — completed; RunInfo.Result holds the full result.
 	StateDone = "done"

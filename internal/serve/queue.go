@@ -3,15 +3,16 @@ package serve
 import "sync"
 
 // fairQueue is the bounded admission queue between submission and the
-// worker pool. Runs are FIFO within a tenant; dequeue round-robins across
-// tenants with queued work, so one tenant flooding the queue cannot starve
-// another: with tenants A (many queued) and B (one queued), B's run goes
-// out on the very next rotation rather than behind all of A's.
+// workers, and the only place a run waits. Runs are FIFO within a
+// tenant; dequeue round-robins across tenants with queued work, so one
+// tenant flooding the queue cannot starve another: with tenants A (many
+// queued) and B (one queued), B's run goes out on the very next rotation
+// rather than behind all of A's.
 //
 // The queue supports oldest-first load shedding (shedOldest) for the
-// memory-pressure path and lazy discard of canceled runs: cancellation
-// marks the run (run.canceledWhileQueued) and pop skips it, so canceling
-// never needs the queue lock.
+// memory-pressure path and lazy discard of runs that end while queued:
+// the scheduler marks the run (run.canceledWhileQueued) and pop skips it,
+// so ending a queued run never needs the queue lock.
 type fairQueue struct {
 	mu   sync.Mutex
 	cond *sync.Cond

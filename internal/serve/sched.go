@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,12 +12,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"fade/internal/obs"
-	"fade/internal/par"
 	"fade/internal/rcache"
 	"fade/internal/runspec"
 	"fade/internal/sim"
@@ -28,7 +29,7 @@ import (
 // Options configures a Server/Scheduler. The zero value of every field
 // selects a sensible daemon default.
 type Options struct {
-	// Workers is the simulation pool width (default GOMAXPROCS).
+	// Workers is how many runs execute at once (default GOMAXPROCS).
 	Workers int
 	// QueueCap bounds the admission queue (default 4 * workers).
 	QueueCap int
@@ -130,8 +131,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Run is one submitted simulation and its lifecycle record. Mutable state
-// is guarded by the owning Scheduler's mutex; done is closed exactly once
-// when the run reaches a terminal state.
+// is guarded by the owning Scheduler's mutex; done is closed by endLocked,
+// the one transition into a terminal state.
 type Run struct {
 	ID     string
 	Tenant string
@@ -139,8 +140,10 @@ type Run struct {
 	// keys the result cache.
 	Spec runspec.Spec
 
-	seq                 uint64
-	done                chan struct{}
+	seq  uint64
+	done chan struct{}
+	// canceledWhileQueued marks a run that left state queued without
+	// executing, so the queue discards it lazily.
 	canceledWhileQueued atomic.Bool
 
 	// specHash is Spec.Hash(), computed once at admission; it keys the
@@ -162,7 +165,6 @@ type Run struct {
 	resultJSON  json.RawMessage
 	timeline    []*obs.Snapshot
 	submittedAt time.Time
-	poppedAt    time.Time
 	startedAt   time.Time
 	finishedAt  time.Time
 	cancel      context.CancelFunc
@@ -171,12 +173,12 @@ type Run struct {
 // TraceID returns the run's trace identifier ("" when tracing is off).
 func (r *Run) TraceID() string { return r.trace.ID() }
 
-// Scheduler owns the admission queue, the worker pool, and the run table.
+// Scheduler owns the admission queue, the workers reading it, and the run
+// table.
 type Scheduler struct {
 	opts Options
 
-	q    *fairQueue
-	pool *par.Pool
+	q *fairQueue
 
 	reg *obs.Registry
 	hub *obs.Hub
@@ -185,9 +187,12 @@ type Scheduler struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	draining     atomic.Bool
-	seq          atomic.Uint64
-	dispatchDone chan struct{}
+	draining atomic.Bool
+	seq      atomic.Uint64
+	// active counts the runs executing now; workers tracks the worker
+	// goroutines, for Drain and Close.
+	active  atomic.Int64
+	workers sync.WaitGroup
 
 	// execMeanUS is an EWMA of executed (non-cached) run durations in
 	// microseconds, stored as float64 bits; it feeds RetryAfterHint.
@@ -197,7 +202,6 @@ type Scheduler struct {
 
 	mu       sync.Mutex
 	runs     map[string]*Run
-	order    []string              // submission order; may hold evicted IDs until compacted
 	inflight map[rcache.Key]string // spec hash → primary run ID
 	// retired holds the terminal runs still in the table, oldest first;
 	// retireLocked evicts from its front beyond maxTerminalRuns.
@@ -210,19 +214,17 @@ type Scheduler struct {
 // the table's memory stays bounded however many runs a server serves.
 const maxTerminalRuns = 4096
 
-// NewScheduler builds and starts a scheduler (its dispatcher goroutine
-// runs until Drain or Close).
+// NewScheduler builds and starts a scheduler (its Workers goroutines read
+// the admission queue until Drain or Close).
 func NewScheduler(opts Options) *Scheduler {
 	opts = opts.withDefaults()
 	s := &Scheduler{
-		opts:         opts,
-		q:            newFairQueue(opts.QueueCap),
-		pool:         par.NewPool(opts.Workers),
-		reg:          obs.NewRegistry(),
-		hub:          obs.NewHub(opts.MetricsRuns),
-		dispatchDone: make(chan struct{}),
-		runs:         make(map[string]*Run),
-		inflight:     make(map[rcache.Key]string),
+		opts:     opts,
+		q:        newFairQueue(opts.QueueCap),
+		reg:      obs.NewRegistry(),
+		hub:      obs.NewHub(opts.MetricsRuns),
+		runs:     make(map[string]*Run),
+		inflight: make(map[rcache.Key]string),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.met = newServeMetrics(s.reg)
@@ -233,8 +235,8 @@ func NewScheduler(opts Options) *Scheduler {
 		sink.Gauge("serve.queue.depth", float64(s.q.depth()))
 		sink.Gauge("serve.queue.capacity", float64(s.opts.QueueCap))
 		sink.Gauge("serve.queue.tenants", float64(s.q.queuedTenants()))
-		sink.Gauge("serve.runs.active", float64(s.pool.InFlight()))
-		sink.Gauge("serve.pool.width", float64(s.pool.Width()))
+		sink.Gauge("serve.runs.active", float64(s.active.Load()))
+		sink.Gauge("serve.pool.width", float64(s.opts.Workers))
 		v := 0.0
 		if s.draining.Load() {
 			v = 1
@@ -263,7 +265,10 @@ func NewScheduler(opts Options) *Scheduler {
 		sink.Gauge("serve.tracestore.idle_allowance", float64(ts.IdleAllowance))
 		sink.Gauge("serve.tracestore.idle_bytes", float64(ts.IdleBytes))
 	}))
-	go s.dispatch()
+	s.workers.Add(opts.Workers)
+	for range opts.Workers {
+		go s.work()
+	}
 	return s
 }
 
@@ -282,7 +287,7 @@ func (s *Scheduler) Draining() bool { return s.draining.Load() }
 // enqueues. The returned error is an *apiErr (queue_full or draining).
 func (s *Scheduler) Submit(tenant string, spec runspec.Spec) (*Run, error) {
 	if s.draining.Load() {
-		return nil, &apiErr{code: ErrCodeDraining, msg: "server is draining; submissions are rejected"}
+		return nil, &apiErr{code: ErrCodeDraining, msg: drainingMsg}
 	}
 	now := s.opts.Now()
 	seq := s.seq.Add(1)
@@ -300,29 +305,18 @@ func (s *Scheduler) Submit(tenant string, spec runspec.Spec) (*Run, error) {
 		r.trace = spans.New(r.ID, s.opts.TraceCap)
 	}
 
-	// Load shedding: under memory pressure the oldest queued run is
-	// evicted (terminally, visibly — state "shed") to keep admission
-	// open for fresh work instead of letting the queue's tail grow the
-	// heap further.
-	if s.opts.MemPressure() {
-		if old := s.q.shedOldest(); old != nil {
-			s.finishShed(old)
-		}
-	}
-
 	// The admission span starts at the trace's own epoch (the trace is
 	// born above) and covers validation plus admission. It is emitted
-	// before the run becomes visible to the dispatcher, which may finish
+	// before the run becomes visible to the workers, which may finish
 	// the run and seal its trace.
 	r.trace.Wall(spans.NameServeAdmit, r.trace.Epoch(), s.opts.Now(),
 		spans.Str("tenant", tenant), spans.None)
 
 	s.mu.Lock()
 	s.runs[r.ID] = r
-	s.order = append(s.order, r.ID)
 	// Single-flight: a submission whose spec is already in flight rides
 	// the existing run instead of simulating again. The follower never
-	// consumes a queue slot or a pool worker; when the primary finishes
+	// consumes a queue slot or a worker; when the primary finishes
 	// it inherits the result document with "cached": true (the bytes are
 	// identical either way — that is the cache layer's contract).
 	// Coalescing is the in-flight half of content-addressed caching, so
@@ -343,6 +337,22 @@ func (s *Scheduler) Submit(tenant string, spec runspec.Spec) (*Run, error) {
 	}
 	s.mu.Unlock()
 
+	// Load shedding: under memory pressure the oldest queued run is
+	// evicted (terminally, visibly — state "shed") to keep admission
+	// open for fresh work instead of letting the queue's tail grow the
+	// heap further. A coalesced submission took no slot and sheds
+	// nothing; the victim's own coalesced duplicates are shed with it,
+	// so none of them takes the slot the shed freed.
+	if s.opts.MemPressure() {
+		if old := s.q.shedOldest(); old != nil {
+			s.mu.Lock()
+			if !isTerminal(old.state) {
+				s.endLocked(old, StateShed, "load shed: evicted from the admission queue under memory pressure", "run shed")
+			}
+			s.mu.Unlock()
+		}
+	}
+
 	switch s.q.push(r) {
 	case pushOK:
 	case pushFull:
@@ -351,7 +361,7 @@ func (s *Scheduler) Submit(tenant string, spec runspec.Spec) (*Run, error) {
 		return nil, &apiErr{code: ErrCodeQueueFull, msg: fmt.Sprintf("admission queue full (%d queued)", s.q.depth())}
 	case pushClosed:
 		s.dropRecord(r)
-		return nil, &apiErr{code: ErrCodeDraining, msg: "server is draining; submissions are rejected"}
+		return nil, &apiErr{code: ErrCodeDraining, msg: drainingMsg}
 	}
 	s.met.runsSubmitted.Inc()
 	s.logRun(r, "run submitted", "bench", spec.Benchmark, "monitor", spec.Monitor)
@@ -373,31 +383,26 @@ func (s *Scheduler) dropRecord(r *Run) {
 	if id, ok := s.inflight[r.specHash]; ok && id == r.ID {
 		delete(s.inflight, r.specHash)
 	}
-	if n := len(s.order); n > 0 && s.order[n-1] == r.ID {
-		s.order = s.order[:n-1]
-	}
 	s.mu.Unlock()
 }
 
-// dispatch feeds queued runs to the worker pool. pool.Go blocks while all
-// workers are busy, so at most one popped run waits for a slot; queue
-// depth stays an honest backpressure signal.
-func (s *Scheduler) dispatch() {
-	defer close(s.dispatchDone)
+// work is one worker: it executes queued runs, one at a time, until the
+// queue is closed and empty. No run waits anywhere but in the queue, so
+// at most Workers runs execute and QueueCap wait.
+func (s *Scheduler) work() {
+	defer s.workers.Done()
 	for {
 		r, ok := s.q.pop()
 		if !ok {
 			return
 		}
-		s.mu.Lock()
-		r.poppedAt = s.opts.Now()
-		s.mu.Unlock()
-		s.pool.Go(func() { s.execute(r) })
+		s.execute(r, s.opts.Now())
 	}
 }
 
-// execute runs one admitted run to a terminal state.
-func (s *Scheduler) execute(r *Run) {
+// execute runs one admitted run, dequeued at poppedAt, to a terminal
+// state.
+func (s *Scheduler) execute(r *Run, poppedAt time.Time) {
 	s.mu.Lock()
 	if r.state != StateQueued {
 		// Canceled between pop and execution.
@@ -408,8 +413,10 @@ func (s *Scheduler) execute(r *Run) {
 	r.state = StateRunning
 	r.startedAt = s.opts.Now()
 	r.cancel = cancel
-	submittedAt, poppedAt, startedAt := r.submittedAt, r.poppedAt, r.startedAt
+	submittedAt, startedAt := r.submittedAt, r.startedAt
 	s.mu.Unlock()
+	s.active.Add(1)
+	defer s.active.Add(-1)
 	defer cancel()
 	// A panicking run fails like any other error: finish settles its
 	// followers and drops its single-flight claim, so it is not left
@@ -422,9 +429,11 @@ func (s *Scheduler) execute(r *Run) {
 	}()
 
 	// The serving path's wall-clock spans: queue wait (submission to
-	// dequeue), scheduling (dequeue to worker-slot acquisition), then the
+	// dequeue), scheduling (dequeue to the run marked running), then the
 	// execution itself. All land on the same trace the simulator annotates
-	// with cycle-domain spans, because the trace rides ctx into the run.
+	// with cycle-domain spans, because the trace rides ctx into the run;
+	// the run's spans.* metrics count them, so a served run's result
+	// document depends on how many are emitted before it executes.
 	r.trace.Wall(spans.NameServeQueueWait, submittedAt, poppedAt, spans.None, spans.None)
 	r.trace.Wall(spans.NameServeSchedule, poppedAt, startedAt, spans.None, spans.None)
 	s.logRun(r, "run started")
@@ -480,103 +489,93 @@ func (s *Scheduler) finish(r *Run, res *system.Result, err error, cached bool) {
 	r.resultJSON = resultJSON
 	r.timeline = timeline
 	r.cached = cached
-	r.finishedAt = s.opts.Now()
+	state, errMsg := StateDone, ""
 	switch {
 	case err == nil:
-		r.state = StateDone
-		s.met.runsCompleted.Inc()
+		if !cached && !r.startedAt.IsZero() {
+			s.recordExecDuration(s.opts.Now().Sub(r.startedAt))
+		}
 	case errors.Is(err, sim.ErrCanceled) || errors.Is(err, context.Canceled):
-		r.state = StateCanceled
-		r.errMsg = err.Error()
-		s.met.runsCanceled.Inc()
+		state, errMsg = StateCanceled, err.Error()
 	default:
-		r.state = StateFailed
-		r.errMsg = err.Error()
-		s.met.runsFailed.Inc()
+		state, errMsg = StateFailed, err.Error()
 	}
-	if err == nil && !cached && !r.startedAt.IsZero() {
-		s.recordExecDuration(r.finishedAt.Sub(r.startedAt))
+	args := []any{"cached", cached}
+	if errMsg != "" {
+		args = append(args, "error", errMsg)
+	}
+	s.endLocked(r, state, errMsg, "run finished", args...)
+}
+
+// drainingMsg is the error of a submission, or a promotion, that meets a
+// draining server.
+const drainingMsg = "server is draining; submissions are rejected"
+
+// endLocked is the one transition into a terminal state. It records the
+// state, the error and the finish time, counts the run under its state,
+// wakes its waiters, logs msg once (with the state, then logArgs), settles
+// the run's coalesced followers and retires it. Called with s.mu held and
+// r not yet terminal.
+func (s *Scheduler) endLocked(r *Run, state, errMsg, msg string, logArgs ...any) {
+	if r.state == StateQueued {
+		r.canceledWhileQueued.Store(true)
+	}
+	r.state, r.errMsg, r.finishedAt = state, errMsg, s.opts.Now()
+	switch state {
+	case StateDone:
+		s.met.runsCompleted.Inc()
+	case StateFailed:
+		s.met.runsFailed.Inc()
+	case StateCanceled:
+		s.met.runsCanceled.Inc()
+	case StateShed:
+		s.met.runsShed.Inc()
 	}
 	close(r.done)
-	args := []any{"state", r.state, "cached", cached}
-	if r.errMsg != "" {
-		args = append(args, "error", r.errMsg)
-	}
-	s.logRun(r, "run finished", args...)
+	s.logRun(r, msg, append([]any{"state", state}, logArgs...)...)
 	s.settleFollowersLocked(r)
 	s.retireLocked(r)
 }
 
 // settleFollowersLocked resolves a terminal primary's coalesced
-// followers and retires its single-flight claim. Called with s.mu held
-// and r terminal. A successful primary hands every live follower its
-// result document ("cached": true — the bytes are identical to what a
-// cache hit would have served); a primary that failed, was canceled, or
-// was shed promotes the first live follower into a real queued run so
+// followers and retires its single-flight claim. Called with s.mu held and
+// r terminal. A successful primary hands every live follower its result
+// document ("cached": true — the bytes are identical to what a cache hit
+// would have served). A shed primary sheds its followers too: they are
+// queued duplicates of the evicted run. A primary that failed or was
+// canceled promotes the first live follower into a real queued run, so
 // the duplicate submissions it absorbed are still honored.
 func (s *Scheduler) settleFollowersLocked(r *Run) {
 	if id, ok := s.inflight[r.specHash]; ok && id == r.ID {
 		delete(s.inflight, r.specHash)
 	}
-	followers := r.followers
+	live := slices.DeleteFunc(r.followers, func(f *Run) bool { return isTerminal(f.state) })
 	r.followers = nil
-	if len(followers) == 0 {
-		return
-	}
-	if r.state == StateDone {
-		for _, f := range followers {
-			if isTerminal(f.state) {
-				continue
-			}
-			f.resultJSON = r.resultJSON
-			f.timeline = r.timeline
-			f.cached = true
-			f.state = StateDone
-			f.finishedAt = s.opts.Now()
-			s.met.runsCompleted.Inc()
-			close(f.done)
-			s.logRun(f, "run finished", "state", StateDone, "cached", true, "coalesced_with", r.ID)
-			s.retireLocked(f)
+	switch {
+	case len(live) == 0:
+	case r.state == StateDone:
+		for _, f := range live {
+			f.resultJSON, f.timeline, f.cached = r.resultJSON, r.timeline, true
+			s.endLocked(f, StateDone, "", "run finished", "cached", true, "coalesced_with", r.ID)
 		}
-		return
-	}
-	var promoted *Run
-	for _, f := range followers {
-		if isTerminal(f.state) {
-			continue
+	case r.state == StateShed:
+		for _, f := range live {
+			s.endLocked(f, StateShed, r.errMsg, "run shed")
 		}
-		if promoted == nil {
-			promoted = f
-			continue
+	default:
+		promoted := live[0]
+		promoted.followers = live[1:]
+		s.inflight[r.specHash] = promoted.ID
+		switch s.q.push(promoted) {
+		case pushOK:
+			s.logRun(promoted, "run promoted", "coalesced_with", r.ID)
+		case pushFull:
+			s.met.queueRejects.Inc()
+			const msg = "admission queue full at promotion"
+			s.endLocked(promoted, StateFailed, msg, "run finished", "error", msg)
+		case pushClosed:
+			s.endLocked(promoted, StateCanceled, drainingMsg, "run finished", "error", drainingMsg)
 		}
-		promoted.followers = append(promoted.followers, f)
-	}
-	if promoted == nil {
-		return
-	}
-	s.inflight[r.specHash] = promoted.ID
-	switch s.q.push(promoted) {
-	case pushOK:
-		s.logRun(promoted, "run promoted", "coalesced_with", r.ID)
-	case pushFull:
-		s.met.queueRejects.Inc()
-		promoted.state = StateFailed
-		promoted.errMsg = "admission queue full at promotion"
-		promoted.finishedAt = s.opts.Now()
-		s.met.runsFailed.Inc()
-		close(promoted.done)
-		s.logRun(promoted, "run finished", "state", StateFailed, "error", promoted.errMsg)
-		s.settleFollowersLocked(promoted)
-		s.retireLocked(promoted)
-	case pushClosed:
-		promoted.state = StateCanceled
-		promoted.errMsg = "server is draining; submissions are rejected"
-		promoted.finishedAt = s.opts.Now()
-		s.met.runsCanceled.Inc()
-		close(promoted.done)
-		s.logRun(promoted, "run finished", "state", StateCanceled, "error", promoted.errMsg)
-		s.settleFollowersLocked(promoted)
-		s.retireLocked(promoted)
 	}
 }
 
@@ -592,16 +591,6 @@ func (s *Scheduler) retireLocked(r *Run) {
 		s.retired[0] = nil
 		s.retired = s.retired[1:]
 		delete(s.runs, old.ID)
-	}
-	if len(s.order) > 2*len(s.runs)+64 {
-		kept := s.order[:0]
-		for _, id := range s.order {
-			if s.runs[id] != nil {
-				kept = append(kept, id)
-			}
-		}
-		clear(s.order[len(kept):])
-		s.order = kept
 	}
 }
 
@@ -627,7 +616,7 @@ func (s *Scheduler) recordExecDuration(d time.Duration) {
 
 // RetryAfterHint estimates how long a submitter rejected with queue_full
 // should wait before retrying: the EWMA cost of one executed run times
-// the queue backlog per pool worker (with 1s floor when no run has
+// the queue backlog per worker (with 1s floor when no run has
 // executed yet), clamped to [1s, 60s], plus a deterministic jitter so a
 // herd of synchronized clients fans back in staggered.
 func (s *Scheduler) RetryAfterHint() time.Duration {
@@ -639,7 +628,7 @@ func (s *Scheduler) RetryAfterHint() time.Duration {
 	if depth < 1 {
 		depth = 1
 	}
-	est := time.Duration(mean*float64(depth)/float64(s.pool.Width())) * time.Microsecond
+	est := time.Duration(mean*float64(depth)/float64(s.opts.Workers)) * time.Microsecond
 	if est < time.Second {
 		est = time.Second
 	}
@@ -679,24 +668,6 @@ func (s *Scheduler) persistTrace(r *Run) {
 	}
 }
 
-// finishShed terminally marks a load-shed run.
-func (s *Scheduler) finishShed(r *Run) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if isTerminal(r.state) {
-		return
-	}
-	r.state = StateShed
-	r.errMsg = "load shed: evicted from the admission queue under memory pressure"
-	r.finishedAt = s.opts.Now()
-	r.canceledWhileQueued.Store(true)
-	s.met.runsShed.Inc()
-	close(r.done)
-	s.logRun(r, "run shed", "state", StateShed)
-	s.settleFollowersLocked(r)
-	s.retireLocked(r)
-}
-
 // Cancel cancels the identified run: a queued run terminates immediately,
 // a running run is interrupted at its next scheduler checkpoint (its
 // partial result is flushed when it lands), a terminal run is untouched.
@@ -710,15 +681,7 @@ func (s *Scheduler) Cancel(id string) bool {
 	}
 	switch r.state {
 	case StateQueued:
-		r.canceledWhileQueued.Store(true)
-		r.state = StateCanceled
-		r.errMsg = "canceled before execution"
-		r.finishedAt = s.opts.Now()
-		s.met.runsCanceled.Inc()
-		close(r.done)
-		s.logRun(r, "run canceled", "state", StateCanceled, "while", "queued")
-		s.settleFollowersLocked(r)
-		s.retireLocked(r)
+		s.endLocked(r, StateCanceled, "canceled before execution", "run canceled", "while", "queued")
 	case StateRunning:
 		if r.cancel != nil {
 			r.cancel()
@@ -763,13 +726,16 @@ func (s *Scheduler) infoLocked(r *Run) RunInfo {
 func (s *Scheduler) List(state string) []RunInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]RunInfo, 0, len(s.order))
-	for _, id := range s.order {
-		r := s.runs[id]
-		if r == nil || (state != "" && r.state != state) {
-			continue
+	var rs []*Run
+	for _, r := range s.runs {
+		if state == "" || r.state == state {
+			rs = append(rs, r)
 		}
-		out = append(out, s.infoLocked(r))
+	}
+	slices.SortFunc(rs, func(a, b *Run) int { return cmp.Compare(a.seq, b.seq) })
+	out := make([]RunInfo, len(rs))
+	for i, r := range rs {
+		out[i] = s.infoLocked(r)
 	}
 	return out
 }
@@ -807,8 +773,7 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	s.q.close()
 	done := make(chan struct{})
 	go func() {
-		<-s.dispatchDone
-		s.pool.Wait()
+		s.workers.Wait()
 		close(done)
 	}()
 	select {
@@ -827,8 +792,7 @@ func (s *Scheduler) Close() {
 	s.draining.Store(true)
 	s.q.close()
 	s.baseCancel()
-	<-s.dispatchDone
-	s.pool.Wait()
+	s.workers.Wait()
 }
 
 func isTerminal(state string) bool {

@@ -185,7 +185,8 @@ func TestNotFoundPaths(t *testing.T) {
 
 // TestQueueFull429 fills the admission queue behind a blocked worker and
 // checks that the overflow submission gets 429 queue_full + Retry-After,
-// while everything admitted still completes after release.
+// while everything admitted still completes after release. The bound is
+// exact: Workers running plus QueueCap queued.
 func TestQueueFull429(t *testing.T) {
 	gate := newGateRunner()
 	srv := New(Options{Workers: 1, QueueCap: 1, Runner: gate.run})
@@ -201,35 +202,36 @@ func TestQueueFull429(t *testing.T) {
 		t.Fatalf("A status = %d, want 202", wa.Code)
 	}
 	<-gate.started
-	// B is popped by the dispatcher and parks waiting for a worker slot;
-	// wait for the queue to empty so the fill below is deterministic.
+	// B fills the queue (capacity 1): no run waits outside it, so C must
+	// be rejected.
 	wb := submit()
 	if wb.Code != http.StatusAccepted {
 		t.Fatalf("B status = %d, want 202", wb.Code)
 	}
-	eventually(t, "dispatcher to park run B", func() bool { return srv.sched.q.depth() == 0 })
-	// C fills the queue (capacity 1); D must be rejected.
+	if d := srv.sched.q.depth(); d != 1 {
+		t.Fatalf("queue depth = %d after B, want 1", d)
+	}
 	wc := submit()
-	if wc.Code != http.StatusAccepted {
-		t.Fatalf("C status = %d, want 202", wc.Code)
+	if wc.Code != http.StatusTooManyRequests {
+		t.Fatalf("C status = %d, want 429 (body %s)", wc.Code, wc.Body.String())
 	}
-	wd := submit()
-	if wd.Code != http.StatusTooManyRequests {
-		t.Fatalf("D status = %d, want 429 (body %s)", wd.Code, wd.Body.String())
+	if e := decodeErr(t, wc); e.Code != ErrCodeQueueFull {
+		t.Fatalf("C code = %q, want queue_full", e.Code)
 	}
-	if e := decodeErr(t, wd); e.Code != ErrCodeQueueFull {
-		t.Fatalf("D code = %q, want queue_full", e.Code)
-	}
-	if wd.Header().Get("Retry-After") == "" {
+	if wc.Header().Get("Retry-After") == "" {
 		t.Fatal("429 queue_full response is missing Retry-After")
 	}
-	// The rejected run must not appear in the run table.
-	if n := len(srv.sched.List("")); n != 3 {
-		t.Fatalf("run table has %d entries after reject, want 3", n)
+	// The rejected run must not appear in the run table: one running, one
+	// queued.
+	if n := len(srv.sched.List("")); n != 2 {
+		t.Fatalf("run table has %d entries after reject, want 2", n)
+	}
+	if n := len(srv.sched.List(StateQueued)); n != 1 {
+		t.Fatalf("%d queued runs after reject, want 1", n)
 	}
 
 	close(gate.release)
-	for _, w := range []*httptest.ResponseRecorder{wa, wb, wc} {
+	for _, w := range []*httptest.ResponseRecorder{wa, wb} {
 		id := decodeInfo(t, w).ID
 		eventually(t, id+" to finish", func() bool {
 			return decodeInfo(t, do(t, h, "GET", "/v1/runs/"+id, "", nil)).State == StateDone
@@ -354,13 +356,17 @@ func TestLoadShedding(t *testing.T) {
 
 	submit() // A: occupies the worker
 	<-gate.started
-	submit() // B: popped, parked on the pool
-	eventually(t, "dispatcher to park run B", func() bool { return srv.sched.q.depth() == 0 })
-	victim := submit() // C: genuinely queued
-	eventually(t, "run C to queue", func() bool { return srv.sched.q.depth() == 1 })
+	victim := submit() // B: the oldest queued run
+	submit()           // C: queued behind it
+	if d := srv.sched.q.depth(); d != 2 {
+		t.Fatalf("queue depth = %d, want 2 (B and C)", d)
+	}
 
 	pressure.Store(true)
-	d := submit() // D: admitted by shedding C
+	d := submit() // D: admitted by shedding B
+	if d := srv.sched.q.depth(); d != 2 {
+		t.Fatalf("queue depth = %d after the shed, want 2 (C and D)", d)
+	}
 
 	w := do(t, h, "GET", "/v1/runs/"+victim.ID, "", nil)
 	if got := decodeInfo(t, w).State; got != StateShed {
@@ -397,8 +403,10 @@ func TestCancel(t *testing.T) {
 	a := submit()
 	<-gate.started
 	b := submit()
-	eventually(t, "dispatcher to park run B", func() bool { return srv.sched.q.depth() == 0 })
-	c := submit() // stays queued behind the parked B
+	c := submit() // queued behind B
+	if d := srv.sched.q.depth(); d != 2 {
+		t.Fatalf("queue depth = %d, want 2 (B and C)", d)
+	}
 
 	// Canceling a queued run is immediate.
 	w := do(t, h, "DELETE", "/v1/runs/"+c.ID, "", nil)

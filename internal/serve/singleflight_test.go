@@ -131,7 +131,7 @@ func TestRetryAfterComputed(t *testing.T) {
 		return do(t, h, "POST", "/v1/runs", `{"benchmark":"astar","monitor":"MemLeak"}`, nil)
 	}
 
-	// A occupies the worker, B parks at the pool, C fills the queue.
+	// A occupies the worker, B fills the queue.
 	if w := submit(); w.Code != http.StatusAccepted {
 		t.Fatalf("A status = %d, want 202", w.Code)
 	}
@@ -139,9 +139,8 @@ func TestRetryAfterComputed(t *testing.T) {
 	if w := submit(); w.Code != http.StatusAccepted {
 		t.Fatalf("B status = %d, want 202", w.Code)
 	}
-	eventually(t, "dispatcher to park run B", func() bool { return srv.sched.q.depth() == 0 })
-	if w := submit(); w.Code != http.StatusAccepted {
-		t.Fatalf("C status = %d, want 202", w.Code)
+	if d := srv.sched.q.depth(); d != 1 {
+		t.Fatalf("queue depth = %d, want 1 (B)", d)
 	}
 
 	want := []string{"2", "3", "1"}

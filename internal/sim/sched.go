@@ -10,12 +10,12 @@ import (
 	"fade/internal/spans"
 )
 
-// DefaultCheckpointInterval is the cancellation-checkpoint period used when
-// Scheduler.CheckEvery is zero: every this-many loop iterations the
-// scheduler polls its context and wall-clock deadline. Polling is cheap
-// (one atomic load on most context implementations) but keeping it off the
-// every-iteration path preserves the hot loop; a canceled run is guaranteed
-// to stop within one checkpoint interval.
+// DefaultCheckpointInterval is the cancellation-checkpoint period: every
+// this-many loop iterations the scheduler polls its context and wall-clock
+// deadline. Polling is cheap (one atomic load on most context
+// implementations) but keeping it off the every-iteration path preserves
+// the hot loop; a canceled run is guaranteed to stop within one checkpoint
+// interval.
 //
 // The interval counts loop iterations executed, not simulated cycles: a
 // fast-forward jump advances the clock by an arbitrary number of cycles in
@@ -78,10 +78,11 @@ type Outcome struct {
 //
 // Per-cycle order is fixed and documented (DESIGN.md "Tick order"):
 //
-//  1. checkpoint — every CheckEvery loop iterations the context and
-//     wall-clock deadline are polled; a canceled run aborts here with
-//     ErrCanceled (iterations, not cycles: fast-forward jumps advance many
-//     cycles per iteration, so cycle-modulo polling could be hopped over);
+//  1. checkpoint — every DefaultCheckpointInterval loop iterations the
+//     context and wall-clock deadline are polled; a canceled run aborts
+//     here with ErrCanceled (iterations, not cycles: fast-forward jumps
+//     advance many cycles per iteration, so cycle-modulo polling could be
+//     hopped over);
 //  2. Done — checked next, so a system that is already drained executes
 //     zero cycles;
 //  3. Warmed — the first cycle on which it reports true is recorded as the
@@ -116,16 +117,14 @@ type Scheduler struct {
 	// components have ticked. A non-nil return aborts the run with that
 	// error (conventionally an *InvariantError).
 	Check func(cycle uint64) error
-	// Ctx, when non-nil, is polled at checkpoints; once it is done the run
-	// aborts with ErrCanceled (wrapping the context's cause).
+	// Ctx, when neither nil nor context.Background(), is polled at
+	// checkpoints; once it is done the run aborts with ErrCanceled
+	// (wrapping the context's cause).
 	Ctx context.Context
 	// Deadline, when non-zero, is the wall-clock watchdog: a checkpoint
 	// past it aborts the run with ErrCanceled. It bounds real time, not
 	// simulated time (MaxCycles bounds the latter).
 	Deadline time.Time
-	// CheckEvery is the checkpoint interval in loop iterations (exact
-	// cycles or fast-forward jumps); 0 selects DefaultCheckpointInterval.
-	CheckEvery uint64
 	// FastForward arms event-driven skip-ahead: each iteration the
 	// scheduler asks every component (which must implement Sleeper) for
 	// its quiet span, and when all are quiescent it jumps the clock over
@@ -169,11 +168,9 @@ type Scheduler struct {
 // rejects a cycle. The abort reason, if any, is in Outcome.Err.
 func (s *Scheduler) Run() Outcome {
 	var out Outcome
-	every := s.CheckEvery
-	if every == 0 {
-		every = DefaultCheckpointInterval
-	}
-	watch := s.Ctx != nil || !s.Deadline.IsZero()
+	// Background can never be canceled, so a run under it has nothing to
+	// poll and places no checkpoints.
+	watch := s.Ctx != nil && s.Ctx != context.Background() || !s.Deadline.IsZero()
 	sleepers := s.armFastForward()
 	startCycle := s.Clock.Cycle()
 	var iters uint64
@@ -181,7 +178,7 @@ func (s *Scheduler) Run() Outcome {
 		// Checkpoints count loop iterations, not cycles: fast-forward
 		// jumps (or any future non-unit stepping) would hop over a
 		// cycle-modulo checkpoint, leaving a canceled run spinning.
-		if watch && iters%every == 0 {
+		if watch && iters%DefaultCheckpointInterval == 0 {
 			s.Trace.CycleInstant(s.TraceTrack, spans.NameCheckpoint, cycles, spans.None, spans.None)
 			if err := s.poll(); err != nil {
 				out.Err = err

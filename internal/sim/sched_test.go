@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"fade/internal/spans"
 )
 
 // endless returns a scheduler over one no-op component that never finishes.
@@ -53,14 +55,14 @@ func TestSchedulerCancelWithinOneCheckpoint(t *testing.T) {
 			cancel()
 		}
 	}))
-	s := &Scheduler{Clock: c, MaxCycles: 1_000_000, Ctx: ctx, CheckEvery: 64,
+	s := &Scheduler{Clock: c, MaxCycles: 1_000_000, Ctx: ctx,
 		Done: func(uint64) bool { return false }}
 	out := s.Run()
 	if !errors.Is(out.Err, ErrCanceled) {
 		t.Fatalf("Err = %v, want ErrCanceled", out.Err)
 	}
-	if out.Cycles < cancelAt || out.Cycles > cancelAt+64 {
-		t.Fatalf("stopped at cycle %d; want within one 64-cycle checkpoint of %d", out.Cycles, cancelAt)
+	if out.Cycles < cancelAt || out.Cycles > cancelAt+DefaultCheckpointInterval {
+		t.Fatalf("stopped at cycle %d; want within one %d-cycle checkpoint of %d", out.Cycles, DefaultCheckpointInterval, cancelAt)
 	}
 }
 
@@ -110,10 +112,44 @@ func TestSchedulerContextDoesNotPerturbCompletedRuns(t *testing.T) {
 			Done: func(uint64) bool { return ticks >= 5000 }}
 		return s.Run()
 	}
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	plain := run(nil)
-	watched := run(context.Background())
+	watched := run(live)
 	if !plain.Completed || !watched.Completed || plain.Cycles != watched.Cycles {
 		t.Fatalf("plain = %+v, watched = %+v; cycle counts must match", plain, watched)
+	}
+}
+
+// TestSchedulerBackgroundContextPlacesNoCheckpoints: context.Background()
+// can never be canceled, so the scheduler treats it as no context at all
+// and places no checkpoints, while a cancelable context is polled every
+// DefaultCheckpointInterval iterations.
+func TestSchedulerBackgroundContextPlacesNoCheckpoints(t *testing.T) {
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want int
+	}{
+		{"nil", nil, 0},
+		{"background", context.Background(), 0},
+		{"cancelable", live, 3},
+	} {
+		tr := spans.New("t", 64)
+		s := endless(2 * DefaultCheckpointInterval)
+		s.Ctx, s.Trace, s.TraceTrack = tc.ctx, tr, tr.NewTrack("sched")
+		s.Run()
+		got := 0
+		for _, sp := range tr.Spans() {
+			if sp.Name == spans.NameCheckpoint {
+				got++
+			}
+		}
+		if got != tc.want {
+			t.Errorf("%s context: %d checkpoints, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 

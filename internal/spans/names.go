@@ -69,7 +69,7 @@ const (
 	// admission queue, submission to dequeue.
 	NameServeQueueWait = "serve.queue.wait"
 	// NameServeSchedule — wall domain: dequeue to execution start (the
-	// wait for a worker-pool slot).
+	// worker marking the run running).
 	NameServeSchedule = "serve.schedule"
 	// NameServeExecute — wall domain: the simulation itself (or the cache
 	// lookup that replaced it). Args "cached" (0/1).

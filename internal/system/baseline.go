@@ -122,12 +122,9 @@ func simulateBaseline(ctx context.Context, prof *trace.Profile, s runspec.Spec, 
 	app := cpu.NewAppCore(coreKinds[s.Core], prof, src, nil, nil)
 	clock := sim.NewClock()
 	clock.Register(&sim.Arbiter{App: app})
-	sched := &sim.Scheduler{Clock: clock, MaxCycles: s.CycleCap(),
+	sched := &sim.Scheduler{Clock: clock, MaxCycles: s.CycleCap(), Ctx: ctx,
 		Done: func(uint64) bool { return app.Done() }, Deadline: deadline,
 		FastForward: s.FastForward}
-	if ctx != nil && ctx != context.Background() {
-		sched.Ctx = ctx
-	}
 	if s.WarmupInstrs > 0 {
 		sched.Warmed = func() bool { return app.Instrs() >= s.WarmupInstrs }
 	}

@@ -10,7 +10,6 @@ import (
 	"fade/internal/monitor"
 	"fade/internal/rcache"
 	"fade/internal/runspec"
-	"fade/internal/sim"
 	"fade/internal/stats"
 	"fade/internal/trace"
 )
@@ -95,28 +94,19 @@ type CoreModelIPC struct {
 }
 
 // runCoreModelStudy runs the core-model cross-validation for one
-// benchmark: the rate model on the sim kernel, then the detailed model
-// 4-way and in-order, all over the same generated workload.
+// benchmark: the rate model, then the detailed model 4-way and in-order,
+// all over the same generated workload. The rate model's run is the 4-way
+// unmonitored baseline, so it comes from (and fills) the baseline store.
 func runCoreModelStudy(ctx context.Context, s runspec.Spec) (*CoreModelIPC, error) {
 	prof, ok := trace.Lookup(s.Benchmark)
 	if !ok {
 		return nil, fmt.Errorf("system: unknown benchmark %q", s.Benchmark)
 	}
-	src := trace.Open(prof, s.Seed, s.Instrs)
-	defer src.Close()
-	app := cpu.NewAppCore(cpu.OoO4, prof, src, nil, nil)
-	clock := sim.NewClock()
-	clock.Register(&sim.Arbiter{App: app})
-	sched := &sim.Scheduler{Clock: clock, MaxCycles: s.Instrs * 200,
-		Done: func(uint64) bool { return app.Done() }}
-	if ctx != nil && ctx != context.Background() {
-		sched.Ctx = ctx
+	b, err := runBaseline(ctx, prof, runspec.Spec{Core: runspec.Core4Way, Seed: s.Seed, Instrs: s.Instrs}, time.Time{})
+	if err != nil {
+		return nil, fmt.Errorf("system: rate model for %s: %w", s.Benchmark, err)
 	}
-	out := sched.Run()
-	if !out.Completed {
-		return nil, fmt.Errorf("system: rate model for %s: %w", s.Benchmark, out.Err)
-	}
-	rate := stats.Ratio(app.Instrs(), out.Cycles)
+	rate := stats.Ratio(s.Instrs, b.cycles)
 	c4, r4, err := runDetailed(cpu.OoO4, prof, s.Seed, s.Instrs)
 	if err != nil {
 		return nil, fmt.Errorf("system: detailed model for %s: %w", s.Benchmark, err)

@@ -77,7 +77,7 @@ func runQueueStudy(ctx context.Context, s runspec.Spec) (*QueueStudy, error) {
 	app := cpu.NewAppCore(coreKinds[s.Core], prof, src, mon, evq)
 
 	reg := obs.NewRegistry()
-	reg.Register(app)
+	reg.Register(app.MetricsCollector("app"))
 	reg.Register(evq.MetricsCollector("queue.meq"))
 	clock := sim.NewClock()
 	reg.Register(obs.CollectorFunc(func(s obs.Sink) {
@@ -88,12 +88,9 @@ func runQueueStudy(ctx context.Context, s runspec.Spec) (*QueueStudy, error) {
 	// cycle ahead of the core's enqueues.
 	clock.Register(sim.ComponentFunc(func(uint64) { evq.Pop() }))
 	clock.Register(&sim.Arbiter{App: app})
-	sched := &sim.Scheduler{Clock: clock, MaxCycles: maxCycles,
+	sched := &sim.Scheduler{Clock: clock, MaxCycles: maxCycles, Ctx: ctx,
 		Done:   func(uint64) bool { return app.Done() && evq.Empty() },
 		Sample: evq.SampleOccupancyN,
-	}
-	if ctx != nil && ctx != context.Background() {
-		sched.Ctx = ctx
 	}
 	out := sched.Run()
 	if !out.Completed {

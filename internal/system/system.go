@@ -217,29 +217,20 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 	// (docs/METRICS.md, "Per-core grammar").
 	reg := obs.NewRegistry()
 	for _, g := range groups {
-		if single {
-			reg.Register(g.app)
-			reg.Register(g.monCore)
-			reg.Register(g.evq.MetricsCollector("queue.meq"))
-			if g.fu != nil {
-				reg.Register(g.fu)
-			}
-			if g.eng != nil {
-				// Registered only under fault injection so fault-free
-				// metric dumps keep their historical shape.
-				reg.Register(g.eng.Collector("fault"))
-			}
-		} else {
-			idx := strconv.Itoa(g.idx)
-			reg.Register(g.app.MetricsCollector("app." + idx))
-			reg.Register(g.monCore.MetricsCollector("moncore." + idx))
-			reg.Register(g.evq.MetricsCollector("queue.meq." + idx))
-			if g.fu != nil {
-				reg.Register(g.fu.MetricsCollector("fu."+idx, "fsq."+idx, "queue.ufq."+idx))
-			}
-			if g.eng != nil {
-				reg.Register(g.eng.Collector("fault." + idx))
-			}
+		sfx := ""
+		if !single {
+			sfx = "." + strconv.Itoa(g.idx)
+		}
+		reg.Register(g.app.MetricsCollector("app" + sfx))
+		reg.Register(g.monCore.MetricsCollector("moncore" + sfx))
+		reg.Register(g.evq.MetricsCollector("queue.meq" + sfx))
+		if g.fu != nil {
+			reg.Register(g.fu.MetricsCollector("fu"+sfx, "fsq"+sfx, "queue.ufq"+sfx))
+		}
+		if g.eng != nil {
+			// Registered only under fault injection so fault-free metric
+			// dumps keep their historical shape.
+			reg.Register(g.eng.Collector("fault" + sfx))
 		}
 	}
 	clock := sim.NewClock()
@@ -367,9 +358,7 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 	if single && s.WarmupInstrs > 0 {
 		sched.Warmed = func() bool { return groups[0].app.Instrs() >= s.WarmupInstrs }
 	}
-	if ctx != nil && ctx != context.Background() {
-		sched.Ctx = ctx
-	}
+	sched.Ctx = ctx
 	sched.Deadline = deadline
 	if s.CheckInvariants {
 		sched.Check = newInvariantChecker(groups).check

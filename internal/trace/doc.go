@@ -30,17 +30,21 @@
 // from a Generator directly.
 //
 // A cursor holds its trace until it is closed, even once read to the
-// end; an open cursor's trace is never evicted. Released traces join an idle set
-// that starts at one trace, and older ones are evicted. The store
-// remembers the last 64 keys it evicted: opening one of them again is a
-// refill, and each refill raises the idle allowance by one. Sweeps
-// dispatch the cells that share a trace back to back (package
+// end; an open cursor's trace is never evicted. Released traces join an
+// idle set that starts at one trace; beyond it, the idle traces opened
+// longest ago are evicted. Eviction goes by open order, not release
+// order, so a straggler of a sweep's previous trace group, releasing its
+// trace between two cells of the running group, evicts its own trace and
+// not the running group's.
+// The store remembers the last 64 keys it evicted: opening one of them
+// again is a refill, and each refill raises the idle allowance by one.
+// Sweeps dispatch the cells that share a trace back to back (package
 // experiments), so a sweep seldom reopens an evicted stream and keeps an
 // idle set of one; traffic that returns to its streams in turn, such as
 // fabric workers leasing a table in table order or fadeserve's shuffled
-// requests, earns an idle set that holds them. Idle traces never hold more than 2 MiB of
-// chunks plus the last one released, and a finished trace's final chunk
-// is trimmed to its length. StoreStats reports fills, hits, bypasses,
+// requests, earns an idle set that holds them. Idle traces never hold
+// more than 2 MiB of chunks plus the one opened last, and a finished
+// trace's final chunk is trimmed to its length. StoreStats reports fills, hits, bypasses,
 // evictions, refills, the idle allowance and live and idle bytes as
 // process telemetry; they never enter a simulation Result.
 package trace

@@ -36,7 +36,11 @@ const (
 	// minIdle is the idle allowance a store starts with: how many traces
 	// no stream is reading it keeps. Sweeps dispatch the cells sharing a
 	// trace back to back, so the next cell (or its baseline) finds the one
-	// it needs among the last released.
+	// it needs among the last opened. Eviction goes by open order, not
+	// release order: a straggler of the previous group that releases its
+	// trace between two cells of the running group was opened before the
+	// running group's trace, so it goes first and the running group's
+	// trace stays.
 	minIdle = 1
 	// evictedKeys is how many evicted keys the store remembers, oldest
 	// dropped first. Opening one of them again is a refill, which raises
@@ -44,9 +48,9 @@ const (
 	// distance than the store remembers is no evidence to keep more.
 	evictedKeys = 64
 	// idleCap bounds the allocated chunk bytes of the idle set; beyond
-	// it the oldest idle traces go whatever the allowance, down to the
-	// last one released. The traffic that refills reads about 13 streams
-	// of 20k instructions in turn (table2's cells leased in table order
+	// it the idle traces opened longest ago go whatever the allowance,
+	// down to the one opened last. The traffic that refills reads about
+	// 13 streams of 20k instructions in turn (table2's cells leased in table order
 	// across fabric workers; fadeserve running every monitor and
 	// accelerator on one seed's streams in shuffled order), about 80 KB
 	// each once trimmed, 1.1 MB in all. 2 MiB holds that set with room
@@ -86,8 +90,9 @@ type storeKey struct {
 // stream is generated once however many cursors read it. Bytes below a
 // chunk's length are never written again. refs (guarded by the store's
 // mutex) counts the open streams on the entry; it is evicted only at
-// zero. bytes is the chunks' allocated size, which stays fixed once refs
-// is zero.
+// zero. opened (also guarded by the store's mutex) is the store-wide
+// sequence number of the entry's latest open. bytes is the chunks'
+// allocated size, which stays fixed once refs is zero.
 type entry struct {
 	key storeKey
 	mu  sync.Mutex
@@ -97,12 +102,14 @@ type entry struct {
 	gen    *Generator // nil once the whole stream is stored
 	enc    codec      // encoder state after the stored prefix
 	refs   int
+	opened uint64
 }
 
 type traceStore struct {
 	mu      sync.Mutex
 	entries map[storeKey]*entry
-	idle    []*entry   // unread entries, least recently released first
+	idle    []*entry   // unread entries
+	opens   uint64     // opens of stored streams so far; stamps entry.opened
 	evicted []storeKey // the last evictedKeys keys evicted, oldest first
 	stats   StoreSnapshot
 }
@@ -142,18 +149,20 @@ func (s *traceStore) open(prof *Profile, seed, limit uint64) Stream {
 	}
 	k := storeKey{prof: *prof, seed: seed, limit: limit}
 	s.mu.Lock()
+	s.opens++
 	if e := s.entries[k]; e != nil {
 		s.stats.Hits++
 		if e.refs == 0 {
 			s.unidle(e)
 		}
 		e.refs++
+		e.opened = s.opens
 		s.mu.Unlock()
 		return &Replay{s: s, e: e}
 	}
 	// Build the generator outside the store's lock but inside the new
 	// entry's, which other openers of the stream then wait on.
-	e := &entry{key: k, refs: 1}
+	e := &entry{key: k, refs: 1, opened: s.opens}
 	e.mu.Lock()
 	s.entries[k] = e
 	s.stats.Fills++
@@ -170,9 +179,9 @@ func (s *traceStore) open(prof *Profile, seed, limit uint64) Stream {
 }
 
 // release drops one stream's hold on e. An entry nobody reads joins the
-// idle set, whose oldest members are evicted beyond the idle allowance or
-// while they hold more than idleCap bytes. The last one released stays,
-// so idle bytes never exceed idleCap plus one trace.
+// idle set, whose members opened longest ago are evicted beyond the idle
+// allowance or while they hold more than idleCap bytes. The one opened
+// last stays, so idle bytes never exceed idleCap plus one trace.
 func (s *traceStore) release(e *entry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -182,8 +191,14 @@ func (s *traceStore) release(e *entry) {
 	s.idle = append(s.idle, e)
 	s.stats.IdleBytes += e.bytes
 	for len(s.idle) > s.stats.IdleAllowance || len(s.idle) > 1 && s.stats.IdleBytes > idleCap {
-		old := s.idle[0]
-		s.idle = s.idle[1:]
+		i := 0
+		for j, c := range s.idle {
+			if c.opened < s.idle[i].opened {
+				i = j
+			}
+		}
+		old := s.idle[i]
+		s.idle = slices.Delete(s.idle, i, i+1)
 		delete(s.entries, old.key)
 		if len(s.evicted) == evictedKeys {
 			s.evicted = slices.Delete(s.evicted, 0, 1)

@@ -171,8 +171,8 @@ func TestOpenSingleFlight(t *testing.T) {
 
 // TestEvictionKeepsCursorsValid: an entry an open cursor reads is never
 // evicted, however many other traces come and go; idle entries beyond
-// minIdle are evicted and their bytes leave LiveBytes; a closed cursor
-// returns no more records.
+// minIdle are evicted, opened longest ago first, and their bytes leave
+// LiveBytes; a closed cursor returns no more records.
 func TestEvictionKeepsCursorsValid(t *testing.T) {
 	s := newStore()
 	prof := mustLookup(t, "bzip")
@@ -192,10 +192,16 @@ func TestEvictionKeepsCursorsValid(t *testing.T) {
 		t.Fatal("a drained stream yielded a record")
 	}
 	held.Close()
+	// The held trace was last opened before seed 5's, so releasing it
+	// evicts it and keeps seed 5's.
+	key := func(seed uint64) storeKey { return storeKey{prof: *prof, seed: seed, limit: 8_000} }
+	if st := s.snapshot(); st.Evictions != 4 || s.entries[key(1)] != nil || s.entries[key(5)] == nil {
+		t.Fatalf("want the held trace evicted and seed 5's kept, got %+v", st)
+	}
 
-	again := s.open(prof, 1, 8_000)
+	again := s.open(prof, 5, 8_000)
 	if s.snapshot().Fills != st.Fills {
-		t.Fatal("the held trace was evicted and regenerated")
+		t.Fatal("the idle trace opened last was evicted and regenerated")
 	}
 	again.Next()
 	again.Close()
@@ -232,6 +238,26 @@ func TestDrainedCursorHoldsTrace(t *testing.T) {
 	}
 	again.Close()
 	running.Close()
+}
+
+// TestStoreStragglerKeepsRunningGroupTrace: a running group's trace goes idle
+// between two of its cells, and then a straggler of the previous group
+// releases its trace, opened earlier. The straggler's trace is evicted;
+// reopening the running group's trace is a hit.
+func TestStoreStragglerKeepsRunningGroupTrace(t *testing.T) {
+	s := newStore()
+	prev, cur := mustLookup(t, "libq"), mustLookup(t, "astar")
+	straggler := s.open(prev, 1, 8_000)
+	drain(s.open(cur, 1, 8_000)) // a cell of the running group ends
+	drain(straggler)
+	again := s.open(cur, 1, 8_000)
+	defer again.Close()
+	if st := s.snapshot(); st.Fills != 2 || st.Hits != 1 || st.Refills != 0 || st.Evictions != 1 {
+		t.Fatalf("the running group's trace was evicted by the straggler's release: %+v", st)
+	}
+	if s.entries[storeKey{prof: *prev, seed: 1, limit: 8_000}] != nil {
+		t.Fatal("the straggler's trace was kept over the running group's")
+	}
 }
 
 // TestReplayCompactness pins the packed size the store's memory bound
