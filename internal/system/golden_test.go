@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fade/internal/obs"
@@ -58,5 +59,55 @@ func TestGoldenMetrics(t *testing.T) {
 				t.Fatalf("metrics dump differs from %s (%d vs %d bytes); a tick-order or naming change leaked into existing topologies", path, buf.Len(), len(want))
 			}
 		})
+	}
+}
+
+// TestGoldenTimeline pins the cycle-sampled timeline of the paper's
+// two-core system, the one place occupancy histograms are read mid-run.
+// Both fast-forward modes must produce the committed points; the sim.ff.*
+// series, simulator observability registered only under fast-forward, are
+// dropped before comparing. Regenerate with `go test ./internal/system -run
+// TestGoldenTimeline -update`, only when a behavior change is intended.
+func TestGoldenTimeline(t *testing.T) {
+	for _, ff := range []bool{false, true} {
+		spec := defaultSpec("MemLeak")
+		setCMP(&spec, 1)
+		spec.Instrs = 60_000
+		spec.TimelineEvery = 7_000
+		spec.FastForward = ff
+		r, err := run("astar", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Timeline) < 3 {
+			t.Fatalf("fast-forward %v: %d timeline points, want several", ff, len(r.Timeline))
+		}
+		for _, p := range r.Timeline {
+			kept := p.Values[:0]
+			for _, v := range p.Values {
+				if !strings.HasPrefix(v.Name, "sim.ff.") {
+					kept = append(kept, v)
+				}
+			}
+			p.Values = kept
+		}
+		var buf bytes.Buffer
+		if err := obs.WriteTimeline(&buf, "", r.Timeline); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", "two-core-fade.timeline.jsonl")
+		if *updateGolden && !ff {
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update to create): %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("fast-forward %v: timeline differs from %s (%d vs %d bytes)", ff, path, buf.Len(), len(want))
+		}
 	}
 }
