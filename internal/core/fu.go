@@ -158,6 +158,9 @@ type FilteringUnit struct {
 	waitSeq     uint64
 	outstanding int // unfiltered events issued but not yet completed
 
+	// sampled counts the unfiltered queue's occupancy samples, one per Tick.
+	sampled uint64
+
 	// Burst tracking.
 	sinceUnfiltered int
 	burstLen        int
@@ -232,9 +235,17 @@ func (fu *FilteringUnit) Complete(seq uint64) {
 	}
 }
 
+// RecordOccupancy records the unfiltered queue's occupancy as dwell time
+// against cycle, the clock's cycle. Tick samples it first thing: after the
+// cycle's pops by the monitor, which ticks first, and before the unit's
+// own pushes.
+func (fu *FilteringUnit) RecordOccupancy(cycle func() uint64) {
+	fu.ufq.RecordOccupancy(func() uint64 { return max(cycle(), fu.sampled) })
+}
+
 // Tick advances the accelerator by one cycle.
 func (fu *FilteringUnit) Tick(cycle uint64) {
-	fu.ufq.SampleOccupancyN(1)
+	fu.sampled = cycle + 1
 	switch {
 	case fu.suu.Busy():
 		// The SUU occupies the accelerator; filtering is stopped while
@@ -275,15 +286,9 @@ func (fu *FilteringUnit) QuietTicks() uint64 {
 	}
 }
 
-// SkipTicks implements sim.Sleeper. Every tick — quiet or not —
-// samples the unfiltered queue's occupancy, so the bulk path replays those
-// samples (the occupancy is frozen across a quiescent span) alongside the
-// stall/blocked/idle accounting.
+// SkipTicks implements sim.Sleeper, replaying the stall/blocked/idle
+// accounting of n quiet ticks.
 func (fu *FilteringUnit) SkipTicks(n uint64) {
-	if n == 0 {
-		return
-	}
-	fu.ufq.SampleOccupancyN(n)
 	switch {
 	case fu.stall > 0:
 		fu.stall -= int(n)

@@ -129,7 +129,6 @@ func TestAppCoreBackpressure(t *testing.T) {
 	var cycles uint64
 	for !app.Done() && cycles < 2_000_000 {
 		app.TickShare(1.0)
-		evq.SampleOccupancyN(1)
 		if cycles%2 == 0 {
 			evq.Pop() // slow consumer: half an event per cycle
 		}

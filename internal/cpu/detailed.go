@@ -181,7 +181,7 @@ func RunDetailed(kind Kind, src trace.Source, seed uint64, maxCycles uint64) (ui
 	clock := sim.NewClock()
 	clock.Register(c)
 	sched := &sim.Scheduler{Clock: clock, MaxCycles: maxCycles,
-		Done: func(uint64) bool { return c.Done() }}
+		Done: func() bool { return c.Done() }}
 	out := sched.Run()
 	if !out.Completed {
 		return c.Cycle(), c.Retired(), fmt.Errorf("cpu: detailed core run aborted: %w", out.Err)

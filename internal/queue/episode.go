@@ -24,8 +24,7 @@ const (
 // cycles. A quiescent span freezes all component state — queue occupancy
 // included — so a full/drain transition can only happen on an executed
 // cycle, which the observer always sees; the emitted episodes are
-// therefore identical whether fast-forward is on or off (the same
-// argument that makes bulk occupancy sampling exact).
+// therefore identical whether fast-forward is on or off.
 type EpisodeTracer struct {
 	full  func() bool
 	empty func() bool

@@ -24,7 +24,11 @@ type Bounded[T any] struct {
 	// silently lost in flight, which the invariant checker must detect.
 	dropHook func() bool
 
+	// occupancy is recorded as dwell time (RecordOccupancy): the current
+	// size has held since sample index since.
 	occupancy  *stats.Histogram
+	samples    func() uint64
+	since      uint64
 	pushes     stats.Counter
 	pops       stats.Counter
 	fullStalls stats.Counter
@@ -105,6 +109,7 @@ func (q *Bounded[T]) Push(v T) bool {
 	if q.size == len(q.buf) {
 		q.grow()
 	}
+	q.dwell()
 	q.buf[(q.head+q.size)%len(q.buf)] = v
 	q.size++
 	q.pushes.Inc()
@@ -119,6 +124,7 @@ func (q *Bounded[T]) Pop() (v T, ok bool) {
 	if q.size == 0 {
 		return v, false
 	}
+	q.dwell()
 	v = q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero
@@ -145,13 +151,29 @@ func (q *Bounded[T]) At(i int) T {
 	return q.buf[(q.head+i)%len(q.buf)]
 }
 
-// SampleOccupancyN records the current occupancy n times into the
-// histogram. Systems call it with n = 1 on every executed cycle, so the
-// histogram is a per-cycle occupancy distribution directly comparable to
-// Fig. 3(a,b), and with the span length for the quiescent cycles the
-// fast-forward kernel skips, during which the occupancy is frozen.
-func (q *Bounded[T]) SampleOccupancyN(n uint64) {
-	q.occupancy.AddN(q.size, n)
+// RecordOccupancy records the per-cycle occupancy histogram of Fig. 3(a,b)
+// as dwell time. samples reports how many per-cycle samples have been
+// taken, which places the sample point in the cycle; whenever the size
+// changes or the histogram is read, the queue adds its size once per
+// sample it held for. Without it the histogram stays empty.
+func (q *Bounded[T]) RecordOccupancy(samples func() uint64) { q.samples = samples }
+
+// StopOccupancy counts the current size through sample end and stops
+// recording.
+func (q *Bounded[T]) StopOccupancy(end uint64) {
+	if q.samples != nil {
+		q.occupancy.AddN(q.size, end-q.since)
+		q.since, q.samples = end, nil
+	}
+}
+
+// dwell adds the current size once per sample it held for.
+func (q *Bounded[T]) dwell() {
+	if q.samples != nil {
+		t := q.samples()
+		q.occupancy.AddN(q.size, t-q.since)
+		q.since = t
+	}
 }
 
 // StallN records n rejected pushes in one step without attempting them —
@@ -162,17 +184,18 @@ func (q *Bounded[T]) StallN(n uint64) {
 	q.fullStalls.Add(n)
 }
 
-// Occupancy returns the per-cycle occupancy histogram.
-func (q *Bounded[T]) Occupancy() *stats.Histogram { return q.occupancy }
+// Occupancy returns the per-cycle occupancy histogram, through the latest
+// sample.
+func (q *Bounded[T]) Occupancy() *stats.Histogram {
+	q.dwell()
+	return q.occupancy
+}
 
 // Pushes returns the number of accepted pushes.
 func (q *Bounded[T]) Pushes() uint64 { return q.pushes.Value() }
 
 // Pops returns the number of pops.
 func (q *Bounded[T]) Pops() uint64 { return q.pops.Value() }
-
-// FullStalls returns the number of rejected pushes.
-func (q *Bounded[T]) FullStalls() uint64 { return q.fullStalls.Value() }
 
 // MaxLen returns the high-water mark of the queue.
 func (q *Bounded[T]) MaxLen() int { return q.maxSize }
@@ -192,20 +215,8 @@ func (q *Bounded[T]) MetricsCollector(prefix string) obs.Collector {
 		}
 		s.Gauge(prefix+".occupancy", float64(q.size))
 		s.Gauge(prefix+".max_occupancy", float64(q.maxSize))
-		s.Histogram(prefix+".occupancy_dist", q.occupancy)
+		s.Histogram(prefix+".occupancy_dist", q.Occupancy())
 	})
-}
-
-// Drain removes all elements, returning how many were dropped.
-func (q *Bounded[T]) Drain() int {
-	n := q.size
-	var zero T
-	for i := 0; i < q.size; i++ {
-		q.buf[(q.head+i)%len(q.buf)] = zero
-	}
-	q.head = 0
-	q.size = 0
-	return n
 }
 
 func (q *Bounded[T]) grow() {

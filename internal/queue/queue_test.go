@@ -30,8 +30,8 @@ func TestCapacityAndBackpressure(t *testing.T) {
 	if q.Push(3) {
 		t.Fatal("push beyond capacity accepted")
 	}
-	if q.FullStalls() != 1 {
-		t.Fatalf("full stalls = %d", q.FullStalls())
+	if q.fullStalls.Value() != 1 {
+		t.Fatalf("full stalls = %d", q.fullStalls.Value())
 	}
 	if !q.Full() {
 		t.Fatal("Full() false at capacity")
@@ -145,9 +145,11 @@ func TestUnboundedGrowTriggersExactlyAtFull(t *testing.T) {
 func TestOccupancyStatsAcrossGrowth(t *testing.T) {
 	q := NewBounded[int](Unbounded)
 	const n = 200 // forces two doublings of the 64-slot initial ring
+	var taken uint64
+	q.RecordOccupancy(func() uint64 { return taken })
 	for i := 0; i < n; i++ {
 		q.Push(i)
-		q.SampleOccupancyN(1)
+		taken++ // sample i sees push i
 	}
 	h := q.Occupancy()
 	if h.Total() != n {
@@ -196,10 +198,12 @@ func TestAtPanicsOutOfRange(t *testing.T) {
 
 func TestOccupancySampling(t *testing.T) {
 	q := NewBounded[int](8)
-	q.SampleOccupancyN(1) // 0
+	var taken uint64
+	q.RecordOccupancy(func() uint64 { return taken })
+	taken++ // sample 0: empty
 	q.Push(1)
 	q.Push(2)
-	q.SampleOccupancyN(1) // 2
+	taken++ // sample 1: 2
 	h := q.Occupancy()
 	if h.Total() != 2 {
 		t.Fatalf("samples = %d", h.Total())
@@ -219,24 +223,6 @@ func TestCounters(t *testing.T) {
 	}
 	if q.MaxLen() != 2 {
 		t.Fatalf("maxlen = %d", q.MaxLen())
-	}
-}
-
-func TestDrain(t *testing.T) {
-	q := NewBounded[int](4)
-	q.Push(1)
-	q.Push(2)
-	if n := q.Drain(); n != 2 {
-		t.Fatalf("drain = %d", n)
-	}
-	if !q.Empty() {
-		t.Fatal("queue not empty after drain")
-	}
-	if !q.Push(9) {
-		t.Fatal("push after drain rejected")
-	}
-	if v, _ := q.Pop(); v != 9 {
-		t.Fatalf("pop after drain = %d", v)
 	}
 }
 

@@ -1,5 +1,7 @@
 package sim
 
+import "fade/internal/stats"
+
 // AppThread is the application-side view the arbiter needs: the thread
 // retiring the instruction stream.
 //
@@ -77,17 +79,30 @@ type Arbiter struct {
 	FU Sleeper
 	// SMT selects the shared-core resource split; it requires Mon.
 	SMT bool
-	// Observe, when non-nil, receives the top-of-cycle thread states after
-	// the group ticks, on cycles where the application has not finished —
-	// the raw material of the Fig. 11(b) utilization breakdown. n is the
-	// number of cycles the states held: 1 on an executed cycle, the span
-	// length on a fast-forwarded one, during which they are frozen.
-	Observe func(appStalled, monBusy bool, n uint64)
+	// Util, when non-nil, records the group's Fig. 11(b) utilization: Tick
+	// enters the thread states when they change, and the tick that
+	// finishes the application closes the record and clears Util.
+	// SkipTicks records nothing: a skipped span changes no state, and an
+	// application thread's first tick is never skipped.
+	Util *stats.Utilization
 }
+
+// The utilization states, indexes into a stats.NewUtilization(UtilStates):
+// the application stalled on backpressure while the monitor side works,
+// the monitor side idle, both making progress.
+const (
+	AppIdle = iota
+	MonIdle
+	BothBusy
+	UtilStates
+)
 
 // Tick implements Component.
 func (a *Arbiter) Tick(cycle uint64) {
 	appStalled, monBusy, appShare, monShare := a.shares()
+	if a.Util != nil {
+		a.Util.Enter(utilState(appStalled, monBusy), cycle)
+	}
 	if a.Mon != nil {
 		a.Mon.TickShare(monShare)
 	}
@@ -95,8 +110,27 @@ func (a *Arbiter) Tick(cycle uint64) {
 		a.FU.Tick(cycle)
 	}
 	a.App.TickShare(appShare)
-	if a.Observe != nil && !a.App.Done() {
-		a.Observe(appStalled, monBusy, 1)
+	switch {
+	case a.Util == nil:
+	case a.App.Done():
+		a.Util.Close(cycle)
+		a.Util = nil
+	default:
+		// The post-tick states hold from the next cycle, through any skipped
+		// span, unless a component ticking ahead of the arbiter moves them.
+		a.Util.Enter(utilState(a.App.Stalled(), a.Mon != nil && a.Mon.Busy()), cycle+1)
+	}
+}
+
+// utilState classifies the top-of-cycle thread states.
+func utilState(appStalled, monBusy bool) int {
+	switch {
+	case !monBusy:
+		return MonIdle
+	case appStalled:
+		return AppIdle
+	default:
+		return BothBusy
 	}
 }
 
@@ -130,9 +164,9 @@ func (a *Arbiter) QuietTicks() uint64 {
 }
 
 // SkipTicks implements Sleeper, bulk-applying n skipped group ticks in
-// Tick's member order (monitor, filtering unit, application, observation).
+// Tick's member order (monitor, filtering unit, application).
 func (a *Arbiter) SkipTicks(n uint64) {
-	appStalled, monBusy, appShare, monShare := a.shares()
+	_, _, appShare, monShare := a.shares()
 	if a.Mon != nil {
 		a.Mon.SkipTicks(n, monShare)
 	}
@@ -140,7 +174,4 @@ func (a *Arbiter) SkipTicks(n uint64) {
 		a.FU.SkipTicks(n)
 	}
 	a.App.SkipTicks(n, appShare)
-	if a.Observe != nil && !a.App.Done() {
-		a.Observe(appStalled, monBusy, n)
-	}
 }

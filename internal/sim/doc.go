@@ -15,7 +15,9 @@
 // Arbiter is itself a Sleeper. The Scheduler resolves the registered
 // components once, when a run is armed (a component that is not a Sleeper
 // pins the run cycle-exact), and each iteration jumps over the shortest
-// quiet span, clamped to the cycle cap and the next timeline sample. Its
-// Sample hook and the Arbiter's Observe hook take a cycle count: 1 on an
-// executed cycle, the span length inside a jump.
+// quiet span, clamped to the cycle cap and the next timeline sample. A
+// jump advances the clock and the components' own spans and nothing else:
+// statistics are recorded when they change (queue occupancy as dwell time,
+// the Arbiter's utilization states), and nothing changes inside a quiet
+// span.
 package sim

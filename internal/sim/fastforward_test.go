@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fade/internal/obs"
+	"fade/internal/queue"
 )
 
 // pulse is a synthetic Sleeper that does real work on every cycle divisible
@@ -53,7 +54,7 @@ func runPulses(t *testing.T, periods []uint64, targetWork uint64, ff bool, mutat
 		clock.Register(pulses[i])
 	}
 	s := &Scheduler{Clock: clock, MaxCycles: targetWork * periods[0] * 10, FastForward: ff,
-		Done: func(uint64) bool { return pulses[0].work >= targetWork }}
+		Done: func() bool { return pulses[0].work >= targetWork }}
 	if mutate != nil {
 		mutate(s)
 	}
@@ -121,7 +122,7 @@ func TestFastForwardPropertyEarlyWakesHarmless(t *testing.T) {
 			clock.Register(&earlyWaker{pulse: pulses[i], rng: rng})
 		}
 		s := &Scheduler{Clock: clock, MaxCycles: targetWork * periods[0] * 10, FastForward: true,
-			Done: func(uint64) bool { return pulses[0].work >= targetWork }}
+			Done: func() bool { return pulses[0].work >= targetWork }}
 		if out := s.Run(); !out.Completed || out.Cycles != (targetWork-1)*periods[0]+1 {
 			t.Fatalf("seed %d: out = %+v", seed, out)
 		}
@@ -141,7 +142,7 @@ func TestFastForwardClampsAtCycleCap(t *testing.T) {
 	p := &pulse{period: 1 << 62} // wakes once at cycle 0, then sleeps "forever"
 	clock.Register(p)
 	s := &Scheduler{Clock: clock, MaxCycles: 100_000, FastForward: true,
-		Done: func(uint64) bool { return false }}
+		Done: func() bool { return false }}
 	out := s.Run()
 	if !errors.Is(out.Err, ErrCycleCapExceeded) {
 		t.Fatalf("Err = %v, want ErrCycleCapExceeded", out.Err)
@@ -192,7 +193,7 @@ func TestFastForwardHoldsForWarmup(t *testing.T) {
 		p := &pulse{period: 500}
 		clock.Register(p)
 		s := &Scheduler{Clock: clock, MaxCycles: 100_000, FastForward: ff,
-			Done:   func(uint64) bool { return p.work >= 20 },
+			Done:   func() bool { return p.work >= 20 },
 			Warmed: func() bool { return p.work >= 3 }}
 		return s.Run(), p
 	}
@@ -214,7 +215,7 @@ func TestFastForwardPinnedReasons(t *testing.T) {
 		p := &pulse{period: 64}
 		clock.Register(p)
 		return &Scheduler{Clock: clock, MaxCycles: 10_000, FastForward: true,
-			Done: func(uint64) bool { return p.work >= 16 }}
+			Done: func() bool { return p.work >= 16 }}
 	}
 	t.Run("check", func(t *testing.T) {
 		s := base()
@@ -234,19 +235,39 @@ func TestFastForwardPinnedReasons(t *testing.T) {
 	})
 	t.Run("sample-jumps", func(t *testing.T) {
 		s := base()
-		samples := uint64(0)
-		s.Sample = func(n uint64) { samples += n }
-		s.Run()
+		// A queue sampled at the top of each cycle, recorded as dwell
+		// time, that the pulse's work ticks push into.
+		q := queue.NewBounded[int](queue.Unbounded)
+		p := s.Clock.components[0].(*pulse)
+		s.Clock.components[0] = pushPulse{p, q}
+		q.RecordOccupancy(func() uint64 { return s.Clock.Cycle() + 1 })
+		out := s.Run()
+		q.StopOccupancy(out.Cycles)
 		if s.FF.Pinned != "" || s.FF.Jumps == 0 {
 			t.Fatalf("FF = %+v, want armed skip-ahead", s.FF)
 		}
-		// One sample per simulated cycle, exact or bulk: the run stops one
-		// cycle after the 16th work tick (cycle 15*64), having sampled every
-		// cycle it executed.
-		if samples != 15*64+1 {
-			t.Fatalf("samples = %d, want %d", samples, 15*64+1)
+		// One sample per simulated cycle, executed or skipped: the run
+		// stops one cycle after the 16th work tick (cycle 15*64). Cycle 0
+		// sees an empty queue and each work tick's push holds for the 64
+		// samples after it.
+		h := q.Occupancy()
+		if h.Total() != 15*64+1 || h.Maximum() != 15 || h.Mean() != 64*120.0/(15*64+1) {
+			t.Fatalf("occupancy %v, want %d samples, max 15", h, 15*64+1)
 		}
 	})
+}
+
+// pushPulse is a pulse whose work ticks push into a queue.
+type pushPulse struct {
+	*pulse
+	q *queue.Bounded[int]
+}
+
+func (p pushPulse) Tick(cycle uint64) {
+	if cycle%p.period == 0 {
+		p.q.Push(int(cycle))
+	}
+	p.pulse.Tick(cycle)
 }
 
 // TestFastForwardPreCanceledContext: cancellation checkpoints run on loop
@@ -258,7 +279,7 @@ func TestFastForwardPreCanceledContext(t *testing.T) {
 	clock := NewClock()
 	clock.Register(&pulse{period: 1 << 62})
 	s := &Scheduler{Clock: clock, MaxCycles: 1 << 40, FastForward: true, Ctx: ctx,
-		Done: func(uint64) bool { return false }}
+		Done: func() bool { return false }}
 	out := s.Run()
 	if !errors.Is(out.Err, ErrCanceled) || out.Cycles != 0 {
 		t.Fatalf("out = %+v, want ErrCanceled at cycle 0", out)

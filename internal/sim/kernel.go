@@ -22,9 +22,9 @@ const QuietForever = ^uint64(0)
 // event-driven fast-forward mode. A component implements it to report
 // quiescence: a span of upcoming ticks that are bulk-replayable — they
 // mutate nothing except linearly-accountable counters (idle/stall cycles,
-// frozen-occupancy samples) and can therefore be applied in one step with
-// bit-exact results. The contract is relative to the component's own
-// state; no implementation needs the cycle number.
+// countdowns) and can therefore be applied in one step with bit-exact
+// results. The contract is relative to the component's own state; no
+// implementation needs the cycle number.
 //
 // The contract, assuming every other component is also quiescent over the
 // same span (the scheduler guarantees this before jumping):
@@ -102,7 +102,8 @@ func (c *Clock) sleepers() ([]Sleeper, bool) {
 }
 
 // fastForward bulk-applies n skipped cycles to every component (which must
-// all be Sleepers, pre-validated by sleepers) and advances the clock. The
+// all be Sleepers, pre-validated by sleepers) and then advances the clock,
+// so during SkipTicks Cycle reports the span's first cycle. The
 // per-component SkipTicks calls run in registration order, mirroring Step,
 // though order cannot matter: a skipped span has, by construction, no
 // cross-component interaction.

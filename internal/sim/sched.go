@@ -30,8 +30,6 @@ const DefaultCheckpointInterval = 1024
 // surfaced by callers that enable the mode (system registers them under the
 // sim.ff.* name space, see docs/METRICS.md).
 type FFStats struct {
-	// Enabled records that fast-forward was requested for the run.
-	Enabled bool
 	// Pinned is the empty string while skip-ahead is armed, or the reason
 	// the whole run fell back to cycle-exact execution: "check" (per-cycle
 	// invariant hook armed) or "component" (a registered component does
@@ -70,11 +68,11 @@ type Outcome struct {
 }
 
 // Scheduler owns a simulation's end-to-end loop: the cycle cap, the
-// termination predicate, the warm-up boundary, per-cycle sampling hooks,
-// cancellation checkpoints, and the timeline. Every simulated system in the
-// repository — monitored runs, unmonitored baselines, queue studies, the
-// detailed-core cross-validation — drives its components through one of
-// these rather than a hand-rolled loop.
+// termination predicate, the warm-up boundary, cancellation checkpoints,
+// and the timeline. Every simulated system in the repository — monitored
+// runs, unmonitored baselines, queue studies, the detailed-core
+// cross-validation — drives its components through one of these rather
+// than a hand-rolled loop.
 //
 // Per-cycle order is fixed and documented (DESIGN.md "Tick order"):
 //
@@ -87,11 +85,9 @@ type Outcome struct {
 //     zero cycles;
 //  3. Warmed — the first cycle on which it reports true is recorded as the
 //     warm-up boundary;
-//  4. Sample — component occupancy sampling (queues sample *before* the
-//     cycle's pops and pushes);
-//  5. Timeline.MaybeSample — cycle-sampled registry snapshots;
-//  6. Clock.Step — every registered component ticks in registration order;
-//  7. Check — the invariant checker observes the post-tick state and may
+//  4. Timeline.MaybeSample — cycle-sampled registry snapshots;
+//  5. Clock.Step — every registered component ticks in registration order;
+//  6. Check — the invariant checker observes the post-tick state and may
 //     abort the run with an *InvariantError.
 //
 // Cancellation and the wall-clock deadline never perturb the simulated
@@ -103,16 +99,10 @@ type Scheduler struct {
 	// and reports ErrCycleCapExceeded.
 	MaxCycles uint64
 	// Done is the termination predicate, evaluated at the top of each cycle.
-	Done func(cycle uint64) bool
+	Done func() bool
 	// Warmed optionally marks the end of the warm-up region; nil disables
 	// boundary tracking.
 	Warmed func() bool
-	// Sample optionally samples component state (queue occupancies) before
-	// components tick: Sample(1) on every executed cycle, and Sample(n) for
-	// the n interior cycles of a fast-forward jump, during which the
-	// sampled state is frozen. Sample(n) must therefore equal n Sample(1)
-	// calls under frozen state (constant-value histogram bulk adds qualify).
-	Sample func(n uint64)
 	// Check, when non-nil, validates system invariants after every cycle's
 	// components have ticked. A non-nil return aborts the run with that
 	// error (conventionally an *InvariantError).
@@ -190,7 +180,7 @@ func (s *Scheduler) Run() Outcome {
 			out.Err = fmt.Errorf("%w (cap %d)", ErrCycleCapExceeded, s.MaxCycles)
 			break
 		}
-		if s.Done(cycles) {
+		if s.Done() {
 			out.Completed = true
 			break
 		}
@@ -199,9 +189,6 @@ func (s *Scheduler) Run() Outcome {
 			out.WarmBoundary = cycles
 			warmArmed = false
 			s.Trace.CycleInstant(s.TraceTrack, spans.NameWarmBoundary, cycles, spans.None, spans.None)
-		}
-		if s.Sample != nil {
-			s.Sample(1)
 		}
 		s.Timeline.MaybeSample(cycles, s.Registry)
 		if sleepers != nil {
@@ -255,7 +242,6 @@ func (s *Scheduler) armFastForward() []Sleeper {
 	if !s.FastForward {
 		return nil
 	}
-	s.FF.Enabled = true
 	if s.Check != nil {
 		// The invariant hook observes every post-tick state; there is no
 		// bulk equivalent of "checked n times".
@@ -274,12 +260,12 @@ func (s *Scheduler) armFastForward() []Sleeper {
 }
 
 // tryJump asks every component for its quiet span and, when all are
-// quiescent past the next cycle, bulk-applies the shortest span and jumps
-// the clock. It reports whether a jump was taken; the caller then re-enters
-// the loop at the wake cycle. The jump is clamped here, and only here, so
-// the cycle cap and the next timeline sample point are still reached
-// exactly — bulk accounting is linear, so the state at the clamp cycle is
-// bit-identical to having ticked there.
+// quiescent past the next cycle, advances the clock and every component
+// over the shortest span. It reports whether a jump was taken; the caller
+// then re-enters the loop at the wake cycle. The jump is clamped here, and
+// only here, so the cycle cap and the next timeline sample point are still
+// reached exactly — bulk accounting is linear, so the state at the clamp
+// cycle is bit-identical to having ticked there.
 func (s *Scheduler) tryJump(sleepers []Sleeper, now uint64) bool {
 	n := uint64(QuietForever)
 	waker := -1
@@ -309,13 +295,6 @@ func (s *Scheduler) tryJump(sleepers []Sleeper, now uint64) bool {
 	if n < 2 {
 		s.FF.WakeStops++
 		return false
-	}
-	// The current iteration already ran Sample/Timeline for cycle now;
-	// the skipped interior cycles now+1..now+n-1 get their samples in bulk
-	// (occupancies are frozen across a quiescent span), and the wake
-	// cycle samples normally on the next iteration.
-	if s.Sample != nil {
-		s.Sample(n - 1)
 	}
 	s.Clock.fastForward(sleepers, n)
 	s.FF.Jumps++

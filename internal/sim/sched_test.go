@@ -14,7 +14,7 @@ func endless(maxCycles uint64) *Scheduler {
 	c := NewClock()
 	c.Register(ComponentFunc(func(uint64) {}))
 	return &Scheduler{Clock: c, MaxCycles: maxCycles,
-		Done: func(uint64) bool { return false }}
+		Done: func() bool { return false }}
 }
 
 func TestSchedulerCycleCapStructuredError(t *testing.T) {
@@ -56,7 +56,7 @@ func TestSchedulerCancelWithinOneCheckpoint(t *testing.T) {
 		}
 	}))
 	s := &Scheduler{Clock: c, MaxCycles: 1_000_000, Ctx: ctx,
-		Done: func(uint64) bool { return false }}
+		Done: func() bool { return false }}
 	out := s.Run()
 	if !errors.Is(out.Err, ErrCanceled) {
 		t.Fatalf("Err = %v, want ErrCanceled", out.Err)
@@ -79,7 +79,7 @@ func TestSchedulerCheckAbortsWithInvariantError(t *testing.T) {
 	c := NewClock()
 	c.Register(ComponentFunc(func(uint64) {}))
 	s := &Scheduler{Clock: c, MaxCycles: 1000,
-		Done: func(uint64) bool { return false },
+		Done: func() bool { return false },
 		Check: func(cycle uint64) error {
 			if cycle == 10 {
 				return &InvariantError{Invariant: "meq-capacity", Cycle: cycle, Detail: "len 33 > cap 32"}
@@ -109,7 +109,7 @@ func TestSchedulerContextDoesNotPerturbCompletedRuns(t *testing.T) {
 		ticks := 0
 		c.Register(ComponentFunc(func(uint64) { ticks++ }))
 		s := &Scheduler{Clock: c, MaxCycles: 100_000, Ctx: ctx,
-			Done: func(uint64) bool { return ticks >= 5000 }}
+			Done: func() bool { return ticks >= 5000 }}
 		return s.Run()
 	}
 	live, cancel := context.WithCancel(context.Background())

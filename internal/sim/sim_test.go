@@ -2,8 +2,12 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"fade/internal/obs"
+	"fade/internal/stats"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -192,7 +196,7 @@ func TestSchedulerStopsOnDone(t *testing.T) {
 	ticks := 0
 	c.Register(ComponentFunc(func(uint64) { ticks++ }))
 	s := &Scheduler{Clock: c, MaxCycles: 1000,
-		Done: func(uint64) bool { return ticks >= 10 }}
+		Done: func() bool { return ticks >= 10 }}
 	out := s.Run()
 	if !out.Completed || out.Cycles != 10 || ticks != 10 {
 		t.Fatalf("out = %+v, ticks = %d", out, ticks)
@@ -203,7 +207,7 @@ func TestSchedulerHitsCycleCap(t *testing.T) {
 	c := NewClock()
 	c.Register(ComponentFunc(func(uint64) {}))
 	s := &Scheduler{Clock: c, MaxCycles: 100,
-		Done: func(uint64) bool { return false }}
+		Done: func() bool { return false }}
 	out := s.Run()
 	if out.Completed || out.Cycles != 100 {
 		t.Fatalf("out = %+v", out)
@@ -215,7 +219,7 @@ func TestSchedulerDoneCheckedBeforeTick(t *testing.T) {
 	ticks := 0
 	c.Register(ComponentFunc(func(uint64) { ticks++ }))
 	s := &Scheduler{Clock: c, MaxCycles: 100,
-		Done: func(uint64) bool { return true }}
+		Done: func() bool { return true }}
 	out := s.Run()
 	if !out.Completed || out.Cycles != 0 || ticks != 0 {
 		t.Fatalf("drained system executed %d cycles, %d ticks", out.Cycles, ticks)
@@ -227,7 +231,7 @@ func TestSchedulerWarmBoundary(t *testing.T) {
 	instrs := 0
 	c.Register(ComponentFunc(func(uint64) { instrs += 2 }))
 	s := &Scheduler{Clock: c, MaxCycles: 100,
-		Done:   func(uint64) bool { return instrs >= 40 },
+		Done:   func() bool { return instrs >= 40 },
 		Warmed: func() bool { return instrs >= 10 }}
 	out := s.Run()
 	// instrs reaches 10 after 5 ticks; the boundary is recorded at the top
@@ -240,13 +244,17 @@ func TestSchedulerWarmBoundary(t *testing.T) {
 	}
 }
 
+// TestSchedulerSampleOrder: the scheduler's one sampling step, the
+// timeline snapshot, sees cycle c before any of its ticks.
 func TestSchedulerSampleOrder(t *testing.T) {
 	c := NewClock()
 	var trace []string
 	c.Register(ComponentFunc(func(uint64) { trace = append(trace, "tick") }))
+	reg := obs.NewRegistry()
+	reg.Register(obs.CollectorFunc(func(obs.Sink) { trace = append(trace, "sample") }))
 	s := &Scheduler{Clock: c, MaxCycles: 10,
-		Done:   func(cycle uint64) bool { return cycle == 2 },
-		Sample: func(uint64) { trace = append(trace, "sample") }}
+		Done:     func() bool { return c.Cycle() == 2 },
+		Timeline: &obs.Timeline{Every: 1}, Registry: reg}
 	s.Run()
 	want := []string{"sample", "tick", "sample", "tick"}
 	if len(trace) != len(want) {
@@ -328,18 +336,82 @@ func TestArbiterNonSMTFullShares(t *testing.T) {
 	}
 }
 
-func TestArbiterObserveSkipsFinishedApp(t *testing.T) {
+func TestArbiterUtilizationSkipsFinishedApp(t *testing.T) {
 	app := &fakeThread{done: true}
 	mon := &fakeThread{busy: true}
-	called := false
-	a := &Arbiter{App: app, Mon: mon, SMT: true,
-		Observe: func(bool, bool, uint64) { called = true }}
+	u := stats.NewUtilization(UtilStates)
+	a := &Arbiter{App: app, Mon: mon, SMT: true, Util: u}
 	a.Tick(0)
-	if called {
-		t.Fatal("Observe ran for a finished application thread")
+	a.Tick(1)
+	if u.Total() != 0 || a.Util != nil {
+		t.Fatalf("a finished application thread counted %d cycles (Util released: %v)", u.Total(), a.Util == nil)
 	}
 	if app.shares[0] != 0 || mon.shares[0] != 1 {
 		t.Fatalf("shares app=%v mon=%v, want 0/1", app.shares, mon.shares)
+	}
+}
+
+// flipThread is a fakeThread whose own tick runs flip instead of
+// recording its share.
+type flipThread struct {
+	*fakeThread
+	flip func()
+}
+
+func (f flipThread) TickShare(float64) { f.flip() }
+
+// TestArbiterUtilizationMatchesPerCycle: recording the utilization states
+// on change must count what a per-cycle tally of the top-of-cycle states
+// counts, up to the tick that finishes the application. The states change
+// in the threads' own ticks and, between ticks, as a component ticking
+// ahead of the arbiter would change them; skipped spans hold them frozen.
+func TestArbiterUtilizationMatchesPerCycle(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		app, mon := &fakeThread{}, &fakeThread{}
+		moveApp := func() {
+			if rng.Intn(5) == 0 {
+				app.stalled = !app.stalled
+			}
+		}
+		moveMon := func() {
+			if rng.Intn(5) == 0 {
+				mon.busy = !mon.busy
+			}
+		}
+		u := stats.NewUtilization(UtilStates)
+		a := &Arbiter{SMT: seed%2 == 0, Util: u,
+			App: flipThread{app, func() { moveApp(); app.done = rng.Intn(300) == 0 }},
+			Mon: flipThread{mon, moveMon}}
+		var ref [3]uint64
+		for cycle := uint64(0); !app.done; {
+			if cycle > 0 && rng.Intn(5) == 0 {
+				n := 2 + uint64(rng.Intn(20))
+				ref[utilState(app.stalled, mon.busy)] += n
+				a.SkipTicks(n)
+				cycle += n
+				continue
+			}
+			if rng.Intn(4) == 0 {
+				moveApp()
+				moveMon()
+			}
+			state := utilState(app.stalled, mon.busy)
+			a.Tick(cycle)
+			if !app.done {
+				ref[state]++
+			}
+			cycle++
+		}
+		total := ref[0] + ref[1] + ref[2]
+		if u.Total() != total {
+			t.Fatalf("seed %d: %d cycles counted, per-cycle %d", seed, u.Total(), total)
+		}
+		for i, want := range ref {
+			if u.Fraction(i) != float64(want)/float64(total) {
+				t.Fatalf("seed %d: fraction(%d) = %v, per-cycle %d/%d", seed, i, u.Fraction(i), want, total)
+			}
+		}
 	}
 }
 

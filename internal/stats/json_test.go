@@ -40,7 +40,7 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 	}
 	// Derived statistics must be bit-identical (cached results must
 	// render exactly like fresh ones).
-	if got.Mean() != h.Mean() || got.Percentile(0.99) != h.Percentile(0.99) || got.CDFAt(64) != h.CDFAt(64) {
+	if got.Mean() != h.Mean() || got.Percentile(0.99) != h.Percentile(0.99) || cdfAt(&got, 64) != cdfAt(h, 64) {
 		t.Fatal("derived statistics differ after round trip")
 	}
 	// And the encoding itself is deterministic.

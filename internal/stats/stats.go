@@ -21,29 +21,6 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Mean accumulates a running arithmetic mean.
-type Mean struct {
-	sum float64
-	n   uint64
-}
-
-// Add records one sample.
-func (m *Mean) Add(x float64) {
-	m.sum += x
-	m.n++
-}
-
-// Value returns the mean of the samples recorded so far (0 when empty).
-func (m *Mean) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// N returns the number of samples.
-func (m *Mean) N() uint64 { return m.n }
-
 // GMean returns the geometric mean of xs, ignoring non-positive entries.
 // The paper reports per-benchmark slowdowns summarized by gmean.
 func GMean(xs []float64) float64 {
@@ -111,30 +88,12 @@ func NewHistogram() *Histogram {
 }
 
 // Add records one sample of value v.
-func (h *Histogram) Add(v int) {
-	if v >= 0 && v < maxDense {
-		if v >= len(h.dense) {
-			h.growDense(v)
-		}
-		h.dense[v]++
-	} else {
-		if h.sparse == nil {
-			h.sparse = make(map[int]uint64)
-		}
-		h.sparse[v]++
-	}
-	h.total++
-	h.sum += float64(v)
-	if v > h.max {
-		h.max = v
-	}
-}
+func (h *Histogram) Add(v int) { h.AddN(v, 1) }
 
 // AddN records n samples of value v in one step. It is exactly equivalent
 // to calling Add(v) n times — counts are integral and the running sum only
 // ever accumulates integer-valued terms, so the bulk update is bit-exact —
-// and exists so the fast-forward kernel can account a span of quiescent
-// cycles without walking them (see internal/sim).
+// which lets a queue record its occupancy as dwell time (internal/queue).
 func (h *Histogram) AddN(v int, n uint64) {
 	if n == 0 {
 		return
@@ -197,25 +156,8 @@ func (h *Histogram) count(v int) uint64 {
 	return h.sparse[v]
 }
 
-// CDFAt returns the fraction of samples with value <= v.
-func (h *Histogram) CDFAt(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var cum uint64
-	for i := 0; i < len(h.dense) && i <= v; i++ {
-		cum += h.dense[i]
-	}
-	for val, n := range h.sparse {
-		if val <= v {
-			cum += n
-		}
-	}
-	return float64(cum) / float64(h.total)
-}
-
-// Percentile returns the smallest value v such that CDFAt(v) >= p, for
-// p in (0, 1].
+// Percentile returns the smallest value v whose cumulative fraction of
+// samples is at least p, for p in (0, 1].
 func (h *Histogram) Percentile(p float64) int {
 	if h.total == 0 {
 		return 0
@@ -282,25 +224,45 @@ func (h *Histogram) String() string {
 	return b.String()
 }
 
-// Utilization tracks how simulated cycles split across a fixed set of
-// mutually exclusive states (e.g. app-idle / monitor-idle / both-busy).
+// Utilization splits simulated cycles across a fixed set of mutually
+// exclusive states (e.g. app-idle / monitor-idle / both-busy). It records
+// on change, so a cycle that stays in its state costs one comparison.
 type Utilization struct {
-	names  []string
 	counts []uint64
 	total  uint64
+	state  int    // the open interval's state; -1 when none is open
+	since  uint64 // the cycle the open interval began
 }
 
-// NewUtilization creates a tracker over the given state names.
-func NewUtilization(names ...string) *Utilization {
-	return &Utilization{names: names, counts: make([]uint64, len(names))}
+// NewUtilization creates a tracker over the given number of states.
+func NewUtilization(states int) *Utilization {
+	return &Utilization{counts: make([]uint64, states), state: -1}
 }
 
-// RecordN attributes n cycles to state index i: 1 for an executed cycle,
-// or a span whose state classification is frozen (the fast-forward
-// kernel's skipped cycles).
-func (u *Utilization) RecordN(i int, n uint64) {
-	u.counts[i] += n
-	u.total += n
+// Enter records that cycle, and every cycle up to the next Enter or Close,
+// is in state i.
+func (u *Utilization) Enter(i int, cycle uint64) {
+	if i != u.state {
+		u.Close(cycle)
+		u.state, u.since = i, cycle
+	}
+}
+
+// Close counts the open interval through cycle-1 and leaves none open.
+func (u *Utilization) Close(cycle uint64) {
+	if u.state >= 0 {
+		u.counts[u.state] += cycle - u.since
+		u.total += cycle - u.since
+		u.state = -1
+	}
+}
+
+// Add accumulates o's counted cycles into u.
+func (u *Utilization) Add(o *Utilization) {
+	for i, n := range o.counts {
+		u.counts[i] += n
+	}
+	u.total += o.total
 }
 
 // Fraction returns the share of cycles spent in state i (0 when no cycles).
@@ -310,9 +272,6 @@ func (u *Utilization) Fraction(i int) float64 {
 	}
 	return float64(u.counts[i]) / float64(u.total)
 }
-
-// Names returns the state names in index order.
-func (u *Utilization) Names() []string { return u.names }
 
 // Total returns the number of recorded cycles.
 func (u *Utilization) Total() uint64 { return u.total }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -12,19 +13,6 @@ func TestCounter(t *testing.T) {
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
-	}
-}
-
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Fatal("empty mean not 0")
-	}
-	for _, v := range []float64{1, 2, 3, 4} {
-		m.Add(v)
-	}
-	if m.Value() != 2.5 || m.N() != 4 {
-		t.Fatalf("mean = %v n = %d", m.Value(), m.N())
 	}
 }
 
@@ -85,13 +73,13 @@ func TestHistogramCDF(t *testing.T) {
 	for v := 1; v <= 10; v++ {
 		h.Add(v)
 	}
-	if f := h.CDFAt(5); math.Abs(f-0.5) > 1e-9 {
+	if f := cdfAt(h, 5); math.Abs(f-0.5) > 1e-9 {
 		t.Fatalf("CDFAt(5) = %v", f)
 	}
-	if f := h.CDFAt(0); f != 0 {
+	if f := cdfAt(h, 0); f != 0 {
 		t.Fatalf("CDFAt(0) = %v", f)
 	}
-	if f := h.CDFAt(100); f != 1 {
+	if f := cdfAt(h, 100); f != 1 {
 		t.Fatalf("CDFAt(100) = %v", f)
 	}
 }
@@ -144,33 +132,62 @@ func TestHistogramCDFProperty(t *testing.T) {
 			h.Add(int(v))
 		}
 		if len(vals) == 0 {
-			return h.CDFAt(255) == 0
+			return cdfAt(h, 255) == 0
 		}
-		return h.CDFAt(255) == 1 && h.CDFAt(-1) == 0
+		return cdfAt(h, 255) == 1 && cdfAt(h, -1) == 0
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestUtilization checks the on-change recording against a per-cycle
+// reference: over random state sequences with long stretches of no change,
+// entering each cycle's state (a repeat is a no-op) and closing before the
+// final cycles must count exactly the cycles a per-cycle tally attributes
+// to each state. Add merges trackers cycle for cycle.
 func TestUtilization(t *testing.T) {
-	u := NewUtilization("a", "b", "c")
-	u.RecordN(0, 2)
-	u.RecordN(1, 1)
-	u.RecordN(2, 1)
-	if u.Total() != 4 {
-		t.Fatalf("total = %d", u.Total())
+	sum := NewUtilization(3)
+	var sumRef [3]uint64
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		u := NewUtilization(3)
+		var ref [3]uint64
+		start := uint64(rng.Intn(10))
+		end := start + uint64(rng.Intn(500))
+		closeAt := end - uint64(rng.Intn(int(end-start)+1))
+		state := rng.Intn(3)
+		for c := start; c < end; c++ {
+			if rng.Intn(20) == 0 {
+				state = rng.Intn(3)
+			}
+			if c < closeAt {
+				u.Enter(state, c)
+				ref[state]++
+			}
+		}
+		u.Close(closeAt)
+		total := ref[0] + ref[1] + ref[2]
+		if u.Total() != total {
+			t.Fatalf("seed %d: total %d, per-cycle %d", seed, u.Total(), total)
+		}
+		for i, want := range ref {
+			if total > 0 && u.Fraction(i) != float64(want)/float64(total) {
+				t.Fatalf("seed %d: fraction(%d) = %v, per-cycle %d/%d", seed, i, u.Fraction(i), want, total)
+			}
+			sumRef[i] += want
+		}
+		sum.Add(u)
 	}
-	if f := u.Fraction(0); f != 0.5 {
-		t.Fatalf("fraction(0) = %v", f)
-	}
-	if names := u.Names(); len(names) != 3 || names[1] != "b" {
-		t.Fatalf("names = %v", names)
+	for i, want := range sumRef {
+		if got := sum.Fraction(i); got != float64(want)/float64(sum.Total()) {
+			t.Fatalf("merged fraction(%d) = %v, want %d/%d", i, got, want, sum.Total())
+		}
 	}
 }
 
 func TestUtilizationEmpty(t *testing.T) {
-	u := NewUtilization("x")
+	u := NewUtilization(1)
 	if u.Fraction(0) != 0 {
 		t.Fatal("empty utilization fraction not 0")
 	}
@@ -192,3 +209,6 @@ func TestHistogramString(t *testing.T) {
 		t.Fatal("empty String()")
 	}
 }
+
+// cdfAt is the cumulative fraction of h's samples at or below v.
+func cdfAt(h *Histogram, v int) float64 { return h.CDFAtPoints([]int{v})[0].Frac }

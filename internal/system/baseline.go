@@ -123,7 +123,7 @@ func simulateBaseline(ctx context.Context, prof *trace.Profile, s runspec.Spec, 
 	clock := sim.NewClock()
 	clock.Register(&sim.Arbiter{App: app})
 	sched := &sim.Scheduler{Clock: clock, MaxCycles: s.CycleCap(), Ctx: ctx,
-		Done: func(uint64) bool { return app.Done() }, Deadline: deadline,
+		Done: func() bool { return app.Done() }, Deadline: deadline,
 		FastForward: s.FastForward}
 	if s.WarmupInstrs > 0 {
 		sched.Warmed = func() bool { return app.Instrs() >= s.WarmupInstrs }

@@ -2,13 +2,16 @@ package system
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fade/internal/fault"
 	"fade/internal/monitor"
 	"fade/internal/runspec"
+	"fade/internal/spans"
 )
 
 // stripFF removes the sim.ff.* lines from a Prometheus dump. Fast-forward
@@ -167,4 +170,55 @@ func TestFastForwardInvariantCheckedUnderInjection(t *testing.T) {
 	if n := r.Metrics.Counter("sim.ff.jumps"); n != 0 {
 		t.Fatalf("pinned run took %d jumps", n)
 	}
+}
+
+// TestFastForwardDrainInSkippedSpan: a blocking accelerator stalls for the
+// completion-signal latency after the last handler, so a group's pipeline
+// can drain on the final tick of a skipped span rather than on an exact
+// tick. The drain must still be dated at the span's end, or the run never
+// completes: every core's cycle count, and the traced monitor-behind
+// span that ends at the drain, must match the exact run.
+func TestFastForwardDrainInSkippedSpan(t *testing.T) {
+	for _, cores := range []int{1, 2, 4} {
+		run := func(ff bool) (*Result, string) {
+			ResetBaselineCache()
+			spec := defaultSpec("AtomCheck")
+			setCMP(&spec, cores)
+			spec.Benchmark = "water"
+			spec.Accel = runspec.AccelBlocking
+			spec.Instrs = 20_000
+			spec.FastForward = ff
+			tr := spans.New("drain", 0)
+			out, err := ExecSpec(spans.NewContext(context.Background(), tr), spec)
+			if err != nil {
+				t.Fatalf("%d app cores, ff=%v: %v", cores, ff, err)
+			}
+			var jsonl bytes.Buffer
+			if err := spans.WriteJSONL(&jsonl, tr); err != nil {
+				t.Fatal(err)
+			}
+			var behind []string
+			for _, line := range strings.Split(jsonl.String(), "\n") {
+				if strings.Contains(line, spans.NameMonBehind) {
+					behind = append(behind, line)
+				}
+			}
+			return out.Result, strings.Join(behind, "\n")
+		}
+		exact, exactBehind := run(false)
+		fast, fastBehind := run(true)
+		if fast.Cycles != exact.Cycles {
+			t.Fatalf("%d app cores: ff ran %d cycles, exact %d", cores, fast.Cycles, exact.Cycles)
+		}
+		for i := range exact.Cores {
+			if fast.Cores[i].Cycles != exact.Cores[i].Cycles {
+				t.Fatalf("%d app cores: core %d drained at %d under ff, %d exact",
+					cores, i, fast.Cores[i].Cycles, exact.Cores[i].Cycles)
+			}
+		}
+		if exactBehind == "" || fastBehind != exactBehind {
+			t.Fatalf("%d app cores: monitor-behind spans differ:\nexact %s\nff    %s", cores, exactBehind, fastBehind)
+		}
+	}
+	ResetBaselineCache()
 }

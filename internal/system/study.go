@@ -88,11 +88,12 @@ func runQueueStudy(ctx context.Context, s runspec.Spec) (*QueueStudy, error) {
 	// cycle ahead of the core's enqueues.
 	clock.Register(sim.ComponentFunc(func(uint64) { evq.Pop() }))
 	clock.Register(&sim.Arbiter{App: app})
+	// The queue is sampled at the top of each cycle, before any tick.
+	evq.RecordOccupancy(func() uint64 { return clock.Cycle() + 1 })
 	sched := &sim.Scheduler{Clock: clock, MaxCycles: maxCycles, Ctx: ctx,
-		Done:   func(uint64) bool { return app.Done() && evq.Empty() },
-		Sample: evq.SampleOccupancyN,
-	}
+		Done: func() bool { return app.Done() && evq.Empty() }}
 	out := sched.Run()
+	evq.StopOccupancy(out.Cycles)
 	if !out.Completed {
 		return nil, fmt.Errorf("system: queue study for %s/%s aborted after %d cycles: %w", s.Benchmark, s.Monitor, out.Cycles, out.Err)
 	}

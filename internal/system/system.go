@@ -118,8 +118,41 @@ type coreGroup struct {
 	// eng is the group's fault injector; nil when the run injects nothing.
 	eng *fault.Engine
 
-	finished bool
-	doneAt   uint64
+	arb  *sim.Arbiter
+	util *stats.Utilization
+	// doneAt, the drain mark, is 0 until the tick (exact or skipped) that
+	// empties the group sets it to the first cycle the group is drained.
+	// running counts the run's groups not yet drained.
+	doneAt  uint64
+	running *int
+	clock   *sim.Clock
+}
+
+// Tick implements sim.Component: the group ticks as its arbiter. No later
+// component in a cycle acts on the group, so its post-tick state is its
+// state at the top of the next cycle.
+func (g *coreGroup) Tick(cycle uint64) {
+	g.arb.Tick(cycle)
+	g.markDrained(cycle + 1)
+}
+
+// QuietTicks implements sim.Sleeper.
+func (g *coreGroup) QuietTicks() uint64 { return g.arb.QuietTicks() }
+
+// SkipTicks implements sim.Sleeper. A span can end drained (a filtering
+// unit's stall counting out); the clock advances after its components
+// skip, so the span ends at Cycle()+n.
+func (g *coreGroup) SkipTicks(n uint64) {
+	g.arb.SkipTicks(n)
+	g.markDrained(g.clock.Cycle() + n)
+}
+
+// markDrained sets the drain mark to next once the group is drained.
+func (g *coreGroup) markDrained(next uint64) {
+	if g.doneAt == 0 && g.drained() {
+		g.doneAt = next
+		*g.running--
+	}
 }
 
 // drained reports that the group has no work left anywhere in its pipeline.
@@ -262,37 +295,28 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 			clock.Register(&faultProbe{eng: g.eng, g: g})
 		}
 	}
-	util := stats.NewUtilization("app-idle", "mon-idle", "both-busy", "other")
-	utilBucket := func(appStalled, monBusy bool) int {
-		switch {
-		case appStalled && monBusy:
-			return 0
-		case !monBusy:
-			return 1
-		case !appStalled:
-			return 2
-		default:
-			return 3
-		}
-	}
-	observe := func(appStalled, monBusy bool, n uint64) {
-		util.RecordN(utilBucket(appStalled, monBusy), n)
-	}
 	shared := wireSharedMonCores(clock, s, groups)
+	running := len(groups)
 	for _, g := range groups {
-		arb := &sim.Arbiter{App: g.app, SMT: s.SMT, Observe: observe}
+		g.util = stats.NewUtilization(sim.UtilStates)
+		g.running, g.clock = &running, clock
+		g.arb = &sim.Arbiter{App: g.app, SMT: s.SMT, Util: g.util}
+		// The event queue is sampled at the top of each cycle, before any
+		// tick: a change while cycle t ticks is first seen by sample t+1.
+		g.evq.RecordOccupancy(func() uint64 { return clock.Cycle() + 1 })
 		if g.fu != nil {
-			arb.FU = g.fu
+			g.arb.FU = g.fu
+			g.fu.RecordOccupancy(clock.Cycle)
 		}
 		switch {
 		case shared[g.idx]:
-			arb.Mon = monBusyView{g.monCore}
+			g.arb.Mon = monBusyView{g.monCore}
 		case g.eng != nil:
-			arb.Mon = stallGate{mc: g.monCore, eng: g.eng}
+			g.arb.Mon = stallGate{mc: g.monCore, eng: g.eng}
 		default:
-			arb.Mon = g.monCore
+			g.arb.Mon = g.monCore
 		}
-		clock.Register(arb)
+		clock.Register(g)
 	}
 	if probe != nil {
 		// Registered last so it observes each cycle's post-tick state.
@@ -300,30 +324,11 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 	}
 
 	sched := &sim.Scheduler{
-		Clock:      clock,
-		MaxCycles:  s.CycleCap(),
-		Trace:      tr,
-		TraceTrack: schedTrack,
-		Done: func(cycle uint64) bool {
-			all := true
-			for _, g := range groups {
-				if g.finished {
-					continue
-				}
-				if g.drained() {
-					g.finished = true
-					g.doneAt = cycle
-				} else {
-					all = false
-				}
-			}
-			return all
-		},
-		Sample: func(n uint64) {
-			for _, g := range groups {
-				g.evq.SampleOccupancyN(n)
-			}
-		},
+		Clock:       clock,
+		MaxCycles:   s.CycleCap(),
+		Trace:       tr,
+		TraceTrack:  schedTrack,
+		Done:        func() bool { return running == 0 },
 		FastForward: s.FastForward,
 		Timeline:    tl,
 		Registry:    reg,
@@ -335,7 +340,7 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 		reg.Register(obs.CollectorFunc(func(s obs.Sink) {
 			ff := &sched.FF
 			active := 0.0
-			if ff.Enabled && ff.Pinned == "" {
+			if ff.Pinned == "" {
 				active = 1
 			}
 			s.Gauge("sim.ff.active", active)
@@ -343,9 +348,9 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 			s.Counter("sim.ff.skipped_cycles", ff.SkippedCycles)
 			s.Counter("sim.ff.stop.awake", ff.WakeStops)
 			s.Counter("sim.ff.stop.warmup", ff.WarmupStops)
-			// The scheduler never pins for "sample" (its Sample hook takes
-			// a cycle count); the gauge stays, at 0, so dumps keep their
-			// shape.
+			// The scheduler never pins for "sample" (no statistic is
+			// sampled per cycle); the gauge stays, at 0, so dumps keep
+			// their shape.
 			for _, reason := range []string{"check", "sample", "component"} {
 				v := 0.0
 				if ff.Pinned == reason {
@@ -365,6 +370,11 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 	}
 	out := sched.Run()
 	probe.flush(out.Cycles)
+	for _, g := range groups {
+		// The run stopped at the top of out.Cycles, before its sample; the
+		// unfiltered queue's source already reads out.Cycles at rest.
+		g.evq.StopOccupancy(out.Cycles)
+	}
 	if !out.Completed {
 		// Abort: flush the partial state into the result so callers can
 		// persist whatever the run had counted, and surface the structured
@@ -445,12 +455,13 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 		res.MDCacheMissRate = fu.MDCache().MissRate()
 		res.MTLBMissRate = fu.MTLB().MissRate()
 	}
-	total := util.Total()
-	if total > 0 {
-		res.AppIdleFrac = util.Fraction(0)
-		res.MonIdleFrac = util.Fraction(1)
-		res.BothBusyFrac = util.Fraction(2)
+	util := groups[0].util
+	for _, g := range groups[1:] {
+		util.Add(g.util)
 	}
+	res.AppIdleFrac = util.Fraction(sim.AppIdle)
+	res.MonIdleFrac = util.Fraction(sim.MonIdle)
+	res.BothBusyFrac = util.Fraction(sim.BothBusy)
 
 	// End-of-run derived gauges, then the final snapshot. These gauges are
 	// only meaningful once the run has completed, so timeline points do not

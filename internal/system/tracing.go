@@ -24,10 +24,11 @@ import (
 // The probe implements sim.Sleeper as the identity sleeper — never needing
 // an exact tick, nothing to replay — so it does not pin fast-forward. That
 // is sound, not just convenient: a fast-forward jump only covers cycles
-// where every component is quiescent, i.e. where queue occupancies and
-// drain state are frozen, so an episode boundary can only occur on an
-// executed cycle, which the probe always observes. Traced episodes are
-// therefore identical with fast-forward on or off.
+// where every component is quiescent, i.e. where queue occupancies are
+// frozen, so an episode boundary can only occur on an executed cycle,
+// which the probe always observes, or at a drain the group dates itself
+// (doneAt). Traced episodes are therefore identical with fast-forward on
+// or off.
 type traceProbe struct {
 	tr     *spans.Trace
 	groups []*coreGroup
@@ -36,7 +37,6 @@ type traceProbe struct {
 	ufq    []*queue.EpisodeTracer
 
 	behind      []bool
-	behindDone  []bool
 	behindSince []uint64
 }
 
@@ -54,7 +54,6 @@ func newTraceProbe(tr *spans.Trace, groups []*coreGroup, single bool) *traceProb
 		meq:         make([]*queue.EpisodeTracer, len(groups)),
 		ufq:         make([]*queue.EpisodeTracer, len(groups)),
 		behind:      make([]bool, len(groups)),
-		behindDone:  make([]bool, len(groups)),
 		behindSince: make([]uint64, len(groups)),
 	}
 	for i, g := range groups {
@@ -77,20 +76,15 @@ func (p *traceProbe) Tick(cycle uint64) {
 	for i, g := range p.groups {
 		p.meq[i].Observe(cycle)
 		p.ufq[i].Observe(cycle)
-		if p.behindDone[i] {
-			continue
-		}
 		switch {
-		case p.behind[i]:
-			if g.drained() {
-				p.tr.CycleSpan(p.tracks[i], spans.NameMonBehind, p.behindSince[i], cycle,
-					spans.None, spans.None)
-				p.behind[i] = false
-				p.behindDone[i] = true
-			}
-		case g.app.Done() && !g.drained():
-			p.behind[i] = true
-			p.behindSince[i] = cycle
+		case p.behind[i] && g.doneAt != 0:
+			// The span ends on the cycle whose tick, exact or skipped,
+			// drained the group.
+			p.tr.CycleSpan(p.tracks[i], spans.NameMonBehind, p.behindSince[i], g.doneAt-1,
+				spans.None, spans.None)
+			p.behind[i] = false
+		case !p.behind[i] && g.doneAt == 0 && g.app.Done():
+			p.behind[i], p.behindSince[i] = true, cycle
 		}
 	}
 }
@@ -113,7 +107,11 @@ func (p *traceProbe) flush(end uint64) {
 		p.meq[i].Flush(end)
 		p.ufq[i].Flush(end)
 		if p.behind[i] {
-			p.tr.CycleSpan(p.tracks[i], spans.NameMonBehind, p.behindSince[i], end,
+			stop := end
+			if g.doneAt != 0 {
+				stop = g.doneAt - 1 // drained on the last skipped span's final tick
+			}
+			p.tr.CycleSpan(p.tracks[i], spans.NameMonBehind, p.behindSince[i], stop,
 				spans.None, spans.None)
 			p.behind[i] = false
 		}
