@@ -212,6 +212,10 @@ type Scheduler struct {
 // Beyond it the oldest terminal runs are evicted (GET /v1/runs/{id} then
 // answers 404 not_found); queued and running runs are never evicted, so
 // the table's memory stays bounded however many runs a server serves.
+// Each kept run holds its sealed trace: the spans it emitted, at most
+// TraceCap, as 48 B records plus a table of their distinct strings. At
+// the default TraceCap of 8192 that bounds retained span records at
+// 4096 × 8192 × 48 B = 1.5 GiB, reached only if every run fills its ring.
 const maxTerminalRuns = 4096
 
 // NewScheduler builds and starts a scheduler (its Workers goroutines read
@@ -480,6 +484,9 @@ func (s *Scheduler) finish(r *Run, res *system.Result, err error, cached bool) {
 	}
 	r.trace.Wall(spans.NameServeEncode, encodeStart, s.opts.Now(), spans.None, spans.None)
 	s.persistTrace(r)
+	// The run's last span is in: pack its trace here, off s.mu, so the
+	// packing never stalls submissions.
+	r.trace.Seal()
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -580,8 +587,10 @@ func (s *Scheduler) settleFollowersLocked(r *Run) {
 }
 
 // retireLocked files a run that just reached a terminal state (and has
-// settled its followers): its span ring shrinks to the spans it holds, and
-// the oldest terminal runs beyond maxTerminalRuns leave the run table.
+// settled its followers): the oldest terminal runs beyond maxTerminalRuns
+// leave the run table. An executed run's trace was sealed in finish; this
+// seals the trace of a run that ended without executing (shed, or
+// canceled while queued), whose ring holds only its admission span.
 // Called with s.mu held.
 func (s *Scheduler) retireLocked(r *Run) {
 	r.trace.Seal()

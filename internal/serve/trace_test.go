@@ -152,13 +152,16 @@ func TestTraceLinkedDomains(t *testing.T) {
 
 // TestTraceDirPersists: with TraceDir set, every finished run leaves
 // <id>.trace.json on disk — including when the directory must be created.
+// The trace is persisted before it is sealed, and the trace endpoint
+// serves the sealed trace of a retired run: both exports of a simulated
+// run must be the same bytes.
 func TestTraceDirPersists(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "traces")
-	srv := New(Options{Workers: 1, Runner: instantRunner, TraceDir: dir})
+	srv := New(Options{Workers: 1, TraceDir: dir})
 	defer srv.Close()
 	h := srv.Handler()
 
-	w := do(t, h, "POST", "/v1/runs?wait=1", `{"benchmark":"astar","monitor":"MemLeak"}`, nil)
+	w := do(t, h, "POST", "/v1/runs?wait=1", `{"benchmark":"astar","monitor":"MemLeak","instrs":5000}`, nil)
 	id := decodeInfo(t, w).ID
 	data, err := os.ReadFile(filepath.Join(dir, id+".trace.json"))
 	if err != nil {
@@ -166,6 +169,19 @@ func TestTraceDirPersists(t *testing.T) {
 	}
 	if err := spans.ValidateChromeJSON(data); err != nil {
 		t.Fatalf("persisted trace failed the validator: %v", err)
+	}
+
+	tr, ok := srv.Scheduler().Trace(srv.Scheduler().Get(id))
+	if !ok || tr.Cap() != tr.Len() {
+		t.Fatalf("retired run's trace not sealed (terminal %v, cap %d, len %d)", ok, tr.Cap(), tr.Len())
+	}
+	if !strings.Contains(string(data), `"domain":"cycle"`) {
+		t.Fatalf("persisted trace holds no simulator span:\n%s", data)
+	}
+	w = do(t, h, "GET", "/v1/runs/"+id+"/trace", "", nil)
+	if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), data) {
+		t.Fatalf("sealed trace served (status %d) differs from the trace persisted before sealing:\n%s\n---\n%s",
+			w.Code, w.Body.Bytes(), data)
 	}
 }
 

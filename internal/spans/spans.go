@@ -2,6 +2,7 @@ package spans
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
@@ -9,8 +10,10 @@ import (
 )
 
 // DefaultCapacity is the ring size selected when New is given a
-// non-positive capacity: large enough to hold every span of a typical run,
-// small enough that a per-run trace costs well under a megabyte.
+// non-positive capacity: large enough to hold every span of a typical run.
+// The live ring is allocated whole, so a trace at this capacity costs
+// 8192 × 120 B = 960 KiB until Seal packs what it holds into records of
+// at most 48 B each.
 const DefaultCapacity = 8192
 
 // Domain is a span's clock domain.
@@ -58,8 +61,10 @@ func Str(key, v string) Arg { return Arg{Key: key, Str: v} }
 // None is the absent argument.
 var None Arg
 
-// Span is one trace entry. The struct is flat and pointer-free so the ring
-// is a single allocation for the life of the trace.
+// Span is one trace entry. It is 120 bytes and holds five string headers
+// (the name and each argument's key and string); the live ring is one
+// allocation of capacity Spans. Seal packs a finished trace's spans into
+// pointer-free records (packedSpan).
 type Span struct {
 	Name   string
 	Domain Domain
@@ -92,13 +97,42 @@ type Trace struct {
 	epoch time.Time
 
 	mu      sync.Mutex
-	buf     []Span
-	head    int // index of the oldest retained span
+	buf     []Span // the live ring; nil once Seal has packed the spans
+	head    int    // index of the oldest retained span
 	size    int
 	emitted uint64
 	dropped uint64
 	sealed  bool
 	tracks  []string
+	// packed holds a sealed trace's spans, oldest first, with their
+	// strings indexed into strs (strs[0] is "").
+	packed []packedSpan
+	strs   []string
+}
+
+// packedSpan is a sealed trace's record of one span: the Span's fields,
+// with the name and every argument key and string replaced by its index
+// in the trace's own string table. It is 48 bytes and holds no pointer,
+// so a sealed trace's spans are one allocation the garbage collector
+// never scans. The table is per trace, not process-wide, because argument
+// strings come from clients (the serving path's tenant) and a shared
+// table would grow without bound.
+type packedSpan struct {
+	start, dur uint64
+	num        [2]uint64
+	track      int32
+	name       uint16
+	key, str   [2]uint16
+	domain     Domain
+	kind       Kind
+}
+
+func (p *packedSpan) unpack(strs []string) Span {
+	return Span{Name: strs[p.name], Domain: p.domain, Kind: p.kind, Track: p.track,
+		Start: p.start, Dur: p.dur, Args: [2]Arg{
+			{Key: strs[p.key[0]], Str: strs[p.str[0]], Num: p.num[0]},
+			{Key: strs[p.key[1]], Str: strs[p.str[1]], Num: p.num[1]},
+		}}
 }
 
 // New returns an empty trace identified by id holding at most capacity
@@ -242,16 +276,34 @@ func (t *Trace) Spans() []Span {
 
 func (t *Trace) spansLocked() []Span {
 	out := make([]Span, t.size)
+	if t.buf == nil {
+		for i := range t.packed {
+			out[i] = t.packed[i].unpack(t.strs)
+		}
+		return out
+	}
 	for i := 0; i < t.size; i++ {
 		out[i] = t.buf[(t.head+i)%len(t.buf)]
 	}
 	return out
 }
 
-// Seal freezes a finished trace: the ring shrinks to exactly the spans it
-// holds, so a long-lived record of a finished run does not keep a
-// full-capacity ring. Spans emitted after Seal are safe, recorded nowhere,
-// and counted in Emitted and Dropped. Sealing twice is a no-op.
+// capLocked is the ring capacity, or after Seal the number of spans held.
+func (t *Trace) capLocked() int {
+	if t.buf == nil {
+		return len(t.packed)
+	}
+	return len(t.buf)
+}
+
+// Seal freezes a finished trace: its spans are packed into 48-byte,
+// pointer-free records over a string table of the trace's own, so a
+// long-lived record of a finished run keeps neither a full-capacity ring
+// nor a string header per field. Readers (Spans and the exporters) see
+// exactly the spans held before. A trace holding more distinct strings
+// than a uint16 indexes keeps its spans unpacked instead, in a ring shrunk
+// to the spans it holds. Spans emitted after Seal are safe, recorded
+// nowhere, and counted in Emitted and Dropped. Sealing twice is a no-op.
 func (t *Trace) Seal() {
 	if t == nil {
 		return
@@ -261,7 +313,40 @@ func (t *Trace) Seal() {
 	if t.sealed {
 		return
 	}
-	t.buf, t.head, t.sealed = t.spansLocked(), 0, true
+	t.sealed = true
+	if packed, strs, ok := t.packLocked(); ok {
+		t.buf, t.packed, t.strs = nil, packed, strs
+	} else {
+		t.buf = t.spansLocked()
+	}
+	t.head = 0
+}
+
+// packLocked packs the ring's spans, oldest first, with the string table
+// they index. It reports false when the spans hold more distinct strings
+// than a uint16 indexes.
+func (t *Trace) packLocked() ([]packedSpan, []string, bool) {
+	strs := []string{""}
+	index := map[string]uint16{"": 0}
+	intern := func(s string) uint16 {
+		i, seen := index[s]
+		if !seen {
+			i = uint16(len(strs)) // wraps past the table's limit; checked below
+			index[s] = i
+			strs = append(strs, s)
+		}
+		return i
+	}
+	out := make([]packedSpan, t.size)
+	for i := range out {
+		s := &t.buf[(t.head+i)%len(t.buf)]
+		out[i] = packedSpan{start: s.Start, dur: s.Dur, track: s.Track, name: intern(s.Name),
+			domain: s.Domain, kind: s.Kind}
+		for j, a := range s.Args {
+			out[i].key[j], out[i].str[j], out[i].num[j] = intern(a.Key), intern(a.Str), a.Num
+		}
+	}
+	return out, strs, len(strs) <= math.MaxUint16+1
 }
 
 // Len returns the number of retained spans.
@@ -281,7 +366,7 @@ func (t *Trace) Cap() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return t.capLocked()
 }
 
 // Emitted returns the lifetime span count, including dropped spans.
@@ -310,7 +395,7 @@ func (t *Trace) Dropped() uint64 {
 func (t *Trace) Collector() obs.Collector {
 	return obs.CollectorFunc(func(s obs.Sink) {
 		t.mu.Lock()
-		emitted, dropped, size, capacity := t.emitted, t.dropped, t.size, len(t.buf)
+		emitted, dropped, size, capacity := t.emitted, t.dropped, t.size, t.capLocked()
 		t.mu.Unlock()
 		s.Counter("spans.emitted", emitted)
 		s.Counter("spans.dropped", dropped)
