@@ -116,7 +116,9 @@ func runCells[R any](o Options, cells []Cell, fn func(context.Context, Cell) (R,
 // group's last cell have finished when the group runs, so it runs over no
 // more kept outcomes than that cell does in table order. So in fig9 and
 // fault-sweep the 4-thread AtomCheck groups, whose cells need the most
-// memory, run first rather than last.
+// memory, run first rather than last. Kept outcomes are small now that a
+// finished histogram keeps only its occupied buckets: a 50k-instruction
+// fault-sweep's live heap at table build fell from about 6.8 MB to 1.6 MB.
 func traceOrder(cells []Cell) []int {
 	type key struct {
 		bench        string

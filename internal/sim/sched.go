@@ -299,8 +299,10 @@ func (s *Scheduler) tryJump(sleepers []Sleeper, now uint64) bool {
 	s.Clock.fastForward(sleepers, n)
 	s.FF.Jumps++
 	s.FF.SkippedCycles += n
-	s.Trace.CycleSpan(s.TraceTrack, spans.NameFFJump, now, now+n,
-		spans.Str("reason", reason), spans.Num("sleeper", uint64(waker)))
+	if s.Trace != nil {
+		s.Trace.CycleSpan(s.TraceTrack, spans.NameFFJump, now, now+n,
+			spans.Str("reason", reason), spans.Num("sleeper", uint64(waker)))
+	}
 	return true
 }
 

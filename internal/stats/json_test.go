@@ -30,12 +30,7 @@ func TestHistogramJSONRoundTrip(t *testing.T) {
 		t.Fatalf("scalars differ: got {%d %v %d} want {%d %v %d}",
 			got.total, got.sum, got.max, h.total, h.sum, h.max)
 	}
-	for _, v := range h.sortedKeys() {
-		if got.count(v) != h.count(v) {
-			t.Fatalf("count(%d) = %d, want %d", v, got.count(v), h.count(v))
-		}
-	}
-	if !reflect.DeepEqual(got.sortedKeys(), h.sortedKeys()) {
+	if !reflect.DeepEqual(got.buckets(), h.buckets()) {
 		t.Fatal("occupied buckets differ after round trip")
 	}
 	// Derived statistics must be bit-identical (cached results must

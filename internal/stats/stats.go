@@ -1,9 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -62,23 +63,40 @@ func Max(xs []float64) float64 {
 }
 
 // Histogram counts integer-valued samples (e.g. queue occupancies, burst
-// sizes, inter-event distances). Buckets are exact values. Small
-// non-negative values — the overwhelming majority: queue occupancies and
-// event distances cluster near zero — live in a dense slice so the
-// per-cycle Add on the simulator's hot path is an array increment with no
-// map hashing; rare large or negative values fall back to a sparse map.
+// sizes, inter-event distances). Buckets are exact values.
+//
+// A histogram has two forms. While it records, small non-negative values
+// — the overwhelming majority: queue occupancies and event distances
+// cluster near zero — live in a dense slice, so the per-cycle Add on the
+// simulator's hot path is an array increment with no map hashing; rare
+// large or negative values fall back to a sparse map. Once a run is over,
+// Compact turns it into its finished form: the occupied buckets alone,
+// ascending, with neither the dense slice nor the map. Decoding builds the
+// finished form directly. Both forms answer every reader alike, and a
+// finished histogram recorded into again returns to the recording form.
 type Histogram struct {
 	dense  []uint64       // counts for values in [0, len(dense))
 	sparse map[int]uint64 // lazily allocated overflow buckets
 	total  uint64
 	sum    float64
 	max    int
+	// packed holds the finished form's buckets; nil while dense and
+	// sparse hold them.
+	packed []bucket
+}
+
+// bucket is one occupied value and its count, in the finished form and on
+// the wire.
+type bucket struct {
+	V int    `json:"v"`
+	N uint64 `json:"n"`
 }
 
 // maxDense bounds the dense bucket array; values at or beyond it (or
-// negative) go to the sparse map. 64K entries cover the deepest occupancy
-// the experiments probe (32K) with one 512 KB array worst-case, and the
-// array only grows to the largest value actually seen.
+// negative) go to the sparse map. The array starts at 64 entries and
+// doubles until it covers the largest value seen, so it holds up to twice
+// that many entries; 64K entries cover the deepest occupancy the
+// experiments probe (32K) with one 512 KB array worst-case.
 const maxDense = 1 << 16
 
 // NewHistogram returns an empty histogram. No storage is allocated until
@@ -104,6 +122,9 @@ func (h *Histogram) AddN(v int, n uint64) {
 		}
 		h.dense[v] += n
 	} else {
+		if h.packed != nil {
+			h.unpack()
+		}
 		if h.sparse == nil {
 			h.sparse = make(map[int]uint64)
 		}
@@ -117,8 +138,15 @@ func (h *Histogram) AddN(v int, n uint64) {
 }
 
 // growDense extends the dense array to cover v (amortized: capacity
-// doubles, starting at 64).
+// doubles, starting at 64), first returning a finished histogram to its
+// recording form.
 func (h *Histogram) growDense(v int) {
+	if h.packed != nil {
+		h.unpack()
+		if v < len(h.dense) {
+			return
+		}
+	}
 	n := len(h.dense) * 2
 	if n < 64 {
 		n = 64
@@ -132,6 +160,55 @@ func (h *Histogram) growDense(v int) {
 	bigger := make([]uint64, n)
 	copy(bigger, h.dense)
 	h.dense = bigger
+}
+
+// unpack records the finished form's buckets back into the dense array
+// and the sparse map, keeping the summary scalars as they were.
+func (h *Histogram) unpack() {
+	bs, total, sum, max := h.packed, h.total, h.sum, h.max
+	h.packed = nil
+	for _, b := range bs {
+		h.AddN(b.V, b.N)
+	}
+	h.total, h.sum, h.max = total, sum, max
+}
+
+// Compact turns a histogram that will record no more into its finished
+// form, which keeps 16 bytes per occupied bucket. It is idempotent.
+func (h *Histogram) Compact() {
+	h.packed = h.buckets()
+	h.dense, h.sparse = nil, nil
+}
+
+// buckets returns every occupied bucket, ascending by value: the finished
+// form itself, or the occupied dense entries merged with the sparse ones
+// in a slice sized to fit.
+func (h *Histogram) buckets() []bucket {
+	if h.dense == nil && h.sparse == nil {
+		return h.packed
+	}
+	n := len(h.sparse)
+	for _, c := range h.dense {
+		if c > 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	bs := make([]bucket, 0, n)
+	for v, c := range h.dense {
+		if c > 0 {
+			bs = append(bs, bucket{V: v, N: c})
+		}
+	}
+	if len(h.sparse) > 0 {
+		for v, c := range h.sparse {
+			bs = append(bs, bucket{V: v, N: c})
+		}
+		slices.SortFunc(bs, func(a, b bucket) int { return cmp.Compare(a.V, b.V) })
+	}
+	return bs
 }
 
 // Total returns the number of samples recorded.
@@ -148,30 +225,22 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.total)
 }
 
-// count returns the number of samples recorded with exact value v.
-func (h *Histogram) count(v int) uint64 {
-	if v >= 0 && v < len(h.dense) {
-		return h.dense[v]
-	}
-	return h.sparse[v]
-}
-
 // Percentile returns the smallest value v whose cumulative fraction of
 // samples is at least p, for p in (0, 1].
 func (h *Histogram) Percentile(p float64) int {
 	if h.total == 0 {
 		return 0
 	}
-	keys := h.sortedKeys()
+	bs := h.buckets()
 	target := uint64(math.Ceil(p * float64(h.total)))
 	var cum uint64
-	for _, k := range keys {
-		cum += h.count(k)
+	for _, b := range bs {
+		cum += b.N
 		if cum >= target {
-			return k
+			return b.V
 		}
 	}
-	return keys[len(keys)-1]
+	return bs[len(bs)-1].V
 }
 
 // CDF returns (value, cumulative fraction) pairs at the given probe points.
@@ -183,14 +252,14 @@ type CDFPoint struct {
 // CDFAtPoints evaluates the CDF at each probe value, in order.
 func (h *Histogram) CDFAtPoints(points []int) []CDFPoint {
 	out := make([]CDFPoint, 0, len(points))
-	keys := h.sortedKeys()
+	bs := h.buckets()
 	for _, p := range points {
 		var cum uint64
-		for _, k := range keys {
-			if k > p {
+		for _, b := range bs {
+			if b.V > p {
 				break
 			}
-			cum += h.count(k)
+			cum += b.N
 		}
 		frac := 0.0
 		if h.total > 0 {
@@ -199,22 +268,6 @@ func (h *Histogram) CDFAtPoints(points []int) []CDFPoint {
 		out = append(out, CDFPoint{Value: p, Frac: frac})
 	}
 	return out
-}
-
-// sortedKeys returns every value with a nonzero count, ascending: the
-// occupied dense indices merged with the sparse keys.
-func (h *Histogram) sortedKeys() []int {
-	keys := make([]int, 0, len(h.sparse))
-	for k := range h.sparse {
-		keys = append(keys, k)
-	}
-	for v, n := range h.dense {
-		if n > 0 {
-			keys = append(keys, v)
-		}
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // String renders the histogram compactly for debugging.

@@ -37,6 +37,12 @@ func FuzzDecodeOutcome(f *testing.F) {
 	// A histogram whose repeated bucket value hid a lost count behind a
 	// matching total; it decoded, then its re-encoding did not.
 	f.Add([]byte(`{"v":2,"study":{"study":{"Occupancy":{"total":13568,"buckets":[{"n":11975},{"n":1405},{"n":183},{"n":5}]}}}}`))
+	// Histograms no recording produces: counts that overflow to the
+	// total, a max the buckets disagree with, and an empty bucket past
+	// the dense range that re-encoded as itself.
+	f.Add([]byte(`{"v":2,"study":{"study":{"Occupancy":{"total":0,"max":1,"buckets":[{"v":0,"n":18446744073709551615},{"v":1,"n":1}]}}}}`))
+	f.Add([]byte(`{"v":2,"study":{"study":{"Occupancy":{"total":1,"max":9,"buckets":[{"v":3,"n":1}]}}}}`))
+	f.Add([]byte(`{"v":2,"study":{"study":{"Occupancy":{"total":1,"max":70000,"buckets":[{"v":3,"n":1},{"v":70000,"n":0}]}}}}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		o, err := DecodeOutcome(b)
 		if err != nil {

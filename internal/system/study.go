@@ -112,6 +112,7 @@ func runQueueStudy(ctx context.Context, s runspec.Spec) (*QueueStudy, error) {
 		Occupancy:       evq.Occupancy(),
 		MaxOccupancy:    evq.MaxLen(),
 	}
+	qs.Occupancy.Compact()
 	reg.Gauge("sim.slowdown").Set(qs.Slowdown)
 	reg.Gauge("sim.app_ipc").Set(qs.AppIPC)
 	reg.Gauge("sim.monitored_ipc").Set(qs.MonitoredIPC)

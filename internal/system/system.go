@@ -391,7 +391,11 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 	}
 	for _, g := range groups {
 		if g.fu != nil {
+			// The unit records no more: keep its distributions in their
+			// finished form, the occupied buckets alone.
 			g.fu.FlushBurst()
+			g.fu.Stats().UnfilteredDistance.Compact()
+			g.fu.Stats().BurstSizes.Compact()
 		}
 	}
 
@@ -436,6 +440,7 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 	res.BaselineIPC = stats.Ratio(res.Instrs, maxBaseline)
 	res.MonitoredIPC = stats.Ratio(res.MonitoredEvents, maxBaseline)
 	res.EvqOccupancy = groups[0].evq.Occupancy()
+	res.EvqOccupancy.Compact()
 	if single {
 		res.ClassInstr = groups[0].monCore.ClassInstr()
 	} else {
