@@ -136,7 +136,8 @@ type (
 // Abort sentinels, matchable with errors.Is.
 var (
 	// ErrCanceled: the run's context was canceled (or its wall-clock limit
-	// expired) and the scheduler stopped at a checkpoint.
+	// expired), at a scheduler checkpoint or while the run waited on
+	// another caller's computation of a shared result.
 	ErrCanceled = sim.ErrCanceled
 	// ErrCycleCapExceeded: the run hit its cycle cap before completing.
 	ErrCycleCapExceeded = sim.ErrCycleCapExceeded

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 
 	"fade/internal/isa"
@@ -175,12 +176,14 @@ func (c *DetailedCore) latency(in isa.Instr) uint64 {
 // RunDetailed executes the whole stream on the sim kernel and returns
 // (cycles, instructions). A stream that fails to drain within maxCycles
 // returns the partial counts alongside an error wrapping
-// sim.ErrCycleCapExceeded — truncation is never silent.
-func RunDetailed(kind Kind, src trace.Source, seed uint64, maxCycles uint64) (uint64, uint64, error) {
+// sim.ErrCycleCapExceeded — truncation is never silent — and a run whose
+// ctx is canceled or past its deadline stops at a scheduler checkpoint
+// with an error wrapping sim.ErrCanceled.
+func RunDetailed(ctx context.Context, kind Kind, src trace.Source, seed uint64, maxCycles uint64) (uint64, uint64, error) {
 	c := NewDetailedCore(kind, src, seed)
 	clock := sim.NewClock()
 	clock.Register(c)
-	sched := &sim.Scheduler{Clock: clock, MaxCycles: maxCycles,
+	sched := &sim.Scheduler{Clock: clock, MaxCycles: maxCycles, Ctx: ctx,
 		Done: func() bool { return c.Done() }}
 	out := sched.Run()
 	if !out.Completed {

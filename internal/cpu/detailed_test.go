@@ -1,8 +1,11 @@
 package cpu
 
 import (
+	"context"
+	"errors"
 	"testing"
 
+	"fade/internal/sim"
 	"fade/internal/trace"
 )
 
@@ -12,7 +15,7 @@ func detIPC(t *testing.T, kind Kind, bench string, instrs uint64) float64 {
 	if !ok {
 		t.Fatalf("unknown bench %s", bench)
 	}
-	cycles, retired, err := RunDetailed(kind, trace.New(prof, 1, instrs), 1, instrs*200)
+	cycles, retired, err := RunDetailed(context.Background(), kind, trace.New(prof, 1, instrs), 1, instrs*200)
 	if err != nil {
 		t.Fatalf("%s: %v", bench, err)
 	}
@@ -20,6 +23,21 @@ func detIPC(t *testing.T, kind Kind, bench string, instrs uint64) float64 {
 		t.Fatalf("%s: retired %d of %d", bench, retired, instrs)
 	}
 	return float64(retired) / float64(cycles)
+}
+
+// TestRunDetailedHonoursCanceledContext: a canceled context stops the
+// detailed core at its first checkpoint, before any cycle executes.
+func TestRunDetailedHonoursCanceledContext(t *testing.T) {
+	prof, _ := trace.Lookup("astar")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cycles, retired, err := RunDetailed(ctx, OoO4, trace.New(prof, 1, 60_000), 1, 60_000*200)
+	if !errors.Is(err, sim.ErrCanceled) {
+		t.Fatalf("err = %v, want sim.ErrCanceled", err)
+	}
+	if cycles != 0 || retired != 0 {
+		t.Fatalf("canceled run executed %d cycles, retired %d", cycles, retired)
+	}
 }
 
 func TestDetailedIPCBounded(t *testing.T) {

@@ -128,6 +128,8 @@ func NewMem(entries int) *Cache {
 // for waiters mirrors the winner's). A computation error is returned but
 // not cached: the flight is dropped so a later caller retries. A panicking
 // computation fails its flight the same way before the panic propagates.
+// A waiter whose ctx ends before the flight does returns ctx.Err() as it
+// is, unwrapped.
 func (c *Cache) Do(ctx context.Context, key Key, compute func(context.Context) ([]byte, error)) ([]byte, Source, error) {
 	for {
 		c.mu.Lock()

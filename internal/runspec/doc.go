@@ -18,7 +18,7 @@
 // its metrics dump, after normalization (zero values are folded onto
 // their documented defaults, so an explicit default hashes identically to
 // an omitted field). Execution budgets that cannot change a completed
-// result — the wall-clock watchdog — and out-of-Spec execution knobs
+// result — the wall-clock budget — and out-of-Spec execution knobs
 // (worker-pool width, output flags) are excluded; see DESIGN.md's
 // "Spec canonicalization" section and the golden-hash test, which pins
 // the encoding so an accidental change (silently invalidating every disk

@@ -52,7 +52,7 @@ const (
 //
 // Spec deliberately excludes execution knobs that cannot change a
 // completed run's result: worker-pool width, output/telemetry sinks, and
-// the wall-clock watchdog (WallClockMS rides along for executors but is
+// the wall-clock budget (WallClockMS rides along for executors but is
 // not part of the canonical encoding).
 type Spec struct {
 	// Kind selects the simulation shape: KindRun (the zero value),
@@ -110,16 +110,19 @@ type Spec struct {
 	// FastForward arms the scheduler's quiescence skip-ahead. Results are
 	// byte-identical either way, but the sim.ff.* metric series appear
 	// only when set, so the flag is part of the hash (the metrics dump is
-	// part of the result).
+	// part of the result). KindBaseline ignores it: a baseline always
+	// runs with skip-ahead armed, and its outcome has no sim.ff.* series.
 	FastForward bool `json:"fast_forward,omitempty"`
 
 	// MaxCycles caps simulated time (0 selects DefaultMaxCycles(Instrs);
 	// see CycleCap). Hashed: a run truncated by the cap is a different
 	// result.
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
-	// WallClockMS caps real time. NOT hashed: it is an execution budget —
-	// a run that completed under any wall-clock budget produced the same
-	// result it would have produced under any other.
+	// WallClockMS caps real time for every kind: the executor turns it
+	// into a deadline on the run's context, and a run past it fails with
+	// sim.ErrCanceled. NOT hashed: it is an execution budget — a run that
+	// completed under any wall-clock budget produced the same result it
+	// would have produced under any other.
 	WallClockMS int64 `json:"wall_clock_ms,omitempty"`
 
 	// Faults configures deterministic fault injection.

@@ -432,6 +432,30 @@ func TestCancel(t *testing.T) {
 	})
 }
 
+// TestWallClockWaitOnBaselineEndsCanceled: a run whose wall-clock budget
+// runs out while it waits on another run's in-flight baseline ends
+// canceled, with the budget as its reason, and does not wait for that
+// baseline. The two runs share a 5M-instruction baseline, which run A
+// simulates for far longer than run B's 50 ms budget.
+func TestWallClockWaitOnBaselineEndsCanceled(t *testing.T) {
+	srv := New(Options{Workers: 2})
+	defer srv.Close()
+	h := srv.Handler()
+	a := decodeInfo(t, do(t, h, "POST", "/v1/runs", `{"benchmark":"astar","monitor":"MemLeak","instrs":5000000,"seed":7001}`, nil))
+	stateOf := func(id string) string { return decodeInfo(t, do(t, h, "GET", "/v1/runs/"+id, "", nil)).State }
+	eventually(t, "run A to start", func() bool { return stateOf(a.ID) == StateRunning })
+	time.Sleep(100 * time.Millisecond) // A is inside its baseline
+
+	b := submitWait(t, h, `{"benchmark":"astar","monitor":"AddrCheck","instrs":5000000,"seed":7001,"limits":{"wall_clock_ms":50}}`)
+	if b.State != StateCanceled || b.Error != "sim: run canceled: wall-clock limit exceeded" {
+		t.Fatalf("run B: state %q, error %q; want canceled by the budget while waiting", b.State, b.Error)
+	}
+	if st := stateOf(a.ID); st != StateRunning {
+		t.Fatalf("run A is %q; B should have stopped before A's baseline finished", st)
+	}
+	do(t, h, "DELETE", "/v1/runs/"+a.ID, "", nil)
+}
+
 // TestWaitSynchronous checks wait=true returns the terminal record, and
 // that a client disconnect mid-wait cancels the run with partial results
 // flushed.

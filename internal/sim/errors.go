@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -11,7 +12,7 @@ import (
 // been wrapped around the original error.
 var (
 	// ErrCanceled reports that the run was stopped by its context (an
-	// explicit cancel, a context deadline, or the wall-clock watchdog)
+	// explicit cancel, or a deadline such as a spec's wall-clock budget)
 	// before the termination predicate held. Results accompanying it are
 	// partial but internally consistent as of the last completed cycle.
 	ErrCanceled = errors.New("sim: run canceled")
@@ -27,6 +28,15 @@ var (
 	// naming the violated invariant.
 	ErrInvariantViolated = errors.New("sim: invariant violated")
 )
+
+// Canceled is the abort error of a run stopped by ctx: ErrCanceled
+// wrapping the context's cause, so a deadline set with
+// context.WithDeadlineCause names itself ("sim: run canceled: wall-clock
+// limit exceeded") and errors.Is still matches context.Canceled or
+// context.DeadlineExceeded when no cause was given.
+func Canceled(ctx context.Context) error {
+	return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
+}
 
 // InvariantError is the concrete error returned when an invariant checker
 // trips: it names the violated invariant (a stable, grep-able identifier

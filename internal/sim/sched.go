@@ -4,18 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"fade/internal/obs"
 	"fade/internal/spans"
 )
 
 // DefaultCheckpointInterval is the cancellation-checkpoint period: every
-// this-many loop iterations the scheduler polls its context and wall-clock
-// deadline. Polling is cheap (one atomic load on most context
-// implementations) but keeping it off the every-iteration path preserves
-// the hot loop; a canceled run is guaranteed to stop within one checkpoint
-// interval.
+// this-many loop iterations the scheduler polls its context (a wall-clock
+// budget reaches it as the context's deadline). Polling is cheap but
+// keeping it off the every-iteration path preserves the hot loop; a
+// canceled run is guaranteed to stop within one checkpoint interval.
 //
 // The interval counts loop iterations executed, not simulated cycles: a
 // fast-forward jump advances the clock by an arbitrary number of cycles in
@@ -61,7 +59,7 @@ type Outcome struct {
 	// rather than aborting (cycle cap, cancellation, invariant violation).
 	Completed bool
 	// Err is nil when Completed; otherwise it is the structured abort
-	// reason: ErrCanceled (context or wall-clock watchdog),
+	// reason: ErrCanceled (context canceled or past its deadline),
 	// ErrCycleCapExceeded, or an *InvariantError wrapping
 	// ErrInvariantViolated.
 	Err error
@@ -77,10 +75,10 @@ type Outcome struct {
 // Per-cycle order is fixed and documented (DESIGN.md "Tick order"):
 //
 //  1. checkpoint — every DefaultCheckpointInterval loop iterations the
-//     context and wall-clock deadline are polled; a canceled run aborts
-//     here with ErrCanceled (iterations, not cycles: fast-forward jumps
-//     advance many cycles per iteration, so cycle-modulo polling could be
-//     hopped over);
+//     context is polled; a run whose context is canceled or past its
+//     deadline aborts here with ErrCanceled (iterations, not cycles:
+//     fast-forward jumps advance many cycles per iteration, so
+//     cycle-modulo polling could be hopped over);
 //  2. Done — checked next, so a system that is already drained executes
 //     zero cycles;
 //  3. Warmed — the first cycle on which it reports true is recorded as the
@@ -90,9 +88,9 @@ type Outcome struct {
 //  6. Check — the invariant checker observes the post-tick state and may
 //     abort the run with an *InvariantError.
 //
-// Cancellation and the wall-clock deadline never perturb the simulated
-// state: a run that completes produces byte-identical metrics whether or
-// not a context was installed, because checkpoints only read.
+// Cancellation and deadlines never perturb the simulated state: a run
+// that completes produces byte-identical metrics whether or not a context
+// was installed, because checkpoints only read.
 type Scheduler struct {
 	Clock *Clock
 	// MaxCycles is the safety cap; a run that reaches it did not complete
@@ -109,12 +107,9 @@ type Scheduler struct {
 	Check func(cycle uint64) error
 	// Ctx, when neither nil nor context.Background(), is polled at
 	// checkpoints; once it is done the run aborts with ErrCanceled
-	// (wrapping the context's cause).
+	// (wrapping the context's cause). Its deadline, if any, bounds real
+	// time, not simulated time (MaxCycles bounds the latter).
 	Ctx context.Context
-	// Deadline, when non-zero, is the wall-clock watchdog: a checkpoint
-	// past it aborts the run with ErrCanceled. It bounds real time, not
-	// simulated time (MaxCycles bounds the latter).
-	Deadline time.Time
 	// FastForward arms event-driven skip-ahead: each iteration the
 	// scheduler asks every component (which must implement Sleeper) for
 	// its quiet span, and when all are quiescent it jumps the clock over
@@ -154,13 +149,13 @@ type Scheduler struct {
 }
 
 // Run executes cycles until Done holds, MaxCycles elapse, the context is
-// canceled, the wall-clock deadline passes, or the invariant checker
-// rejects a cycle. The abort reason, if any, is in Outcome.Err.
+// canceled or past its deadline, or the invariant checker rejects a
+// cycle. The abort reason, if any, is in Outcome.Err.
 func (s *Scheduler) Run() Outcome {
 	var out Outcome
 	// Background can never be canceled, so a run under it has nothing to
 	// poll and places no checkpoints.
-	watch := s.Ctx != nil && s.Ctx != context.Background() || !s.Deadline.IsZero()
+	watch := s.Ctx != nil && s.Ctx != context.Background()
 	sleepers := s.armFastForward()
 	startCycle := s.Clock.Cycle()
 	var iters uint64
@@ -170,8 +165,8 @@ func (s *Scheduler) Run() Outcome {
 		// cycle-modulo checkpoint, leaving a canceled run spinning.
 		if watch && iters%DefaultCheckpointInterval == 0 {
 			s.Trace.CycleInstant(s.TraceTrack, spans.NameCheckpoint, cycles, spans.None, spans.None)
-			if err := s.poll(); err != nil {
-				out.Err = err
+			if s.Ctx.Err() != nil {
+				out.Err = Canceled(s.Ctx)
 				break
 			}
 		}
@@ -304,17 +299,4 @@ func (s *Scheduler) tryJump(sleepers []Sleeper, now uint64) bool {
 			spans.Str("reason", reason), spans.Num("sleeper", uint64(waker)))
 	}
 	return true
-}
-
-// poll reports the abort reason due at a checkpoint, if any.
-func (s *Scheduler) poll() error {
-	if s.Ctx != nil {
-		if err := s.Ctx.Err(); err != nil {
-			return fmt.Errorf("%w: %v", ErrCanceled, err)
-		}
-	}
-	if !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
-		return fmt.Errorf("%w: wall-clock limit exceeded", ErrCanceled)
-	}
-	return nil
 }

@@ -66,12 +66,20 @@ func TestSchedulerCancelWithinOneCheckpoint(t *testing.T) {
 	}
 }
 
+// TestSchedulerWallClockDeadline: a context past its deadline stops the
+// run with ErrCanceled wrapping the deadline's cause.
 func TestSchedulerWallClockDeadline(t *testing.T) {
+	errBudget := errors.New("wall-clock limit exceeded")
+	ctx, cancel := context.WithDeadlineCause(context.Background(), time.Now().Add(-time.Second), errBudget)
+	defer cancel()
 	s := endless(1 << 40)
-	s.Deadline = time.Now().Add(-time.Second)
+	s.Ctx = ctx
 	out := s.Run()
-	if out.Completed || !errors.Is(out.Err, ErrCanceled) {
-		t.Fatalf("out = %+v, want wall-clock ErrCanceled abort", out)
+	if out.Completed || !errors.Is(out.Err, ErrCanceled) || !errors.Is(out.Err, errBudget) {
+		t.Fatalf("out = %+v, want ErrCanceled wrapping the deadline's cause", out)
+	}
+	if want := "sim: run canceled: wall-clock limit exceeded"; out.Err.Error() != want {
+		t.Fatalf("Err = %q, want %q", out.Err, want)
 	}
 }
 

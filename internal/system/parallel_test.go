@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"testing"
-	"time"
 
 	"fade/internal/runspec"
 	"fade/internal/trace"
@@ -13,7 +12,7 @@ import (
 // TestBaselineSingleFlight is the thundering-herd regression test: N
 // concurrent runs sharing one (profile, core, seed, length) baseline key
 // must simulate the unmonitored baseline exactly once — the other workers
-// block on the entry's sync.Once instead of redundantly re-simulating.
+// wait on the store's single flight instead of redundantly re-simulating.
 func TestBaselineSingleFlight(t *testing.T) {
 	prof, ok := trace.Lookup("astar")
 	if !ok {
@@ -23,7 +22,7 @@ func TestBaselineSingleFlight(t *testing.T) {
 	spec := runspec.Spec{Core: runspec.Core4Way, Seed: 0xB15E11FE, Instrs: 20_000, MaxCycles: 2_000_000}
 
 	const workers = 8
-	before := baselineSims.Load()
+	before := baselineStore.Stats().Misses
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	for i := 0; i < workers; i++ {
@@ -31,7 +30,7 @@ func TestBaselineSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = runBaseline(context.Background(), prof, spec, time.Time{})
+			_, errs[i] = runBaseline(context.Background(), prof, spec)
 		}()
 	}
 	wg.Wait()
@@ -40,15 +39,15 @@ func TestBaselineSingleFlight(t *testing.T) {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
-	if got := baselineSims.Load() - before; got != 1 {
+	if got := baselineStore.Stats().Misses - before; got != 1 {
 		t.Fatalf("%d concurrent runBaseline calls performed %d simulations, want 1", workers, got)
 	}
 
 	// The cached value is served without further simulation.
-	if _, err := runBaseline(context.Background(), prof, spec, time.Time{}); err != nil {
+	if _, err := runBaseline(context.Background(), prof, spec); err != nil {
 		t.Fatal(err)
 	}
-	if got := baselineSims.Load() - before; got != 1 {
+	if got := baselineStore.Stats().Misses - before; got != 1 {
 		t.Fatalf("cache hit re-simulated the baseline (%d sims)", got)
 	}
 }

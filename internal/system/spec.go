@@ -10,6 +10,7 @@ import (
 	"fade/internal/monitor"
 	"fade/internal/rcache"
 	"fade/internal/runspec"
+	"fade/internal/sim"
 	"fade/internal/stats"
 	"fade/internal/trace"
 )
@@ -102,16 +103,16 @@ func runCoreModelStudy(ctx context.Context, s runspec.Spec) (*CoreModelIPC, erro
 	if !ok {
 		return nil, fmt.Errorf("system: unknown benchmark %q", s.Benchmark)
 	}
-	b, err := runBaseline(ctx, prof, runspec.Spec{Core: runspec.Core4Way, Seed: s.Seed, Instrs: s.Instrs}, time.Time{})
+	b, err := runBaseline(ctx, prof, runspec.Spec{Core: runspec.Core4Way, Seed: s.Seed, Instrs: s.Instrs})
 	if err != nil {
 		return nil, fmt.Errorf("system: rate model for %s: %w", s.Benchmark, err)
 	}
-	rate := stats.Ratio(s.Instrs, b.cycles)
-	c4, r4, err := runDetailed(cpu.OoO4, prof, s.Seed, s.Instrs)
+	rate := stats.Ratio(s.Instrs, b.Cycles)
+	c4, r4, err := runDetailed(ctx, cpu.OoO4, prof, s.Seed, s.Instrs)
 	if err != nil {
 		return nil, fmt.Errorf("system: detailed model for %s: %w", s.Benchmark, err)
 	}
-	ci, ri, err := runDetailed(cpu.InOrder, prof, s.Seed, s.Instrs)
+	ci, ri, err := runDetailed(ctx, cpu.InOrder, prof, s.Seed, s.Instrs)
 	if err != nil {
 		return nil, fmt.Errorf("system: in-order detailed model for %s: %w", s.Benchmark, err)
 	}
@@ -120,10 +121,10 @@ func runCoreModelStudy(ctx context.Context, s runspec.Spec) (*CoreModelIPC, erro
 
 // runDetailed runs the dependency-driven core model of the given kind over
 // the stored stream.
-func runDetailed(kind cpu.Kind, prof *trace.Profile, seed, instrs uint64) (cycles, retired uint64, err error) {
+func runDetailed(ctx context.Context, kind cpu.Kind, prof *trace.Profile, seed, instrs uint64) (cycles, retired uint64, err error) {
 	src := trace.Open(prof, seed, instrs)
 	defer src.Close()
-	return cpu.RunDetailed(kind, src, seed, instrs*200)
+	return cpu.RunDetailed(ctx, kind, src, seed, instrs*200)
 }
 
 // Outcome is the result of executing one runspec.Spec: exactly one of the
@@ -180,17 +181,33 @@ func WithCache(c *rcache.Cache) Option {
 	return func(o *execOptions) { o.cache = c }
 }
 
+// errWallClock is the cause of a context deadline set from a spec's
+// WallClockMS.
+var errWallClock = errors.New("wall-clock limit exceeded")
+
 // ExecSpec executes a run spec, dispatching on its kind. The spec is
 // normalized and validated first, so an incomplete spec executes exactly
-// like its explicit-defaults equivalent (and hashes the same). A KindRun
-// that aborts (canceled, over a limit, an invariant violated) returns its
-// partial Result inside the Outcome together with the error, so callers
-// can flush whatever the run had counted. A span trace carried by ctx
-// (spans.NewContext) receives the run's cycle-domain spans.
+// like its explicit-defaults equivalent (and hashes the same). The spec's
+// WallClockMS, whatever its kind, becomes a deadline on ctx; a run whose
+// ctx is canceled or past that deadline, while it simulates or while it
+// waits on another caller's computation of the same cache entry, fails
+// with an error wrapping sim.ErrCanceled. A KindRun that aborts (canceled,
+// over a limit, an invariant violated) returns its partial Result inside
+// the Outcome together with the error, so callers can flush whatever the
+// run had counted. A span trace carried by ctx (spans.NewContext) receives
+// the run's cycle-domain spans.
 func ExecSpec(ctx context.Context, s runspec.Spec, opts ...Option) (*Outcome, error) {
 	var o execOptions
 	for _, opt := range opts {
 		opt(&o)
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if s.WallClockMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadlineCause(ctx, time.Now().Add(time.Duration(s.WallClockMS)*time.Millisecond), errWallClock)
+		defer cancel()
 	}
 	if o.cache == nil {
 		return exec(ctx, s, o.monitor)
@@ -209,6 +226,10 @@ func ExecSpec(ctx context.Context, s runspec.Spec, opts ...Option) (*Outcome, er
 		return EncodeOutcome(out)
 	})
 	if err != nil {
+		if err == ctx.Err() {
+			// The wait on another caller's computation ended with ctx.
+			err = sim.Canceled(ctx)
+		}
 		return partial, err
 	}
 	out, err := DecodeOutcome(b)
@@ -267,10 +288,10 @@ func exec(ctx context.Context, s runspec.Spec, mon monitor.Monitor) (*Outcome, e
 		if err != nil {
 			return nil, err
 		}
-		val, err := simulateBaseline(ctx, prof, s, time.Time{})
+		b, err := simulateBaseline(ctx, prof, s)
 		if err != nil {
 			return nil, err
 		}
-		return &Outcome{Baseline: &BaselineOutcome{Cycles: val.cycles, WarmBoundary: val.boundary}}, nil
+		return &Outcome{Baseline: b}, nil
 	}
 }

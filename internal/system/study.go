@@ -3,7 +3,6 @@ package system
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"fade/internal/cpu"
 	"fade/internal/isa"
@@ -66,7 +65,7 @@ func runQueueStudy(ctx context.Context, s runspec.Spec) (*QueueStudy, error) {
 	// the plain profile's baseline: MaxCycles, WarmupInstrs and Inject do
 	// not apply to it.
 	maxCycles := runspec.DefaultMaxCycles(s.Instrs)
-	baseline, err := runBaseline(ctx, prof, runspec.Spec{Core: s.Core, Seed: s.Seed, Instrs: s.Instrs}, time.Time{})
+	baseline, err := runBaseline(ctx, prof, runspec.Spec{Core: s.Core, Seed: s.Seed, Instrs: s.Instrs})
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +81,7 @@ func runQueueStudy(ctx context.Context, s runspec.Spec) (*QueueStudy, error) {
 	clock := sim.NewClock()
 	reg.Register(obs.CollectorFunc(func(s obs.Sink) {
 		s.Counter("sim.cycles", clock.Cycle())
-		s.Counter("sim.baseline_cycles", baseline.cycles)
+		s.Counter("sim.baseline_cycles", baseline.Cycles)
 	}))
 	// Consumer before producer: the ideal accelerator drains one event per
 	// cycle ahead of the core's enqueues.
@@ -103,12 +102,12 @@ func runQueueStudy(ctx context.Context, s runspec.Spec) (*QueueStudy, error) {
 		Benchmark:       s.Benchmark,
 		Monitor:         s.Monitor,
 		Cycles:          cycles,
-		BaselineCycles:  baseline.cycles,
-		Slowdown:        stats.Ratio(cycles, baseline.cycles),
+		BaselineCycles:  baseline.Cycles,
+		Slowdown:        stats.Ratio(cycles, baseline.Cycles),
 		Instrs:          app.Instrs(),
 		MonitoredEvents: app.MonitoredEvents(),
-		AppIPC:          stats.Ratio(app.Instrs(), baseline.cycles),
-		MonitoredIPC:    stats.Ratio(app.MonitoredEvents(), baseline.cycles),
+		AppIPC:          stats.Ratio(app.Instrs(), baseline.Cycles),
+		MonitoredIPC:    stats.Ratio(app.MonitoredEvents(), baseline.Cycles),
 		Occupancy:       evq.Occupancy(),
 		MaxOccupancy:    evq.MaxLen(),
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"time"
 
 	"fade/internal/core"
 	"fade/internal/cpu"
@@ -107,7 +106,7 @@ type Result struct {
 type coreGroup struct {
 	idx      int
 	seed     uint64
-	baseline baselineVal
+	baseline *BaselineOutcome
 
 	app     *cpu.AppCore
 	monCore *cpu.MonitorCore
@@ -190,10 +189,6 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 		return nil, fmt.Errorf("system: a custom monitor supports single-app-core topologies only (one monitor instance cannot serve %d cores)", s.AppCores)
 	}
 	single := s.AppCores == 1
-	var deadline time.Time
-	if s.WallClockMS > 0 {
-		deadline = time.Now().Add(time.Duration(s.WallClockMS) * time.Millisecond)
-	}
 
 	// One group per application core: a decorrelated copy of the workload,
 	// its own metadata domain, monitor instance, and fault injector,
@@ -203,13 +198,11 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 	for i := range groups {
 		cs := s
 		cs.Seed = coreSeed(s.Seed, i)
-		baseline, err := runBaseline(ctx, prof, cs, deadline)
+		baseline, err := runBaseline(ctx, prof, cs)
 		if err != nil {
 			return nil, err
 		}
-		if baseline.cycles > maxBaseline {
-			maxBaseline = baseline.cycles
-		}
+		maxBaseline = max(maxBaseline, baseline.Cycles)
 		md := metadata.NewState()
 		mons[i].Init(md)
 		src := trace.Open(prof, cs.Seed, s.Instrs)
@@ -364,7 +357,6 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 		sched.Warmed = func() bool { return groups[0].app.Instrs() >= s.WarmupInstrs }
 	}
 	sched.Ctx = ctx
-	sched.Deadline = deadline
 	if s.CheckInvariants {
 		sched.Check = newInvariantChecker(groups).check
 	}
@@ -402,18 +394,18 @@ func runSystem(ctx context.Context, s runspec.Spec, custom monitor.Monitor) (*Re
 	cycles := out.Cycles
 	res.Cycles = cycles
 	res.Slowdown = float64(cycles) / float64(maxBaseline)
-	if single && s.WarmupInstrs > 0 && out.WarmBoundary > 0 && groups[0].baseline.boundary > 0 &&
-		cycles > out.WarmBoundary && maxBaseline > groups[0].baseline.boundary {
+	if single && s.WarmupInstrs > 0 && out.WarmBoundary > 0 && groups[0].baseline.WarmBoundary > 0 &&
+		cycles > out.WarmBoundary && maxBaseline > groups[0].baseline.WarmBoundary {
 		// Measured-window slowdown: exclude the warm-up region from both
 		// the monitored and baseline runs.
-		res.Slowdown = float64(cycles-out.WarmBoundary) / float64(maxBaseline-groups[0].baseline.boundary)
+		res.Slowdown = float64(cycles-out.WarmBoundary) / float64(maxBaseline-groups[0].baseline.WarmBoundary)
 	}
 
 	for _, g := range groups {
 		cr := CoreResult{
 			Core: g.idx, Seed: g.seed,
-			Cycles: g.doneAt, BaselineCycles: g.baseline.cycles,
-			Slowdown:        float64(g.doneAt) / float64(g.baseline.cycles),
+			Cycles: g.doneAt, BaselineCycles: g.baseline.Cycles,
+			Slowdown:        float64(g.doneAt) / float64(g.baseline.Cycles),
 			Instrs:          g.app.Instrs(),
 			MonitoredEvents: g.app.MonitoredEvents(),
 			AppIPC:          stats.Ratio(g.app.Instrs(), g.doneAt),
